@@ -8,7 +8,7 @@
 //! fault_campaign --fork-points 0  # disable fork-point acceleration
 //! fault_campaign smoke            # pinned-histogram + resume smoke test
 //! fault_campaign fork-smoke       # fork on/off histogram equality check
-//! fault_campaign bench-fork       # late-strike speedup -> BENCH_pr6.json
+//! fault_campaign bench-fork       # late-strike speedup -> target/bench-fork.json
 //! fault_campaign --shards 4 --kill-after 2
 //!                                 # crash drill: SIGKILL + abort shard
 //!                                 # workers mid-campaign, resume, diff
@@ -28,13 +28,13 @@
 //! Fault runs fork from clean-prefix checkpoints by default (the runner
 //! snapshots the fault-free baseline at a grid of fork-point cycles and
 //! each seed resumes from the last checkpoint before its first strike);
-//! `--fork-points 0` or the `FLAME_NO_FORK` environment variable fall
-//! back to scratch simulation. Outcomes are bit-identical either way —
-//! `fork-smoke` asserts exactly that.
+//! `--fork-points 0` falls back to scratch simulation. Outcomes are
+//! bit-identical either way — `fork-smoke` asserts exactly that.
 
+use flame_bench::BenchEnv;
 use flame_core::experiment::{run_scheme, ExperimentConfig, ProtocolConfig, WorkloadSpec};
 use flame_core::runner::{
-    run_campaign_runner, CampaignSpec, CampaignSummary, RetryPolicy, SelfFault,
+    run_campaign_runner_with_jobs, CampaignSpec, CampaignSummary, RetryPolicy, SelfFault,
 };
 use flame_core::scheme::Scheme;
 use flame_core::shard::{merge_shards, run_shard_worker, run_sharded_campaign, ShardOptions};
@@ -80,8 +80,14 @@ fn smoke_workload() -> WorkloadSpec {
 /// with `--fork-points`.
 const DEFAULT_FORK_POINTS: usize = 8;
 
-fn spec_for(cfg: &ExperimentConfig, horizon: u64, coverage: f64, runs: usize) -> CampaignSpec {
-    CampaignSpec {
+fn spec_for(
+    env: &BenchEnv,
+    cfg: &ExperimentConfig,
+    horizon: u64,
+    coverage: f64,
+    runs: usize,
+) -> CampaignSpec {
+    env.apply(CampaignSpec {
         base_seed: 0x5EED,
         runs,
         strikes_per_run: 3,
@@ -97,10 +103,10 @@ fn spec_for(cfg: &ExperimentConfig, horizon: u64, coverage: f64, runs: usize) ->
         watchdog: 0,
         retry: RetryPolicy::default(),
         self_fault: SelfFault::default(),
-    }
+    })
 }
 
-fn sweep(w: &WorkloadSpec, runs: usize, fork_points: usize) {
+fn sweep(env: &BenchEnv, w: &WorkloadSpec, runs: usize, fork_points: usize) {
     let cfg = ExperimentConfig {
         max_cycles: 20_000_000,
         ..ExperimentConfig::default()
@@ -118,9 +124,9 @@ fn sweep(w: &WorkloadSpec, runs: usize, fork_points: usize) {
     for &coverage in &[1.0, 0.95, 0.85, 0.70, 0.50] {
         let spec = CampaignSpec {
             fork_points,
-            ..spec_for(&cfg, horizon, coverage, runs)
+            ..spec_for(env, &cfg, horizon, coverage, runs)
         };
-        let s = run_campaign_runner(w, &spec, None).expect("campaign failed");
+        let s = run_campaign_runner_with_jobs(w, &spec, None, env.jobs).expect("campaign failed");
         let k = s.count(Outcome::Sdc);
         let (lo, hi) = flame_core::wilson_interval(k, s.records.len(), 1.96);
         println!(
@@ -171,18 +177,25 @@ fn check_same(label: &str, a: &CampaignSummary, b: &CampaignSummary) {
     }
 }
 
-fn smoke() {
+fn smoke(env: &BenchEnv) {
     let w = smoke_workload();
     let cfg = ExperimentConfig {
         max_cycles: 20_000_000,
         ..ExperimentConfig::default()
     };
     let clean = run_scheme(&w, Scheme::SensorRenaming, &cfg).expect("clean run failed");
-    let spec = spec_for(&cfg, clean.stats.cycles * 3 / 4, SMOKE_COVERAGE, SMOKE_RUNS);
+    let spec = spec_for(
+        env,
+        &cfg,
+        clean.stats.cycles * 3 / 4,
+        SMOKE_COVERAGE,
+        SMOKE_RUNS,
+    );
 
     // 1. In-memory reference run, pinned against the committed golden
     //    report (or regenerating it when FLAME_UPDATE_GOLDEN=1).
-    let reference = run_campaign_runner(&w, &spec, None).expect("reference campaign failed");
+    let reference = run_campaign_runner_with_jobs(&w, &spec, None, env.jobs)
+        .expect("reference campaign failed");
     println!("{}", reference.render());
     if std::env::var("FLAME_UPDATE_GOLDEN").as_deref() == Ok("1") {
         std::fs::write(GOLDEN_PATH, reference.render())
@@ -210,7 +223,8 @@ fn smoke() {
     // 2. Journaled run: same summary, journal fully populated.
     let path = std::env::temp_dir().join(format!("flame_fault_smoke_{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let journaled = run_campaign_runner(&w, &spec, Some(&path)).expect("journaled campaign failed");
+    let journaled = run_campaign_runner_with_jobs(&w, &spec, Some(&path), env.jobs)
+        .expect("journaled campaign failed");
     check_same(
         "journaled run diverged from in-memory run",
         &reference,
@@ -234,7 +248,8 @@ fn smoke() {
     truncated.push('\n');
     truncated.push_str(&lines[10][..lines[10].len() / 2]);
     std::fs::write(&path, truncated).expect("journal truncation failed");
-    let resumed = run_campaign_runner(&w, &spec, Some(&path)).expect("resumed campaign failed");
+    let resumed = run_campaign_runner_with_jobs(&w, &spec, Some(&path), env.jobs)
+        .expect("resumed campaign failed");
     if resumed.ran_now != SMOKE_RUNS - 9 {
         fail(&format!(
             "resume re-ran {} seeds, expected {}",
@@ -253,7 +268,8 @@ fn smoke() {
     //    appended after it merges into a parseable hybrid line whose
     //    seed dedups the correct re-run away. Nothing should re-run and
     //    the report must still match.
-    let again = run_campaign_runner(&w, &spec, Some(&path)).expect("second resume failed");
+    let again = run_campaign_runner_with_jobs(&w, &spec, Some(&path), env.jobs)
+        .expect("second resume failed");
     if again.ran_now != 0 {
         fail(&format!(
             "second resume re-ran {} seeds, expected 0",
@@ -265,13 +281,14 @@ fn smoke() {
 
     // 5. Fork determinism: the same campaign with forking disabled must
     //    produce the same outcomes — only the telemetry fields differ.
-    let scratch = run_campaign_runner(
+    let scratch = run_campaign_runner_with_jobs(
         &w,
         &CampaignSpec {
             fork_points: 0,
             ..spec.clone()
         },
         None,
+        env.jobs,
     )
     .expect("fork-off campaign failed");
     check_same_outcomes("fork-on and fork-off runs diverged", &reference, &scratch);
@@ -313,7 +330,7 @@ fn check_same_outcomes(label: &str, a: &CampaignSummary, b: &CampaignSummary) {
 /// and off — and asserts the outcome histograms and per-seed records are
 /// identical modulo telemetry. `scripts/verify.sh` runs this as the
 /// fork regression gate; on failure it dumps both journals for diffing.
-fn fork_smoke() {
+fn fork_smoke(env: &BenchEnv) {
     let w = smoke_workload();
     let cfg = ExperimentConfig {
         max_cycles: 20_000_000,
@@ -322,16 +339,18 @@ fn fork_smoke() {
     let clean = run_scheme(&w, Scheme::SensorRenaming, &cfg).expect("clean run failed");
     let spec = CampaignSpec {
         strike_window: (0.5, 1.0),
-        ..spec_for(&cfg, clean.stats.cycles, SMOKE_COVERAGE, SMOKE_RUNS)
+        ..spec_for(env, &cfg, clean.stats.cycles, SMOKE_COVERAGE, SMOKE_RUNS)
     };
-    let forked = run_campaign_runner(&w, &spec, None).expect("forked campaign failed");
-    let scratch = run_campaign_runner(
+    let forked =
+        run_campaign_runner_with_jobs(&w, &spec, None, env.jobs).expect("forked campaign failed");
+    let scratch = run_campaign_runner_with_jobs(
         &w,
         &CampaignSpec {
             fork_points: 0,
             ..spec.clone()
         },
         None,
+        env.jobs,
     )
     .expect("scratch campaign failed");
     // Journals go to disk before the equality checks so CI can upload
@@ -376,14 +395,15 @@ fn dump_divergence(forked: &CampaignSummary, scratch: &CampaignSummary) {
     }
 }
 
-/// Path the late-strike fork benchmark writes its report to.
-const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr6.json");
+/// Path the late-strike fork benchmark writes its report to: a build
+/// directory, so a run never rewrites a tracked file.
+const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/bench-fork.json");
 
 /// Times a late-strike campaign (every strike in the last 20% of the
 /// horizon — the regime fork-point acceleration targets) with forking
 /// on and off, asserts bit-identical outcomes, and writes the speedup
-/// report to `BENCH_pr6.json`.
-fn bench_fork(runs: usize) {
+/// report to [`BENCH_PATH`].
+fn bench_fork(env: &BenchEnv, runs: usize) {
     // BP is the longest-running catalog workload (~100k clean cycles), so
     // simulated-prefix savings dominate per-run fixed costs (GPU image
     // allocation, kernel prepare) and the measurement reflects the fork
@@ -396,7 +416,7 @@ fn bench_fork(runs: usize) {
     let clean = run_scheme(&w, Scheme::SensorRenaming, &cfg).expect("clean run failed");
     let spec = CampaignSpec {
         strike_window: (0.8, 1.0),
-        ..spec_for(&cfg, clean.stats.cycles, SMOKE_COVERAGE, runs)
+        ..spec_for(env, &cfg, clean.stats.cycles, SMOKE_COVERAGE, runs)
     };
     println!(
         "bench-fork: {} runs, horizon {} cycles, strikes in [0.8, 1.0) of horizon",
@@ -404,17 +424,19 @@ fn bench_fork(runs: usize) {
     );
 
     let t0 = std::time::Instant::now();
-    let forked = run_campaign_runner(&w, &spec, None).expect("forked campaign failed");
+    let forked =
+        run_campaign_runner_with_jobs(&w, &spec, None, env.jobs).expect("forked campaign failed");
     let fork_secs = t0.elapsed().as_secs_f64();
 
     let t0 = std::time::Instant::now();
-    let scratch = run_campaign_runner(
+    let scratch = run_campaign_runner_with_jobs(
         &w,
         &CampaignSpec {
             fork_points: 0,
             ..spec.clone()
         },
         None,
+        env.jobs,
     )
     .expect("scratch campaign failed");
     let scratch_secs = t0.elapsed().as_secs_f64();
@@ -445,7 +467,11 @@ fn bench_fork(runs: usize) {
         scratch_secs,
         speedup
     );
-    std::fs::write(BENCH_PATH, &json)
+    let path = std::path::Path::new(BENCH_PATH);
+    if let Some(dir) = path.parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    std::fs::write(path, &json)
         .unwrap_or_else(|e| fail(&format!("cannot write {BENCH_PATH}: {e}")));
     println!("{json}");
     println!(
@@ -460,18 +486,24 @@ const DRILL_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/crash
 
 /// The spec every drill participant (serial reference, worker
 /// processes, resuming supervisor) independently reconstructs. The
-/// clean-run horizon and the `FLAME_POISON_SEEDS`/`FLAME_FLAKY_SEEDS`
-/// environment are deterministic inputs, so all processes agree on the
-/// spec — and therefore on the journal fingerprint.
-fn drill_spec(w: &WorkloadSpec) -> CampaignSpec {
+/// clean-run horizon and the environment's self-fault drill are
+/// deterministic inputs, so all processes agree on the spec — and
+/// therefore on the journal fingerprint.
+fn drill_spec(env: &BenchEnv, w: &WorkloadSpec) -> CampaignSpec {
     let cfg = ExperimentConfig {
         max_cycles: 20_000_000,
         ..ExperimentConfig::default()
     };
     let clean = run_scheme(w, Scheme::SensorRenaming, &cfg).expect("clean run failed");
     CampaignSpec {
-        self_fault: SelfFault::from_env(),
-        ..spec_for(&cfg, clean.stats.cycles * 3 / 4, SMOKE_COVERAGE, SMOKE_RUNS)
+        self_fault: env.self_fault.clone(),
+        ..spec_for(
+            env,
+            &cfg,
+            clean.stats.cycles * 3 / 4,
+            SMOKE_COVERAGE,
+            SMOKE_RUNS,
+        )
     }
 }
 
@@ -499,10 +531,16 @@ fn install_quiet_self_fault_hook() {
 /// whole campaign is complete, honouring `FLAME_SHARD_CRASH_AFTER` (a
 /// drill knob that hard-aborts the process after that many seeds, like
 /// a `kill -9` it cannot see coming).
-fn shard_worker_main(dir: &std::path::Path, shards: usize, worker_id: &str, ttl_ms: u64) {
+fn shard_worker_main(
+    env: &BenchEnv,
+    dir: &std::path::Path,
+    shards: usize,
+    worker_id: &str,
+    ttl_ms: u64,
+) {
     install_quiet_self_fault_hook();
     let w = smoke_workload();
-    let spec = drill_spec(&w);
+    let spec = drill_spec(env, &w);
     let ttl = std::time::Duration::from_millis(ttl_ms.max(1));
     // SIGTERM/SIGINT drain this worker gracefully: it finishes the seed
     // in flight, journals it, releases its lease, and exits — the
@@ -541,10 +579,10 @@ fn shard_worker_main(dir: &std::path::Path, shards: usize, worker_id: &str, ttl_
 /// the survivors reclaim the orphaned leases, resumes/merges, and
 /// asserts the merged report is byte-identical to a single-process
 /// serial run of the same spec. One seed is poisoned throughout
-/// (`FLAME_POISON_SEEDS`), so the drill also proves a
-/// repeatedly-panicking seed is quarantined as `Due` on both paths
-/// instead of stalling its shard.
-fn crash_drill(shards: usize, kill_after: usize, ttl_ms: u64) {
+/// (`FLAME_POISON_SEEDS` for the worker processes), so the drill also
+/// proves a repeatedly-panicking seed is quarantined as `Due` on both
+/// paths instead of stalling its shard.
+fn crash_drill(env: &BenchEnv, shards: usize, kill_after: usize, ttl_ms: u64) {
     install_quiet_self_fault_hook();
     let dir = std::path::Path::new(DRILL_DIR);
     let _ = std::fs::remove_dir_all(dir);
@@ -553,11 +591,17 @@ fn crash_drill(shards: usize, kill_after: usize, ttl_ms: u64) {
 
     // Poison one mid-campaign seed for every participant: the drill
     // proves quarantine keeps sharded and serial runs bit-identical.
-    let poison_seed = 0x5EED + 5;
-    std::env::set_var("FLAME_POISON_SEEDS", poison_seed.to_string());
+    let poison_seed: u64 = 0x5EED + 5;
+    let env = &BenchEnv {
+        self_fault: SelfFault {
+            poison: vec![poison_seed],
+            ..env.self_fault.clone()
+        },
+        ..env.clone()
+    };
 
     let w = smoke_workload();
-    let spec = drill_spec(&w);
+    let spec = drill_spec(env, &w);
     println!(
         "crash-drill: {SMOKE_RUNS} seeds over {shards} shards, ttl {ttl_ms} ms, \
          abort worker after {kill_after} seeds, SIGKILL one worker, poison seed {poison_seed}"
@@ -565,7 +609,8 @@ fn crash_drill(shards: usize, kill_after: usize, ttl_ms: u64) {
 
     // Serial reference in this process — the golden the merged sharded
     // report must match byte for byte.
-    let reference = run_campaign_runner(&w, &spec, None).expect("serial reference failed");
+    let reference =
+        run_campaign_runner_with_jobs(&w, &spec, None, env.jobs).expect("serial reference failed");
 
     // One worker process per shard. Worker 0 aborts itself after
     // `kill_after` seeds (deterministic mid-shard death); worker 1 is
@@ -584,6 +629,7 @@ fn crash_drill(shards: usize, kill_after: usize, ttl_ms: u64) {
             "--worker-id",
             &format!("drill-w{i}"),
         ]);
+        cmd.env("FLAME_POISON_SEEDS", poison_seed.to_string());
         if let Some(n) = crash_after {
             cmd.env("FLAME_SHARD_CRASH_AFTER", n.to_string());
         }
@@ -657,9 +703,9 @@ fn crash_drill(shards: usize, kill_after: usize, ttl_ms: u64) {
 
 /// Re-merges an existing drill directory without running anything —
 /// handy when inspecting a failed drill's artifacts.
-fn merge_only(shards: usize) {
+fn merge_only(env: &BenchEnv, shards: usize) {
     let w = smoke_workload();
-    let spec = drill_spec(&w);
+    let spec = drill_spec(env, &w);
     let (summary, missing) =
         merge_shards(&w, &spec, std::path::Path::new(DRILL_DIR), shards).expect("merge failed");
     println!("{}", summary.render());
@@ -669,10 +715,11 @@ fn merge_only(shards: usize) {
 }
 
 fn main() {
+    let env = BenchEnv::from_process();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("smoke") => {
-            smoke();
+            smoke(&env);
             return;
         }
         Some("shard-worker") => {
@@ -706,16 +753,16 @@ fn main() {
                 }
             }
             let dir = dir.unwrap_or_else(|| fail("shard-worker needs --dir"));
-            shard_worker_main(std::path::Path::new(&dir), shards, &worker_id, ttl_ms);
+            shard_worker_main(&env, std::path::Path::new(&dir), shards, &worker_id, ttl_ms);
             return;
         }
         Some("merge") => {
             let shards = args.get(1).and_then(|v| v.parse().ok()).unwrap_or(4);
-            merge_only(shards);
+            merge_only(&env, shards);
             return;
         }
         Some("fork-smoke") => {
-            fork_smoke();
+            fork_smoke(&env);
             return;
         }
         Some("bench-fork") => {
@@ -726,7 +773,7 @@ fn main() {
                         .unwrap_or_else(|_| fail("bench-fork takes an optional run count"))
                 })
                 .unwrap_or(40);
-            bench_fork(runs);
+            bench_fork(&env, runs);
             return;
         }
         _ => {}
@@ -799,9 +846,9 @@ fn main() {
     }
     if let Some(shards) = shards {
         // `--shards N --kill-after n` runs the crash-injection drill.
-        crash_drill(shards, kill_after, ttl_ms);
+        crash_drill(&env, shards, kill_after, ttl_ms);
         return;
     }
     let w = workload.unwrap_or_else(smoke_workload);
-    sweep(&w, runs, fork_points);
+    sweep(&env, &w, runs, fork_points);
 }

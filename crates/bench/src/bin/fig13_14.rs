@@ -2,11 +2,11 @@
 //! on every workload (WCDL = 20, GTO, GTX480); the final GEOMEAN row is
 //! Figure 15.
 
-use flame_bench::{paper_default, print_table, run_series, Series};
-use flame_core::matrix::default_jobs;
+use flame_bench::{paper_default, print_table, run_series, BenchEnv, Series};
 use flame_core::scheme::Scheme;
 
 fn main() {
+    let jobs = BenchEnv::from_process().jobs;
     let cfg = paper_default();
     let suite = flame_workloads::all();
     let schemes = Scheme::paper_schemes();
@@ -15,10 +15,10 @@ fn main() {
         "running {} schemes x {} workloads on {} worker(s)...",
         schemes.len(),
         suite.len(),
-        default_jobs()
+        jobs
     );
     let spec: Vec<Series> = schemes.iter().map(|s| Series::of(*s, &cfg)).collect();
-    let series = run_series(&suite, &spec);
+    let series = run_series(&suite, &spec, jobs);
     let names: Vec<&str> = schemes.iter().map(|s| s.name()).collect();
     print_table(&names, &series);
     println!("\n(the GEOMEAN row is Figure 15; paper: Flame 1.006, Sensor+Ckpt 1.069,");

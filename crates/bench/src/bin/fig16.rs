@@ -2,10 +2,11 @@
 //! optimization (§III-E) — Flame with and without it, on the workloads
 //! whose barrier patterns qualify.
 
-use flame_bench::{paper_default, print_table, run_series, series_geomean, Series};
+use flame_bench::{paper_default, print_table, run_series, series_geomean, BenchEnv, Series};
 use flame_core::scheme::Scheme;
 
 fn main() {
+    let jobs = BenchEnv::from_process().jobs;
     let cfg = paper_default();
     let suite: Vec<_> = flame_workloads::region_opt_candidates()
         .iter()
@@ -18,6 +19,7 @@ fn main() {
             Series::named("without opt", Scheme::SensorRenamingNoOpt, &cfg),
             Series::named("with opt (Flame)", Scheme::SensorRenaming, &cfg),
         ],
+        jobs,
     );
     print_table(&["without opt", "with opt (Flame)"], &series);
     println!(

@@ -1,12 +1,12 @@
 //! Figure 17: Flame's overhead as WCDL varies from 10 to 50 cycles
 //! (GTO, GTX480).
 
-use flame_bench::{print_table, run_series, series_geomean, Series};
+use flame_bench::{print_table, run_series, series_geomean, BenchEnv, Series};
 use flame_core::experiment::ExperimentConfig;
-use flame_core::matrix::default_jobs;
 use flame_core::scheme::Scheme;
 
 fn main() {
+    let jobs = BenchEnv::from_process().jobs;
     let suite = flame_workloads::all();
     println!("Figure 17 — Flame overhead vs. WCDL (GTO, GTX480)\n");
     let wcdls = [10u32, 20, 30, 40, 50];
@@ -14,7 +14,7 @@ fn main() {
         "running {} WCDLs x {} workloads on {} worker(s)...",
         wcdls.len(),
         suite.len(),
-        default_jobs()
+        jobs
     );
     let spec: Vec<Series> = wcdls
         .iter()
@@ -26,7 +26,7 @@ fn main() {
             Series::named(format!("WCDL={w}"), Scheme::SensorRenaming, &cfg)
         })
         .collect();
-    let series = run_series(&suite, &spec);
+    let series = run_series(&suite, &spec, jobs);
     let names: Vec<&str> = spec.iter().map(|s| s.name.as_str()).collect();
     print_table(&names, &series);
     println!("\ngeomean overheads:");

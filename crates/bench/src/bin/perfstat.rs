@@ -10,14 +10,14 @@
 //! bounds the critical path).
 //!
 //! A second section times the event-driven clock: each scheme column is
-//! run single-worker with fast-forward off (`FLAME_NO_FAST_FORWARD=1`)
+//! run single-worker with fast-forward off (`GpuConfig::fast_forward`)
 //! and on, the two passes are checked bit-identical, and the per-scheme
 //! wall-clock speedup lands in the JSON. WCDL-heavy columns — Flame's
 //! descheduling and especially the naive scheduler-stall ablation, whose
 //! idle windows the clock skips wholesale — show the largest gains.
 
 use flame_core::experiment::{prepare_count, prepare_scheme, ExperimentConfig};
-use flame_core::matrix::{default_jobs, run_matrix_with_jobs, CellResult, MatrixCell};
+use flame_core::matrix::{run_matrix_with_jobs, CellResult, MatrixCell};
 use flame_core::scheme::Scheme;
 use std::time::Instant;
 
@@ -39,14 +39,6 @@ fn timed_pass(
     (results, secs, sims)
 }
 
-fn set_fast_forward(on: bool) {
-    if on {
-        std::env::remove_var("FLAME_NO_FAST_FORWARD");
-    } else {
-        std::env::set_var("FLAME_NO_FAST_FORWARD", "1");
-    }
-}
-
 /// One (scheme, workload) cell timed with the event-driven clock off and
 /// on.
 struct FastForwardCell {
@@ -62,7 +54,7 @@ impl FastForwardCell {
     }
 }
 
-/// Times one cell with the current `FLAME_NO_FAST_FORWARD` setting:
+/// Times one cell under `cfg`'s fast-forward setting:
 /// best-of-`reps` wall-clock seconds (the minimum is the least-disturbed
 /// estimate of the true cost on a loaded machine) plus the stats and
 /// output verdict of the final rep. Each rep prepares the cell untimed
@@ -98,11 +90,11 @@ fn time_fast_forward(
 ) -> Vec<FastForwardCell> {
     const REPS: usize = 3;
     let mut cells = Vec::new();
+    let mut off_cfg = cfg.clone();
+    off_cfg.gpu.fast_forward = false;
     for &s in schemes {
         for w in suite {
-            set_fast_forward(false);
-            let (off_stats, off_ok, off_secs) = ff_cell_pass(w, s, cfg, REPS);
-            set_fast_forward(true);
+            let (off_stats, off_ok, off_secs) = ff_cell_pass(w, s, &off_cfg, REPS);
             let (on_stats, on_ok, on_secs) = ff_cell_pass(w, s, cfg, REPS);
             let diff = off_stats.diff(&on_stats);
             assert!(
@@ -123,6 +115,7 @@ fn time_fast_forward(
 }
 
 fn main() {
+    let env = flame_bench::BenchEnv::from_process();
     if std::env::args().nth(1).as_deref() == Some("--list") {
         flame_bench::print_catalog();
         return;
@@ -145,7 +138,7 @@ fn main() {
         }
     }
 
-    let jobs = default_jobs();
+    let jobs = env.jobs;
     eprintln!(
         "perfstat: {} cells ({} workloads x {} schemes), serial then {jobs} worker(s)...",
         cells.len(),

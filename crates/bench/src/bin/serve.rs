@@ -26,10 +26,11 @@
 //! On failure the divergent artifacts are left in `target/serve-smoke`
 //! for CI to upload.
 
-use flame_core::runner::run_campaign_runner;
+use flame_bench::BenchEnv;
+use flame_core::runner::run_campaign_runner_with_jobs;
 use flame_core::SummaryJson;
 use flame_serve::json::JsonValue;
-use flame_serve::registry::Registry;
+use flame_serve::registry::{Registry, RunSettings};
 use flame_serve::{client, shutdown, Metrics};
 use std::io::BufRead;
 use std::net::TcpListener;
@@ -53,7 +54,7 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-fn run_server(addr: &str, data_dir: &Path, runner_threads: usize) {
+fn run_server(env: &BenchEnv, addr: &str, data_dir: &Path, runner_threads: usize) {
     let flag = shutdown::install();
     let listener =
         TcpListener::bind(addr).unwrap_or_else(|e| fail(&format!("cannot bind {addr}: {e}")));
@@ -61,8 +62,12 @@ fn run_server(addr: &str, data_dir: &Path, runner_threads: usize) {
         .local_addr()
         .unwrap_or_else(|e| fail(&format!("local_addr: {e}")));
     let metrics = Arc::new(Metrics::new());
+    let settings = RunSettings {
+        lease_ttl: env.lease_ttl,
+        watchdog: env.watchdog,
+    };
     let registry = Arc::new(
-        Registry::new(data_dir.to_path_buf(), metrics, flag.clone())
+        Registry::new(data_dir.to_path_buf(), metrics, flag.clone(), settings)
             .unwrap_or_else(|e| fail(&format!("cannot open data dir: {e}"))),
     );
     // The parent (or an operator's script) scrapes this exact line for
@@ -142,10 +147,13 @@ fn wait_exit(child: &mut Child, within: Duration) -> Option<std::process::ExitSt
 /// serial journaling runner, and serialize through the very same
 /// `SummaryJson::to_json`. Any byte of divergence after that is a real
 /// behaviour difference, not a formatting one.
-fn serial_reference(body: &str) -> (flame_serve::CampaignRequest, String) {
-    let req = flame_serve::parse_campaign_request(body)
+fn serial_reference(env: &BenchEnv, body: &str) -> (flame_serve::CampaignRequest, String) {
+    let mut req = flame_serve::parse_campaign_request(body)
         .unwrap_or_else(|e| fail(&format!("reference body rejected: {e}")));
-    let summary = run_campaign_runner(&req.workload, &req.spec, None)
+    // The child servers inherit this environment and apply the same
+    // watchdog override to what they are sent.
+    req.spec = env.apply(req.spec);
+    let summary = run_campaign_runner_with_jobs(&req.workload, &req.spec, None, env.jobs)
         .unwrap_or_else(|e| fail(&format!("serial reference failed: {e}")));
     let json = SummaryJson::from_summary(&summary).to_json();
     (req, json)
@@ -184,7 +192,7 @@ fn get_field(body: &str, field: &str) -> Option<u64> {
     JsonValue::parse(body).ok()?.get(field)?.as_u64()
 }
 
-fn smoke() {
+fn smoke(env: &BenchEnv) {
     let dir = Path::new(SMOKE_DIR);
     let _ = std::fs::remove_dir_all(dir);
     std::fs::create_dir_all(dir)
@@ -201,8 +209,8 @@ fn smoke() {
                     "shards":4,"workers":1}"#;
 
     println!("serve-smoke: computing serial references (A: Triad, B: BP)");
-    let (req_a, ref_a) = serial_reference(body_a);
-    let (req_b, ref_b) = serial_reference(body_b);
+    let (req_a, ref_a) = serial_reference(env, body_a);
+    let (req_b, ref_b) = serial_reference(env, body_b);
     let (id_a, id_b) = (req_a.id(), req_b.id());
     if id_a == id_b {
         fail("campaign ids collided");
@@ -349,9 +357,10 @@ fn smoke() {
 }
 
 fn main() {
+    let env = BenchEnv::from_process();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("smoke") => smoke(),
+        Some("smoke") => smoke(&env),
         Some("run") | None => {
             let mut addr = "127.0.0.1:7341".to_string();
             let mut data_dir = PathBuf::from("flame-campaigns");
@@ -382,7 +391,7 @@ fn main() {
                     )),
                 }
             }
-            run_server(&addr, &data_dir, runner_threads);
+            run_server(&env, &addr, &data_dir, runner_threads);
         }
         Some(other) => fail(&format!("unknown mode {other:?} (try `run` or `smoke`)")),
     }

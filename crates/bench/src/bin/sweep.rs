@@ -10,13 +10,14 @@
 //!   GPU       gtx480|titanx|gv100|rtx2060 (default gtx480)
 
 use flame_core::experiment::ExperimentConfig;
-use flame_core::matrix::{run_matrix, MatrixCell};
+use flame_core::matrix::{run_matrix_with_jobs, MatrixCell};
 use flame_core::report::dynamic_region_size;
 use flame_core::scheme::Scheme;
 use gpu_sim::config::GpuConfig;
 use gpu_sim::scheduler::SchedulerKind;
 
 fn main() {
+    let jobs = flame_bench::BenchEnv::from_process().jobs;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let abbr = args.first().map_or("LUD", String::as_str);
     let scheme = match args.get(1).map_or("flame", String::as_str) {
@@ -57,9 +58,10 @@ fn main() {
     // One matrix cell: the engine runs the baseline and the scheme and
     // hands back both (the baseline is reused outright when the scheme
     // *is* the baseline).
-    let cell = run_matrix(
+    let cell = run_matrix_with_jobs(
         std::slice::from_ref(&w),
         &[MatrixCell::new(0, scheme, cfg.clone())],
+        jobs,
     )
     .pop()
     .expect("one cell in, one out")

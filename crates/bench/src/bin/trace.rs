@@ -9,6 +9,7 @@
 //! trace --workload LUD --scheme naive    # any catalog cell
 //! trace --faults 4 --seed F1A3           # inject strikes; the timeline
 //!                                        # shows strike -> detect -> rollback
+//! trace --capacity 1048576              # per-SM event ring (default 65536)
 //! trace --list                           # print the workload/scheme catalog
 //! trace smoke                            # self-checking cell for verify.sh/CI
 //! ```
@@ -64,7 +65,7 @@ fn parse_args(args: &[String]) -> TraceArgs {
     let mut out = default_out_dir();
     let mut faults = 0usize;
     let mut seed = 0xF1A3u64;
-    let mut capacity = flame_trace::default_capacity();
+    let mut capacity = flame_trace::DEFAULT_CAPACITY;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut value = |flag: &str| {

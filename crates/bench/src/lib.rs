@@ -24,15 +24,90 @@
 //!
 //! The shared code here expresses each figure as a set of [`Series`] over
 //! a workload suite, lowers them onto the parallel matrix engine
-//! ([`flame_core::matrix`]) — one [`flame_core::matrix::run_matrix`] call
-//! per figure, so baselines are simulated once and shared across every
-//! series — and prints aligned tables with per-app normalized execution
-//! times and the geometric mean, matching the figures' structure. Set
-//! `FLAME_JOBS` to control the worker count.
+//! ([`flame_core::matrix`]) — one
+//! [`flame_core::matrix::run_matrix_with_jobs`] call per figure, so
+//! baselines are simulated once and shared across every series — and
+//! prints aligned tables with per-app normalized execution times and the
+//! geometric mean, matching the figures' structure.
+//!
+//! The library crates read no environment. Each binary parses the
+//! `FLAME_*` variables once, at entry, into a [`BenchEnv`] and passes its
+//! fields down explicitly.
 
 use flame_core::experiment::{geomean, ExperimentConfig, RunResult, WorkloadSpec};
-use flame_core::matrix::{run_matrix, MatrixCell};
+use flame_core::matrix::{run_matrix_with_jobs, MatrixCell};
+use flame_core::runner::{CampaignSpec, SelfFault};
 use flame_core::scheme::Scheme;
+use flame_core::shard::DEFAULT_LEASE_TTL;
+use std::time::Duration;
+
+/// The `FLAME_*` environment variables the binaries share, parsed once
+/// at entry. A malformed value, or a zero count or duration, falls back
+/// to the default.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchEnv {
+    /// `FLAME_JOBS`: worker threads for the matrix engine and the
+    /// campaign runner. Defaults to the machine's available parallelism.
+    pub jobs: usize,
+    /// `FLAME_WATCHDOG`: forward-progress watchdog horizon in cycles,
+    /// overriding every campaign's own. `None` keeps each spec's value.
+    pub watchdog: Option<u64>,
+    /// `FLAME_LEASE_TTL_MS`: shard lease TTL. Defaults to
+    /// [`DEFAULT_LEASE_TTL`].
+    pub lease_ttl: Duration,
+    /// `FLAME_POISON_SEEDS` (`"7,9"`: seeds that always fail) and
+    /// `FLAME_FLAKY_SEEDS` (`"12:1,30:2"`: `seed:failures` pairs): the
+    /// runner self-fault drill. Unparseable entries are ignored.
+    pub self_fault: SelfFault,
+}
+
+impl BenchEnv {
+    /// Parses the process environment.
+    pub fn from_process() -> BenchEnv {
+        BenchEnv::parse(|k| std::env::var(k).ok())
+    }
+
+    /// Parses the variables through `var`, which returns a variable's
+    /// value or `None` when it is unset.
+    pub fn parse(var: impl Fn(&str) -> Option<String>) -> BenchEnv {
+        let positive = |k: &str| {
+            var(k)
+                .and_then(|v| v.trim().parse::<u64>().ok())
+                .filter(|&n| n > 0)
+        };
+        let mut self_fault = SelfFault::default();
+        if let Some(v) = var("FLAME_POISON_SEEDS") {
+            self_fault
+                .poison
+                .extend(v.split(',').filter_map(|s| s.trim().parse::<u64>().ok()));
+        }
+        if let Some(v) = var("FLAME_FLAKY_SEEDS") {
+            self_fault.flaky.extend(v.split(',').filter_map(|s| {
+                let (seed, fails) = s.trim().split_once(':')?;
+                Some((seed.parse::<u64>().ok()?, fails.parse::<u32>().ok()?))
+            }));
+        }
+        BenchEnv {
+            jobs: positive("FLAME_JOBS")
+                .and_then(|n| usize::try_from(n).ok())
+                .unwrap_or_else(|| {
+                    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+                }),
+            watchdog: positive("FLAME_WATCHDOG"),
+            lease_ttl: positive("FLAME_LEASE_TTL_MS")
+                .map_or(DEFAULT_LEASE_TTL, Duration::from_millis),
+            self_fault,
+        }
+    }
+
+    /// `spec` with the watchdog override applied.
+    pub fn apply(&self, spec: CampaignSpec) -> CampaignSpec {
+        CampaignSpec {
+            watchdog: self.watchdog.unwrap_or(spec.watchdog),
+            ..spec
+        }
+    }
+}
 
 /// A single matrix cell: normalized time of `scheme` on one workload.
 #[derive(Debug, Clone)]
@@ -76,13 +151,13 @@ impl Series {
     }
 }
 
-/// Runs every series over every workload as **one** parallel matrix and
-/// returns the per-series cells. Baselines are shared across series with
-/// equal configs (Figure 13/14's nine schemes share one baseline per
-/// workload instead of nine). Panics on simulation errors or output
-/// mismatches — a figure regenerated from wrong outputs would be
-/// meaningless.
-pub fn run_series(suite: &[WorkloadSpec], series: &[Series]) -> Vec<Vec<Cell>> {
+/// Runs every series over every workload as **one** parallel matrix on
+/// `jobs` workers and returns the per-series cells. Baselines are shared
+/// across series with equal configs (Figure 13/14's nine schemes share
+/// one baseline per workload instead of nine). Panics on simulation
+/// errors or output mismatches — a figure regenerated from wrong outputs
+/// would be meaningless.
+pub fn run_series(suite: &[WorkloadSpec], series: &[Series], jobs: usize) -> Vec<Vec<Cell>> {
     let cells: Vec<MatrixCell> = series
         .iter()
         .flat_map(|s| {
@@ -92,7 +167,7 @@ pub fn run_series(suite: &[WorkloadSpec], series: &[Series]) -> Vec<Vec<Cell>> {
                 .map(|(w, _)| MatrixCell::new(w, s.scheme, s.cfg.clone()))
         })
         .collect();
-    let mut results = run_matrix(suite, &cells).into_iter();
+    let mut results = run_matrix_with_jobs(suite, &cells, jobs).into_iter();
     series
         .iter()
         .map(|s| {
@@ -116,10 +191,16 @@ pub fn run_series(suite: &[WorkloadSpec], series: &[Series]) -> Vec<Vec<Cell>> {
         .collect()
 }
 
-/// Runs `scheme` over every workload in `suite`, normalizing to a
-/// baseline run under the same `cfg`. A one-series [`run_series`].
-pub fn run_suite(suite: &[WorkloadSpec], scheme: Scheme, cfg: &ExperimentConfig) -> Vec<Cell> {
-    run_series(suite, &[Series::of(scheme, cfg)])
+/// Runs `scheme` over every workload in `suite` on `jobs` workers,
+/// normalizing to a baseline run under the same `cfg`. A one-series
+/// [`run_series`].
+pub fn run_suite(
+    suite: &[WorkloadSpec],
+    scheme: Scheme,
+    cfg: &ExperimentConfig,
+    jobs: usize,
+) -> Vec<Cell> {
+    run_series(suite, &[Series::of(scheme, cfg)], jobs)
         .pop()
         .expect("one series in, one out")
 }
@@ -245,6 +326,96 @@ mod tests {
         assert!(sched_by_name("no-such-sched").is_none());
     }
 
+    fn env(vars: &[(&str, &str)]) -> BenchEnv {
+        BenchEnv::parse(|k| {
+            vars.iter()
+                .find(|(name, _)| *name == k)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    #[test]
+    fn bench_env_parses_each_variable() {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let unset = env(&[]);
+        assert_eq!(
+            unset,
+            BenchEnv {
+                jobs: cores,
+                watchdog: None,
+                lease_ttl: DEFAULT_LEASE_TTL,
+                self_fault: SelfFault::default(),
+            }
+        );
+        assert!(unset.jobs >= 1);
+
+        let valid = env(&[
+            ("FLAME_JOBS", "3"),
+            ("FLAME_WATCHDOG", "5000"),
+            ("FLAME_LEASE_TTL_MS", "250"),
+            ("FLAME_POISON_SEEDS", "7, 9"),
+            ("FLAME_FLAKY_SEEDS", "12:1,30:2"),
+        ]);
+        assert_eq!(valid.jobs, 3);
+        assert_eq!(valid.watchdog, Some(5000));
+        assert_eq!(valid.lease_ttl, Duration::from_millis(250));
+        assert_eq!(valid.self_fault.poison, vec![7, 9]);
+        assert_eq!(valid.self_fault.flaky, vec![(12, 1), (30, 2)]);
+
+        for bad in ["0", "not-a-number", "-4", ""] {
+            let e = env(&[
+                ("FLAME_JOBS", bad),
+                ("FLAME_WATCHDOG", bad),
+                ("FLAME_LEASE_TTL_MS", bad),
+                ("FLAME_POISON_SEEDS", bad),
+                ("FLAME_FLAKY_SEEDS", bad),
+            ]);
+            assert_eq!(e.jobs, cores, "FLAME_JOBS={bad:?}");
+            assert_eq!(e.watchdog, None, "FLAME_WATCHDOG={bad:?}");
+            assert_eq!(e.lease_ttl, DEFAULT_LEASE_TTL, "FLAME_LEASE_TTL_MS={bad:?}");
+            let poison: Vec<u64> = bad.parse().into_iter().collect();
+            assert_eq!(e.self_fault.poison, poison, "FLAME_POISON_SEEDS={bad:?}");
+            assert!(e.self_fault.flaky.is_empty(), "FLAME_FLAKY_SEEDS={bad:?}");
+        }
+        // Garbage entries in a seed list are skipped, the rest kept.
+        let mixed = env(&[
+            ("FLAME_POISON_SEEDS", "x,4,,5"),
+            ("FLAME_FLAKY_SEEDS", "1:2,bad,3:,4:1"),
+        ]);
+        assert_eq!(mixed.self_fault.poison, vec![4, 5]);
+        assert_eq!(mixed.self_fault.flaky, vec![(1, 2), (4, 1)]);
+    }
+
+    #[test]
+    fn bench_env_applies_watchdog_override() {
+        let spec = CampaignSpec {
+            base_seed: 1,
+            runs: 4,
+            strikes_per_run: 1,
+            horizon: 1000,
+            strike_window: (0.0, 1.0),
+            fork_points: 0,
+            coverage: 1.0,
+            control_fraction: 0.0,
+            recovery_fraction: 0.0,
+            scheme: Scheme::SensorRenaming,
+            cfg: paper_default(),
+            proto: flame_core::experiment::ProtocolConfig::default(),
+            watchdog: 77,
+            retry: flame_core::runner::RetryPolicy::default(),
+            self_fault: SelfFault::default(),
+        };
+        assert_eq!(env(&[]).apply(spec.clone()), spec);
+        let overridden = env(&[("FLAME_WATCHDOG", "9")]).apply(spec.clone());
+        assert_eq!(
+            overridden,
+            CampaignSpec {
+                watchdog: 9,
+                ..spec
+            }
+        );
+    }
+
     // A single test fn: the prepare counter is process-global, and a
     // sibling test running concurrently would skew the exact counts.
     #[test]
@@ -252,7 +423,7 @@ mod tests {
         let suite = vec![flame_workloads::by_abbr("Triad").unwrap()];
         let cfg = paper_default();
 
-        let cells = run_suite(&suite, Scheme::Renaming, &cfg);
+        let cells = run_suite(&suite, Scheme::Renaming, &cfg, 2);
         assert_eq!(cells.len(), 1);
         assert!(cells[0].normalized > 0.5 && cells[0].normalized < 2.0);
         assert!((series_geomean(&cells) - cells[0].normalized).abs() < 1e-12);
@@ -266,6 +437,7 @@ mod tests {
                 Series::of(Scheme::Renaming, &cfg),
                 Series::of(Scheme::Checkpointing, &cfg),
             ],
+            2,
         );
         assert_eq!(
             prepare_count() - before,

@@ -214,7 +214,7 @@ pub fn run_scheme(
 }
 
 /// [`run_scheme`] with event tracing enabled: every SM records into a
-/// ring of `capacity` events (see [`flame_trace::default_capacity`]) and
+/// ring of `capacity` events (see [`flame_trace::DEFAULT_CAPACITY`]) and
 /// the merged, cycle-ordered [`SimTrace`] is returned alongside the run.
 /// Tracing is observational — the returned stats are bit-identical to an
 /// untraced run (the invariance tests pin this).
@@ -735,11 +735,9 @@ fn drive(
         let insts = gpu.instructions_issued();
         if insts > progress_insts {
             progress_insts = insts;
-            // Anchor to the cycle the issue actually happened, not the end
-            // of the step: a multi-cycle window (SM-parallel engine) would
-            // otherwise report later progress than per-cycle stepping and
-            // shift the watchdog's deadline.
-            progress_cycle = gpu.last_issue_cycle() + 1;
+            // A step that issued covered exactly one tick, so the clock
+            // stands one cycle past the issue.
+            progress_cycle = now;
         } else if now > progress_cycle + proto.hang_window && gpu.running() {
             c.watchdog_fired = true;
             return Attempt::Hung;

@@ -81,14 +81,14 @@ pub use experiment::{
     ExperimentConfig, ExperimentError, FaultProtocolResult, FaultRunResult, ForkTelemetry,
     ProtocolConfig, RunResult, WorkloadSpec,
 };
-pub use matrix::{run_matrix, run_matrix_with_jobs, CellResult, MatrixCell};
+pub use matrix::{run_matrix_with_jobs, CellResult, MatrixCell};
 pub use rbq::Rbq;
 pub use report::{json_f64, OutcomeStat, SummaryJson};
 pub use rpt::Rpt;
 pub use runner::{
-    campaign_clean_cycles, run_campaign_runner, run_campaign_runner_with_jobs, run_one_seed,
-    run_one_seed_forked, run_one_seed_retrying, strikes_for_seed, trace_one_seed, wilson_interval,
-    CampaignSpec, CampaignSummary, RetryPolicy, RunRecord, RunnerError, SelfFault,
+    campaign_clean_cycles, run_campaign_runner_with_jobs, run_one_seed, run_one_seed_forked,
+    run_one_seed_retrying, strikes_for_seed, trace_one_seed, wilson_interval, CampaignSpec,
+    CampaignSummary, RetryPolicy, RunRecord, RunnerError, SelfFault,
 };
 pub use runtime::{FlameUnit, VerificationMode};
 pub use scheme::Scheme;

@@ -19,8 +19,7 @@
 //!   pairs and runs each exactly once per matrix; cells whose scheme *is*
 //!   [`Scheme::Baseline`] reuse that run outright.
 //!
-//! Worker count comes from the `FLAME_JOBS` environment variable, else
-//! [`std::thread::available_parallelism`] (see [`default_jobs`]).
+//! The caller chooses the worker count.
 
 use crate::experiment::{run_scheme, ExperimentConfig, ExperimentError, RunResult, WorkloadSpec};
 use crate::scheme::Scheme;
@@ -30,7 +29,7 @@ use std::thread;
 /// One cell of an experiment matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixCell {
-    /// Index into the workload slice passed to [`run_matrix`].
+    /// Index into the workload slice passed to [`run_matrix_with_jobs`].
     pub workload: usize,
     /// Scheme to run.
     pub scheme: Scheme,
@@ -61,19 +60,6 @@ pub struct CellResult {
     pub normalized: f64,
 }
 
-/// Worker count used by [`run_matrix`]: the `FLAME_JOBS` environment
-/// variable if set to a positive integer, else the machine's available
-/// parallelism, else 1.
-pub fn default_jobs() -> usize {
-    match std::env::var("FLAME_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-    }
-}
-
 /// A unit of work: either a memoized baseline or a scheme cell.
 #[derive(Debug, Clone, Copy)]
 enum Job {
@@ -81,15 +67,6 @@ enum Job {
     Base(usize),
     /// Index into the input cell list.
     Cell(usize),
-}
-
-/// Runs the matrix with [`default_jobs`] workers. See
-/// [`run_matrix_with_jobs`].
-pub fn run_matrix(
-    workloads: &[WorkloadSpec],
-    cells: &[MatrixCell],
-) -> Vec<Result<CellResult, ExperimentError>> {
-    run_matrix_with_jobs(workloads, cells, default_jobs())
 }
 
 /// Runs every cell of the matrix on `jobs` worker threads and returns
@@ -346,10 +323,5 @@ mod tests {
         let out = run_matrix_with_jobs(&wls, &cells, 2);
         assert!(matches!(out[0], Err(ExperimentError::Timeout(_))));
         assert!(out[1].as_ref().unwrap().run.output_ok);
-    }
-
-    #[test]
-    fn default_jobs_is_positive() {
-        assert!(default_jobs() >= 1);
     }
 }

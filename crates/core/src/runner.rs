@@ -31,6 +31,7 @@ use crate::experiment::{ExperimentConfig, ProtocolConfig, WorkloadSpec};
 use crate::scheme::Scheme;
 use flame_sensors::fault::{Strike, StrikeGenerator};
 use gpu_sim::gpu::Snapshot;
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Read as _, Seek, SeekFrom, Write as _};
@@ -118,25 +119,6 @@ impl SelfFault {
     pub fn is_empty(&self) -> bool {
         self.poison.is_empty() && self.flaky.is_empty()
     }
-
-    /// Builds the injection set from the environment, for process-level
-    /// drills: `FLAME_POISON_SEEDS="7,9"` (always-failing seeds) and
-    /// `FLAME_FLAKY_SEEDS="12:1,30:2"` (`seed:failures` pairs).
-    /// Unparseable entries are ignored.
-    pub fn from_env() -> SelfFault {
-        let mut out = SelfFault::default();
-        if let Ok(v) = std::env::var("FLAME_POISON_SEEDS") {
-            out.poison
-                .extend(v.split(',').filter_map(|s| s.trim().parse::<u64>().ok()));
-        }
-        if let Ok(v) = std::env::var("FLAME_FLAKY_SEEDS") {
-            out.flaky.extend(v.split(',').filter_map(|s| {
-                let (seed, fails) = s.trim().split_once(':')?;
-                Some((seed.parse::<u64>().ok()?, fails.parse::<u32>().ok()?))
-            }));
-        }
-        out
-    }
 }
 
 /// Everything that determines a campaign's results. Two specs with equal
@@ -160,8 +142,7 @@ pub struct CampaignSpec {
     /// Number of clean-prefix fork points to checkpoint across the
     /// strike window; `0` disables forking. Forking is a pure
     /// accelerator — results are bit-identical either way — so this
-    /// field is deliberately **not** part of the fingerprint, and the
-    /// `FLAME_NO_FORK` environment variable force-disables it.
+    /// field is deliberately **not** part of the fingerprint.
     pub fork_points: usize,
     /// Sensor coverage: fraction of strikes the mesh hears.
     pub coverage: f64,
@@ -177,11 +158,9 @@ pub struct CampaignSpec {
     pub proto: ProtocolConfig,
     /// Forward-progress watchdog horizon override, in cycles. `0`
     /// inherits [`ProtocolConfig::hang_window`] (the default, so legacy
-    /// specs are unchanged); a nonzero value — or the `FLAME_WATCHDOG`
-    /// environment variable, which wins over both — replaces it. The
-    /// effective value enters the journal fingerprint only when it
-    /// differs from the protocol default; see
-    /// [`CampaignSpec::effective_hang_window`].
+    /// specs are unchanged); a nonzero value replaces it. The effective
+    /// value enters the journal fingerprint only when it differs from
+    /// the protocol default; see [`CampaignSpec::effective_hang_window`].
     pub watchdog: u64,
     /// Per-seed retry/backoff policy. Telemetry-only (excluded from the
     /// fingerprint): deterministic crashes re-crash identically, so the
@@ -263,20 +242,9 @@ impl CampaignSpec {
     }
 
     /// The forward-progress watchdog horizon this campaign actually
-    /// runs with: the `FLAME_WATCHDOG` environment variable (cycles)
-    /// when set and nonzero, else [`CampaignSpec::watchdog`] when
-    /// nonzero, else [`ProtocolConfig::hang_window`]. Keep the
-    /// environment variable constant for the life of a campaign — it
-    /// participates in the journal fingerprint when non-default.
+    /// runs with: [`CampaignSpec::watchdog`] when nonzero, else
+    /// [`ProtocolConfig::hang_window`].
     pub fn effective_hang_window(&self) -> u64 {
-        if let Some(v) = std::env::var("FLAME_WATCHDOG")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-        {
-            if v > 0 {
-                return v;
-            }
-        }
         if self.watchdog > 0 {
             self.watchdog
         } else {
@@ -873,21 +841,14 @@ pub fn campaign_clean_cycles(w: &WorkloadSpec, spec: &CampaignSpec) -> u64 {
 }
 
 /// The clean-run cycle count and fork-point checkpoints this spec's
-/// seeds fork from: the fork grid honoring `fork_points` and the
-/// `FLAME_NO_FORK` escape hatch, materialized by one baseline
-/// simulation. Shared by the serial runner and every sharded worker so
-/// forked records are bit-identical wherever a seed runs.
+/// seeds fork from: the fork grid of `fork_points`, materialized by one
+/// baseline simulation. Shared by the serial runner and every sharded
+/// worker so forked records are bit-identical wherever a seed runs.
 pub(crate) fn baseline_and_checkpoints(
     w: &WorkloadSpec,
     spec: &CampaignSpec,
 ) -> (u64, Vec<Snapshot>) {
-    let fork_enabled = spec.fork_points > 0 && std::env::var_os("FLAME_NO_FORK").is_none();
-    let grid = if fork_enabled {
-        fork_grid(spec)
-    } else {
-        Vec::new()
-    };
-    clean_baseline(w, spec, &grid)
+    clean_baseline(w, spec, &fork_grid(spec))
 }
 
 /// The last byte of a non-empty file — used to detect a journal whose
@@ -898,21 +859,6 @@ fn last_byte(path: &Path) -> Result<u8, RunnerError> {
     let mut b = [0u8; 1];
     f.read_exact(&mut b)?;
     Ok(b[0])
-}
-
-/// Runs (or resumes) the campaign with [`crate::matrix::default_jobs`]
-/// workers. See [`run_campaign_runner_with_jobs`].
-///
-/// # Errors
-///
-/// Journal I/O failures and header mismatches; simulation failures are
-/// absorbed into crashed [`RunRecord`]s instead.
-pub fn run_campaign_runner(
-    w: &WorkloadSpec,
-    spec: &CampaignSpec,
-    journal: Option<&Path>,
-) -> Result<CampaignSummary, RunnerError> {
-    run_campaign_runner_with_jobs(w, spec, journal, crate::matrix::default_jobs())
 }
 
 /// Runs the campaign's seeds on `jobs` worker threads, journaling each
@@ -940,14 +886,13 @@ pub fn run_campaign_runner_with_jobs(
     // Resume: collect finished seeds from the journal (deduped — a
     // killed-and-resumed campaign may have raced the same seed twice;
     // records are deterministic so any copy serves).
+    let seeds = spec.base_seed..spec.base_seed + spec.runs as u64;
     let mut records: Vec<RunRecord> = Vec::with_capacity(spec.runs);
+    let mut done = HashSet::new();
     if let Some(path) = journal {
         if path.exists() {
             for r in load_journal(path, &header)? {
-                let in_range = r.seed >= spec.base_seed
-                    && r.seed < spec.base_seed + spec.runs as u64
-                    && !records.iter().any(|x| x.seed == r.seed);
-                if in_range {
+                if seeds.contains(&r.seed) && done.insert(r.seed) {
                     records.push(r);
                 }
             }
@@ -961,17 +906,14 @@ pub fn run_campaign_runner_with_jobs(
         None => None,
     };
 
-    let todo: Vec<u64> = (0..spec.runs as u64)
-        .map(|i| spec.base_seed + i)
-        .filter(|s| !records.iter().any(|r| r.seed == *s))
-        .collect();
+    let todo: Vec<u64> = seeds.filter(|s| !done.contains(s)).collect();
     let ran_now = todo.len();
 
     // Single fault-free baseline for the whole campaign — one prepared
     // GPU stepped to completion, pausing at each fork-point cycle to
     // checkpoint the clean prefix. The checkpoints are shared read-only
-    // across the workers below; `FLAME_NO_FORK` (or `fork_points: 0`)
-    // degrades every seed to the scratch path without changing results.
+    // across the workers below; `fork_points: 0` degrades every seed to
+    // the scratch path without changing results.
     let (clean_cycles, checkpoints) = baseline_and_checkpoints(w, spec);
 
     let next = AtomicUsize::new(0);

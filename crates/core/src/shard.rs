@@ -157,6 +157,11 @@ pub struct ShardClaim {
     pub epoch: u64,
 }
 
+/// Default lease TTL. It must comfortably exceed the slowest
+/// single-seed simulation, because workers heartbeat between seeds, not
+/// during them.
+pub const DEFAULT_LEASE_TTL: Duration = Duration::from_secs(30);
+
 /// Options for sharded execution.
 #[derive(Debug, Clone)]
 pub struct ShardOptions {
@@ -168,7 +173,7 @@ pub struct ShardOptions {
     /// A lease whose mtime is older than this is considered abandoned
     /// and becomes claimable. Must comfortably exceed the slowest
     /// single-seed simulation — workers heartbeat between seeds, not
-    /// during them. Defaults to `FLAME_LEASE_TTL_MS` or 30 s.
+    /// during them. Defaults to [`DEFAULT_LEASE_TTL`].
     pub lease_ttl: Duration,
     /// How often a working worker refreshes its lease (and re-checks
     /// the fence). Defaults to a quarter of the TTL.
@@ -176,8 +181,7 @@ pub struct ShardOptions {
     /// Drill hook: hard-abort the **process** after this many seeds
     /// (`std::process::abort`, no unwinding, no lease release) —
     /// how the crash drills simulate a dying worker host. `None` in
-    /// normal operation; wired to `FLAME_SHARD_CRASH_AFTER` by the
-    /// `fault_campaign shard-worker` entry point.
+    /// normal operation; set by the drill's worker processes.
     pub crash_after: Option<usize>,
     /// Test hook: silently stop working (and stop heartbeating) after
     /// this many seeds *without* releasing the lease — an in-process
@@ -199,22 +203,14 @@ pub struct ShardOptions {
 
 impl ShardOptions {
     /// Default options for `shards` shards: a process-unique worker id,
-    /// TTL from `FLAME_LEASE_TTL_MS` (default **30 000 ms** — the TTL
-    /// must comfortably exceed the slowest single-seed simulation,
-    /// because workers heartbeat between seeds, not during them),
-    /// heartbeat at TTL/4, no drill hooks, no shutdown/progress hooks.
+    /// a [`DEFAULT_LEASE_TTL`] lease TTL, heartbeat at TTL/4, no drill
+    /// hooks, no shutdown/progress hooks.
     pub fn new(shards: usize) -> ShardOptions {
-        let ttl_ms = std::env::var("FLAME_LEASE_TTL_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(30_000);
-        let lease_ttl = Duration::from_millis(ttl_ms);
         ShardOptions {
             shards,
             worker_id: format!("pid{}", std::process::id()),
-            lease_ttl,
-            heartbeat: lease_ttl / 4,
+            lease_ttl: DEFAULT_LEASE_TTL,
+            heartbeat: DEFAULT_LEASE_TTL / 4,
             crash_after: None,
             abandon_after: None,
             shutdown: None,
@@ -302,10 +298,40 @@ fn lease_claimable(dir: &Path, k: usize, ttl: Duration) -> bool {
     }
 }
 
+/// Whether epoch marker `epoch` of shard `k` records a claim still in
+/// flight: its winner has created the marker but not yet written the
+/// lease. That holds while the marker is younger than the TTL and the
+/// lease is missing or carries an older epoch. A corrupt lease proves
+/// nothing and does not hold the shard.
+fn claim_in_flight(dir: &Path, k: usize, epoch: u64, ttl: Duration) -> bool {
+    if epoch == 0 {
+        return false;
+    }
+    let lease_epoch = match std::fs::read_to_string(lease_path(dir, k)) {
+        Ok(text) => match Lease::parse(&text) {
+            Some(l) => l.epoch,
+            None => return false,
+        },
+        Err(_) => 0,
+    };
+    if lease_epoch >= epoch {
+        return false;
+    }
+    std::fs::metadata(epoch_marker(dir, k, epoch))
+        .and_then(|m| m.modified())
+        .ok()
+        .and_then(|m| SystemTime::now().duration_since(m).ok())
+        .is_none_or(|age| age <= ttl)
+}
+
 /// Tries to claim shard `k` for `owner`. Returns `Ok(None)` when the
-/// lease is healthily held by someone else **or** the `O_EXCL` epoch
-/// race was lost to a concurrent claimant; a `Some` claim is exclusive
-/// for its epoch by construction.
+/// lease is healthily held by someone else, another claim is in flight,
+/// **or** the `O_EXCL` epoch race was lost to a concurrent claimant; a
+/// `Some` claim is exclusive for its epoch by construction.
+///
+/// The epoch is read before the lease. A claimant creates its marker
+/// before it writes its lease, so a claimant that finds no lease can
+/// still see the marker of one that got there first.
 ///
 /// # Errors
 ///
@@ -316,10 +342,11 @@ pub fn try_claim(
     owner: &str,
     ttl: Duration,
 ) -> std::io::Result<Option<ShardClaim>> {
-    if !lease_claimable(dir, k, ttl) {
+    let current = current_epoch(dir, k)?;
+    if claim_in_flight(dir, k, current, ttl) || !lease_claimable(dir, k, ttl) {
         return Ok(None);
     }
-    let epoch = current_epoch(dir, k)? + 1;
+    let epoch = current + 1;
     // The fencing point: exactly one creator of this marker can exist.
     match OpenOptions::new()
         .write(true)
@@ -853,6 +880,24 @@ mod tests {
         assert_eq!(d.epoch, 4);
         assert_eq!(heartbeat(&dir, &c, "carol"), Err(LeaseLost));
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fresh_epoch_marker_without_lease_is_a_claim_in_flight() {
+        let dir = tmp_dir("inflight");
+        let ttl = Duration::from_secs(10);
+        // A claimant has created its epoch marker but not yet written
+        // its lease. A second claimant must not win a later epoch.
+        let marker = std::fs::File::create(epoch_marker(&dir, 0, 1)).unwrap();
+        assert_eq!(try_claim(&dir, 0, "late", ttl).unwrap(), None);
+        // A marker older than the TTL is a claimant that died before
+        // writing its lease: the shard is claimable again.
+        marker
+            .set_modified(SystemTime::now() - 2 * ttl)
+            .expect("set marker mtime");
+        let c = try_claim(&dir, 0, "late", ttl).unwrap().expect("claim");
+        assert_eq!(c.epoch, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

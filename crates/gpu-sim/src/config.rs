@@ -98,21 +98,8 @@ pub struct GpuConfig {
     /// instead of ticking through the dead cycles one by one. Pure
     /// wall-clock optimization — simulated cycle counts and every
     /// statistic are bit-identical either way (see `DESIGN.md`). On by
-    /// default; set `FLAME_NO_FAST_FORWARD=1` in the environment to
-    /// override for debugging without touching configs.
+    /// default; turn it off to debug the per-cycle loop.
     pub fast_forward: bool,
-    /// Pre-decoded micro-op cache: lower the kernel into a dense
-    /// [`crate::uop::MicroOp`] array at launch so the issue loop stops
-    /// re-matching ISA enums. Pure wall-clock optimization — bit-identical
-    /// to decode-on-demand (see `DESIGN.md`). On by default; set
-    /// `FLAME_NO_PREDECODE=1` in the environment to override.
-    pub predecode: bool,
-    /// Worker threads for SM-parallel stepping inside one run. `1` keeps
-    /// the serial loop; `n > 1` steps SM chunks on `n` scoped threads with
-    /// global-memory effects applied in fixed SM order, so statistics are
-    /// bit-identical for any worker count (see `DESIGN.md`). Overridable
-    /// via `FLAME_SM_JOBS` (`0` = available parallelism).
-    pub sm_jobs: usize,
 }
 
 impl GpuConfig {
@@ -137,8 +124,6 @@ impl GpuConfig {
             sm_area_mm2: 16.30,
             device_mem_bytes: 256 * 1024 * 1024,
             fast_forward: true,
-            predecode: true,
-            sm_jobs: 1,
         }
     }
 
@@ -163,8 +148,6 @@ impl GpuConfig {
             sm_area_mm2: 10.39,
             device_mem_bytes: 256 * 1024 * 1024,
             fast_forward: true,
-            predecode: true,
-            sm_jobs: 1,
         }
     }
 
@@ -189,8 +172,6 @@ impl GpuConfig {
             sm_area_mm2: 3.95,
             device_mem_bytes: 256 * 1024 * 1024,
             fast_forward: true,
-            predecode: true,
-            sm_jobs: 1,
         }
     }
 
@@ -216,8 +197,6 @@ impl GpuConfig {
             sm_area_mm2: 5.31,
             device_mem_bytes: 256 * 1024 * 1024,
             fast_forward: true,
-            predecode: true,
-            sm_jobs: 1,
         }
     }
 
@@ -235,39 +214,6 @@ impl GpuConfig {
     /// Core clock period in nanoseconds.
     pub fn clock_period_ns(&self) -> f64 {
         1000.0 / f64::from(self.core_clock_mhz)
-    }
-
-    /// Whether the event-driven clock is actually in effect: the
-    /// [`GpuConfig::fast_forward`] flag gated by the
-    /// `FLAME_NO_FAST_FORWARD` environment escape hatch (any value other
-    /// than empty or `0` disables fast-forward process-wide).
-    pub fn effective_fast_forward(&self) -> bool {
-        self.fast_forward
-            && std::env::var_os("FLAME_NO_FAST_FORWARD").is_none_or(|v| v.is_empty() || v == "0")
-    }
-
-    /// Whether the micro-op cache is actually in effect: the
-    /// [`GpuConfig::predecode`] flag gated by the `FLAME_NO_PREDECODE`
-    /// environment escape hatch (any value other than empty or `0`
-    /// disables pre-decoding process-wide).
-    pub fn effective_predecode(&self) -> bool {
-        self.predecode
-            && std::env::var_os("FLAME_NO_PREDECODE").is_none_or(|v| v.is_empty() || v == "0")
-    }
-
-    /// The SM-stepping worker count actually in effect: `FLAME_SM_JOBS`
-    /// when set (`0` means the machine's available parallelism, anything
-    /// unparseable is ignored), otherwise [`GpuConfig::sm_jobs`], floored
-    /// at one.
-    pub fn effective_sm_jobs(&self) -> usize {
-        match std::env::var("FLAME_SM_JOBS") {
-            Ok(s) => match s.trim().parse::<usize>() {
-                Ok(0) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-                Ok(n) => n,
-                Err(_) => self.sm_jobs.max(1),
-            },
-            Err(_) => self.sm_jobs.max(1),
-        }
     }
 }
 
@@ -311,18 +257,7 @@ mod tests {
     #[test]
     fn hot_path_knobs_default_on_serial() {
         for g in GpuConfig::paper_architectures() {
-            assert!(g.predecode, "{}: predecode should default on", g.name);
-            assert_eq!(g.sm_jobs, 1, "{}: sm_jobs should default serial", g.name);
-        }
-        // Without FLAME_SM_JOBS in the environment the config value wins,
-        // floored at one. (Env-var behaviour itself is covered by the
-        // integration suite, which serializes env access.)
-        let mut g = GpuConfig::gtx480();
-        g.sm_jobs = 0;
-        if std::env::var_os("FLAME_SM_JOBS").is_none() {
-            assert_eq!(g.effective_sm_jobs(), 1);
-            g.sm_jobs = 3;
-            assert_eq!(g.effective_sm_jobs(), 3);
+            assert!(g.fast_forward, "{}: fast-forward should default on", g.name);
         }
     }
 

@@ -9,12 +9,11 @@ use crate::resilience::{NullAttachment, SmAttachment};
 use crate::scheduler::SchedulerKind;
 use crate::sm::{LaunchDims, Sm, SmSnapshot};
 use crate::stats::SimStats;
-use crate::uop::{KernelView, OnDemand, UopKernel};
+use crate::uop::UopKernel;
 use crate::warp::WARP_SIZE;
 use flame_trace::{Event as TraceEvent, SimTrace, Tracer};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Error returned when a kernel cannot be launched on a GPU configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,23 +84,11 @@ pub struct Gpu {
     next_cta: u32,
     cycle: u64,
     ctas_per_sm: u32,
-    /// [`GpuConfig::effective_fast_forward`] resolved once at launch, so
-    /// the per-step hot path never consults the environment.
-    fast_forward: bool,
-    /// [`GpuConfig::effective_sm_jobs`] resolved once at launch, clamped
-    /// to the SM count. `1` selects the serial engine.
-    sm_jobs: usize,
-    /// Pre-decoded micro-op image of the kernel, built once at launch
-    /// unless pre-decoding is disabled ([`GpuConfig::effective_predecode`]).
+    /// Pre-decoded micro-op image of the kernel, built once at launch.
     /// Purely derived from the immutable kernel: never captured in a
     /// [`Snapshot`], and campaign forks rebuild it by re-preparing the
     /// launch.
-    uops: Option<UopKernel>,
-    /// Cycle at which any SM last issued an instruction (`0` before the
-    /// first issue). Watchdogs anchor to this instead of sampling the
-    /// clock, so a multi-cycle window reports the same progress point as
-    /// per-cycle stepping.
-    last_issue_cycle: u64,
+    uops: UopKernel,
     /// Harness-level tracer for events no single SM emits (fault strikes
     /// and detections injected by a campaign driver). Disabled unless
     /// [`Gpu::set_tracing`] is called.
@@ -151,11 +138,7 @@ impl Gpu {
             .collect();
         let l2 = Cache::new(config.l2_bytes, config.l2_ways);
         let global = GlobalMemory::new(config.device_mem_bytes);
-        let fast_forward = config.effective_fast_forward();
-        let sm_jobs = config.effective_sm_jobs().min(config.num_sms).max(1);
-        let uops = config
-            .effective_predecode()
-            .then(|| UopKernel::build(&kernel, &config.latency));
+        let uops = UopKernel::build(&kernel, &config.latency);
         Ok(Gpu {
             config,
             kernel,
@@ -166,10 +149,7 @@ impl Gpu {
             next_cta: 0,
             cycle: 0,
             ctas_per_sm,
-            fast_forward,
-            sm_jobs,
             uops,
-            last_issue_cycle: 0,
             tracer: Tracer::disabled(),
         })
     }
@@ -279,85 +259,85 @@ impl Gpu {
     ///
     /// Equivalent to [`Gpu::step_window`] with no bound: if fast-forward
     /// is enabled and a cycle issued nothing, the clock may jump
-    /// arbitrarily far ahead to the next event, and under the
-    /// SM-parallel engine the unbounded window runs until no work
-    /// remains. Callers that interact with the GPU at externally
-    /// scheduled cycles (fault injection, detection latencies) must use
-    /// [`Gpu::step_window`] and pass the earliest such cycle as the
-    /// bound.
+    /// arbitrarily far ahead to the next event. Callers that interact
+    /// with the GPU at externally scheduled cycles (fault injection,
+    /// detection latencies) must use [`Gpu::step_window`] and pass the
+    /// earliest such cycle as the bound.
     pub fn step(&mut self) -> bool {
         self.step_window(u64::MAX)
     }
 
-    /// Advances the GPU by at least one tick and at most to cycle
-    /// `limit`, returning whether work remains.
+    /// Runs one tick and, when fast-forward is enabled and no scheduler
+    /// on any SM issued an instruction, jumps the clock to the earliest
+    /// pending event (memory completion, RBQ verification, scheduler
+    /// unblock, scoreboard release), but never past `limit`. Returns
+    /// whether work remains.
     ///
-    /// Under the serial engine (`sm_jobs == 1`) each call runs one tick,
-    /// then — when fast-forward is enabled and no scheduler on any SM
-    /// issued an instruction — jumps the clock to the earliest pending
-    /// event (memory completion, RBQ verification, scheduler unblock,
-    /// scoreboard release), but never past `limit`. Skipped cycles are
+    /// A tick dispatches CTAs, ticks every SM, then drains the SMs'
+    /// deferred global traffic in ascending SM order. Skipped cycles are
     /// credited to the same stall counters the per-cycle loop would have
     /// incremented, so statistics are bit-identical either way; only
-    /// wall-clock time changes.
-    ///
-    /// Under the SM-parallel engine (`sm_jobs > 1`) the whole window up
-    /// to `limit` runs inside one scoped worker pool, cycle-stepping all
-    /// SMs concurrently; callers that interact with the GPU at externally
-    /// scheduled cycles must therefore pass the earliest such cycle as
-    /// `limit` (they already must, for fast-forward). Statistics are
-    /// bit-identical to the serial engine for any worker count: see
-    /// `DESIGN.md`, "Intra-run parallelism & the micro-op cache".
+    /// wall-clock time changes. After a tick that issued, the clock
+    /// stands exactly one cycle past it.
     ///
     /// With no event pending at all (a deadlocked kernel), the clock
     /// jumps straight to `limit` so a caller's timeout check fires
     /// without grinding through the dead cycles one by one.
     pub fn step_window(&mut self, limit: u64) -> bool {
-        let Gpu {
-            config,
-            kernel,
-            dims,
-            sms,
-            l2,
-            global,
-            next_cta,
-            cycle,
-            fast_forward,
-            sm_jobs,
-            uops,
-            last_issue_cycle,
-            ..
-        } = self;
-        let kernel: &FlatKernel = kernel;
-        let mut engine = Engine {
-            sms,
-            l2,
-            global,
-            kernel,
-            dims,
-            next_cta,
-            cycle,
-            last_issue: last_issue_cycle,
-            fast_forward: *fast_forward,
-            jobs: *sm_jobs,
-            limit,
-        };
-        match uops {
-            Some(view) => engine.run(view),
-            None => {
-                let view = OnDemand::new(kernel, config.latency);
-                engine.run(&view)
+        // Dispatch CTAs to SMs with capacity (round-robin over SMs).
+        // Skipped outright once the grid is drained — the steady state for
+        // most of a long kernel, where the per-SM capacity probe would be
+        // pure overhead. Dispatch capacity only grows when a CTA retires,
+        // i.e. on an issued Exit, so a stalled tick never hides a
+        // dispatch opportunity from the fast-forward below.
+        let total = self.dims.num_ctas();
+        if self.next_cta < total {
+            let warps = self.dims.warps_per_cta();
+            for sm in &mut self.sms {
+                while self.next_cta < total && sm.can_accept(warps) {
+                    sm.launch_cta(self.next_cta, self.cycle, &self.kernel, &self.dims);
+                    self.next_cta += 1;
+                }
             }
         }
-    }
-
-    /// Cycle at which any SM last issued an instruction, `0` before the
-    /// first issue (and after a [`Gpu::restore`]). The forward-progress
-    /// anchor for hang watchdogs: unlike sampling the clock after a step,
-    /// it reports the same point whether the step covered one cycle or a
-    /// whole window.
-    pub fn last_issue_cycle(&self) -> u64 {
-        self.last_issue_cycle
+        let ticked = self.cycle;
+        let mut issued = false;
+        for sm in &mut self.sms {
+            issued |= sm.tick(ticked, &self.uops, &self.dims);
+        }
+        // Same-cycle drain of the deferred global traffic, in ascending
+        // SM order: one L2 access order, whatever the SMs did.
+        for sm in &mut self.sms {
+            sm.apply_global(ticked, &mut self.global, &mut self.l2);
+        }
+        self.cycle = ticked + 1;
+        let running = self.next_cta < total || self.sms.iter().any(Sm::busy);
+        if self.config.fast_forward && !issued && running {
+            // Nothing issued anywhere: the GPU is frozen until the next
+            // event. Jump there, crediting each skipped cycle's stall
+            // attribution in bulk (see `Sm::credit_idle_cycles`). Every SM
+            // just refreshed (or kept) its cached event horizon in `tick`,
+            // so the minimum over the cached values is exact — no per-skip
+            // event rescan. A stale horizon (a backlogged RBQ head) lands
+            // at or below the next cycle and simply disables the jump; the
+            // scan stops early once no later SM could shrink the window.
+            let mut next = u64::MAX;
+            for sm in &self.sms {
+                next = next.min(sm.frozen_horizon());
+                if next <= self.cycle {
+                    break;
+                }
+            }
+            let target = next.min(limit).max(self.cycle);
+            if target > self.cycle {
+                let skipped = target - self.cycle;
+                for sm in &mut self.sms {
+                    sm.credit_idle_cycles(ticked, skipped);
+                }
+                self.cycle = target;
+            }
+        }
+        running
     }
 
     /// Runs to completion.
@@ -628,370 +608,9 @@ impl Gpu {
         self.l2 = snap.l2.clone();
         self.next_cta = snap.next_cta;
         self.cycle = snap.cycle;
-        self.last_issue_cycle = 0;
         if self.tracing() {
             let cycle = snap.cycle;
             self.trace_emit(TraceEvent::SnapshotRestore { cycle });
-        }
-    }
-}
-
-/// Disjoint borrows of a [`Gpu`]'s stepping state, shared by the serial
-/// and SM-parallel engines so both run the same dispatch → tick →
-/// apply-in-SM-order cycle structure.
-struct Engine<'a> {
-    sms: &'a mut Vec<Sm>,
-    l2: &'a mut Cache,
-    global: &'a mut GlobalMemory,
-    kernel: &'a FlatKernel,
-    dims: &'a LaunchDims,
-    next_cta: &'a mut u32,
-    cycle: &'a mut u64,
-    last_issue: &'a mut u64,
-    fast_forward: bool,
-    jobs: usize,
-    limit: u64,
-}
-
-impl Engine<'_> {
-    fn run<K: KernelView>(&mut self, view: &K) -> bool {
-        if self.jobs > 1 && self.sms.len() > 1 {
-            self.run_parallel(view)
-        } else {
-            self.run_serial(view)
-        }
-    }
-
-    /// One tick plus an optional fast-forward jump — the historical
-    /// `Gpu::step_window` body.
-    fn run_serial<K: KernelView>(&mut self, view: &K) -> bool {
-        // Dispatch CTAs to SMs with capacity (round-robin over SMs).
-        // Skipped outright once the grid is drained — the steady state for
-        // most of a long kernel, where the per-SM capacity probe would be
-        // pure overhead. Dispatch capacity only grows when a CTA retires,
-        // i.e. on an issued Exit, so a stalled window never hides a
-        // dispatch opportunity from the fast-forward below.
-        let total = self.dims.num_ctas();
-        if *self.next_cta < total {
-            let warps = self.dims.warps_per_cta();
-            for sm in self.sms.iter_mut() {
-                while *self.next_cta < total && sm.can_accept(warps) {
-                    sm.launch_cta(*self.next_cta, *self.cycle, self.kernel, self.dims);
-                    *self.next_cta += 1;
-                }
-            }
-        }
-        let ticked = *self.cycle;
-        let mut issued = false;
-        for sm in self.sms.iter_mut() {
-            issued |= sm.tick(ticked, view, self.dims);
-        }
-        // Same-cycle drain of the deferred global traffic, in ascending
-        // SM order — the single L2 access order both engines produce.
-        for sm in self.sms.iter_mut() {
-            sm.apply_global(ticked, self.global, self.l2);
-        }
-        if issued {
-            *self.last_issue = ticked;
-        }
-        *self.cycle = ticked + 1;
-        let running = *self.next_cta < total || self.sms.iter().any(Sm::busy);
-        if self.fast_forward && !issued && running {
-            // Nothing issued anywhere: the GPU is frozen until the next
-            // event. Jump there, crediting each skipped cycle's stall
-            // attribution in bulk (see `Sm::credit_idle_cycles`). Every SM
-            // just refreshed (or kept) its cached event horizon in `tick`,
-            // so the minimum over the cached values is exact — no per-skip
-            // event rescan. A stale horizon (a backlogged RBQ head) lands
-            // at or below the next cycle and simply disables the jump; the
-            // scan stops early once no later SM could shrink the window.
-            let mut next = u64::MAX;
-            for sm in self.sms.iter() {
-                next = next.min(sm.frozen_horizon());
-                if next <= *self.cycle {
-                    break;
-                }
-            }
-            let target = next.min(self.limit).max(*self.cycle);
-            if target > *self.cycle {
-                let skipped = target - *self.cycle;
-                for sm in self.sms.iter_mut() {
-                    sm.credit_idle_cycles(ticked, skipped);
-                }
-                *self.cycle = target;
-            }
-        }
-        running
-    }
-
-    /// The whole window up to `limit` inside one scoped worker pool. Each
-    /// worker owns a contiguous ascending chunk of SMs for the window's
-    /// duration; per cycle the workers run turn-ordered CTA dispatch,
-    /// fully parallel ticks (per-SM state only), a turn-ordered drain of
-    /// the deferred global traffic (the serial engine's exact L2 order),
-    /// and a barrier-fenced fast-forward decision taken by worker 0.
-    fn run_parallel<K: KernelView>(&mut self, view: &K) -> bool {
-        let n = self.sms.len();
-        let jobs = self.jobs.min(n);
-        let chunk = n.div_ceil(jobs);
-        let nw = n.div_ceil(chunk);
-        let total = self.dims.num_ctas();
-        let ctrl = ParCtrl {
-            barrier: SpinBarrier::new(nw),
-            dead: AtomicBool::new(false),
-            issued: AtomicBool::new(false),
-            busy: AtomicBool::new(false),
-            horizon: AtomicU64::new(u64::MAX),
-            next_cta: AtomicU32::new(*self.next_cta),
-            dispatch: AtomicBool::new(*self.next_cta < total),
-            dispatch_turn: AtomicUsize::new(0),
-            apply_turn: AtomicUsize::new(0),
-            cycle: AtomicU64::new(*self.cycle),
-            skipped: AtomicU64::new(0),
-            last_issue: AtomicU64::new(*self.last_issue),
-            cont: AtomicBool::new(true),
-            running: AtomicBool::new(true),
-            shared: Mutex::new((&mut *self.global, &mut *self.l2)),
-        };
-        let kernel = self.kernel;
-        let dims = self.dims;
-        let fast_forward = self.fast_forward;
-        let limit = self.limit;
-        let mut chunks = self.sms.chunks_mut(chunk);
-        let first = chunks.next().expect("at least one SM chunk");
-        std::thread::scope(|scope| {
-            for (i, mine) in chunks.enumerate() {
-                let ctrl = &ctrl;
-                scope.spawn(move || {
-                    par_worker(i + 1, mine, ctrl, view, kernel, dims, fast_forward, limit);
-                });
-            }
-            // Worker 0 is this thread; it also runs the per-cycle
-            // decision section.
-            par_worker(0, first, &ctrl, view, kernel, dims, fast_forward, limit);
-        });
-        *self.next_cta = ctrl.next_cta.load(Ordering::Acquire);
-        *self.cycle = ctrl.cycle.load(Ordering::Acquire);
-        *self.last_issue = ctrl.last_issue.load(Ordering::Acquire);
-        ctrl.running.load(Ordering::Acquire)
-    }
-}
-
-/// Shared coordination state for one SM-parallel cycle window.
-struct ParCtrl<'a> {
-    barrier: SpinBarrier,
-    /// A worker panicked; everyone spinning must bail so the scope can
-    /// propagate the panic instead of deadlocking.
-    dead: AtomicBool,
-    /// OR of the workers' "my chunk issued an instruction" flags.
-    issued: AtomicBool,
-    /// OR of the workers' "my chunk is still busy" flags.
-    busy: AtomicBool,
-    /// Min of the workers' frozen-event horizons (for fast-forward).
-    horizon: AtomicU64,
-    next_cta: AtomicU32,
-    /// Whether this cycle runs a dispatch phase. Written only in the
-    /// decision section so every worker sees one consistent value.
-    dispatch: AtomicBool,
-    dispatch_turn: AtomicUsize,
-    apply_turn: AtomicUsize,
-    cycle: AtomicU64,
-    /// Cycles the decision fast-forwarded over; each worker credits its
-    /// own SMs' idle-stall attribution before the next cycle.
-    skipped: AtomicU64,
-    last_issue: AtomicU64,
-    /// Whether the window continues past this cycle.
-    cont: AtomicBool,
-    /// The step's return value: whether work remains.
-    running: AtomicBool,
-    shared: Mutex<(&'a mut GlobalMemory, &'a mut Cache)>,
-}
-
-impl ParCtrl<'_> {
-    /// Spins until `turn` reaches `w`, bailing out if a worker died.
-    fn wait_turn(&self, turn: &AtomicUsize, w: usize) {
-        while turn.load(Ordering::Acquire) != w {
-            assert!(
-                !self.dead.load(Ordering::Relaxed),
-                "a cycle-window worker panicked"
-            );
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// One worker of the SM-parallel engine: owns `sms` (a contiguous
-/// ascending chunk) for the whole window.
-#[allow(clippy::too_many_arguments)]
-fn par_worker<K: KernelView>(
-    w: usize,
-    sms: &mut [Sm],
-    ctrl: &ParCtrl<'_>,
-    view: &K,
-    kernel: &FlatKernel,
-    dims: &LaunchDims,
-    fast_forward: bool,
-    limit: u64,
-) {
-    let guard = PoisonGuard {
-        dead: &ctrl.dead,
-        armed: true,
-    };
-    let total = dims.num_ctas();
-    let warps = dims.warps_per_cta();
-    loop {
-        let now = ctrl.cycle.load(Ordering::Acquire);
-        // Phase 1 — CTA dispatch, turn-ordered over ascending chunks: the
-        // serial engine's exact greedy round-robin assignment.
-        if ctrl.dispatch.load(Ordering::Acquire) {
-            ctrl.wait_turn(&ctrl.dispatch_turn, w);
-            let mut next = ctrl.next_cta.load(Ordering::Acquire);
-            for sm in sms.iter_mut() {
-                while next < total && sm.can_accept(warps) {
-                    sm.launch_cta(next, now, kernel, dims);
-                    next += 1;
-                }
-            }
-            ctrl.next_cta.store(next, Ordering::Release);
-            ctrl.dispatch_turn.store(w + 1, Ordering::Release);
-        }
-        // Phase 2 — tick, fully parallel: touches per-SM state only.
-        let mut issued = false;
-        for sm in sms.iter_mut() {
-            issued |= sm.tick(now, view, dims);
-        }
-        if issued {
-            ctrl.issued.store(true, Ordering::Release);
-        }
-        // Phase 3 — deferred global-traffic drain, turn-ordered: one
-        // L2/DRAM access order, identical to the serial engine's.
-        ctrl.wait_turn(&ctrl.apply_turn, w);
-        {
-            let mut mem = ctrl.shared.lock().unwrap_or_else(|e| e.into_inner());
-            let (global, l2) = &mut *mem;
-            for sm in sms.iter_mut() {
-                sm.apply_global(now, global, l2);
-            }
-        }
-        ctrl.apply_turn.store(w + 1, Ordering::Release);
-        // Window-edge contributions for the decision.
-        let mut busy = false;
-        let mut horizon = u64::MAX;
-        for sm in sms.iter() {
-            busy |= sm.busy();
-            horizon = horizon.min(sm.frozen_horizon());
-        }
-        if busy {
-            ctrl.busy.store(true, Ordering::Release);
-        }
-        ctrl.horizon.fetch_min(horizon, Ordering::AcqRel);
-        ctrl.barrier.wait(&ctrl.dead);
-        if w == 0 {
-            decide(ctrl, fast_forward, limit, total);
-        }
-        ctrl.barrier.wait(&ctrl.dead);
-        let skipped = ctrl.skipped.load(Ordering::Acquire);
-        if skipped > 0 {
-            for sm in sms.iter_mut() {
-                sm.credit_idle_cycles(now, skipped);
-            }
-        }
-        if !ctrl.cont.load(Ordering::Acquire) {
-            break;
-        }
-    }
-    guard.disarm();
-}
-
-/// Worker 0's between-barriers decision: collect the cycle's verdicts,
-/// take the serial engine's fast-forward decision, and reset the
-/// per-cycle accumulators for the next iteration.
-fn decide(ctrl: &ParCtrl<'_>, fast_forward: bool, limit: u64, total: u32) {
-    let now = ctrl.cycle.load(Ordering::Acquire);
-    let issued = ctrl.issued.swap(false, Ordering::AcqRel);
-    let busy = ctrl.busy.swap(false, Ordering::AcqRel);
-    let horizon = ctrl.horizon.swap(u64::MAX, Ordering::AcqRel);
-    let dispatch_left = ctrl.next_cta.load(Ordering::Acquire) < total;
-    let running = dispatch_left || busy;
-    if issued {
-        ctrl.last_issue.store(now, Ordering::Release);
-    }
-    let mut new_cycle = now + 1;
-    let mut skipped = 0;
-    if fast_forward && !issued && running {
-        let target = horizon.min(limit).max(new_cycle);
-        if target > new_cycle {
-            skipped = target - new_cycle;
-            new_cycle = target;
-        }
-    }
-    ctrl.skipped.store(skipped, Ordering::Release);
-    ctrl.cycle.store(new_cycle, Ordering::Release);
-    ctrl.dispatch.store(dispatch_left, Ordering::Release);
-    ctrl.dispatch_turn.store(0, Ordering::Release);
-    ctrl.apply_turn.store(0, Ordering::Release);
-    ctrl.running.store(running, Ordering::Release);
-    ctrl.cont
-        .store(running && new_cycle < limit, Ordering::Release);
-}
-
-/// A sense-reversing spin barrier for the cycle-window workers. The
-/// `yield_now` in the spin keeps progress when workers outnumber cores;
-/// a futex-parking `std::sync::Barrier` costs too much at two waits per
-/// simulated cycle.
-struct SpinBarrier {
-    count: AtomicUsize,
-    generation: AtomicUsize,
-    n: usize,
-}
-
-impl SpinBarrier {
-    fn new(n: usize) -> SpinBarrier {
-        SpinBarrier {
-            count: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            n,
-        }
-    }
-
-    fn wait(&self, dead: &AtomicBool) {
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-            self.count.store(0, Ordering::Release);
-            self.generation
-                .store(generation.wrapping_add(1), Ordering::Release);
-        } else {
-            while self.generation.load(Ordering::Acquire) == generation {
-                assert!(
-                    !dead.load(Ordering::Relaxed),
-                    "a cycle-window worker panicked"
-                );
-                std::hint::spin_loop();
-                std::thread::yield_now();
-            }
-        }
-    }
-}
-
-/// Sets the shared dead flag if dropped during a panic, releasing the
-/// other workers from their spin loops so the scope can propagate the
-/// panic.
-struct PoisonGuard<'a> {
-    dead: &'a AtomicBool,
-    armed: bool,
-}
-
-impl PoisonGuard<'_> {
-    fn disarm(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for PoisonGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.dead.store(true, Ordering::SeqCst);
         }
     }
 }
@@ -1343,9 +962,7 @@ mod tests {
             SchedulerKind::Gto,
         )
         .unwrap();
-        // Advance exactly one cycle regardless of the engine in use.
-        let bound = gpu.cycle() + 1;
-        gpu.step_window(bound);
+        gpu.step_window(gpu.cycle() + 1);
         let first_live = gpu.live_warps(0).next();
         let slot = first_live.expect("live warp after first step");
         assert!(gpu.corrupt_register(0, slot, Reg(0), 0, 1));

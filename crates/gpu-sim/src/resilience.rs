@@ -29,9 +29,8 @@ pub enum BoundaryAction {
 /// Per-SM resilience hardware attached to the warp scheduler.
 ///
 /// All methods are called from the SM's cycle loop; `slot` is the SM warp
-/// slot index. Implementations must be deterministic. `Send` because the
-/// SM-parallel engine moves each SM (with its attachment) onto a scoped
-/// worker thread for the duration of a cycle window.
+/// slot index. Implementations must be deterministic. `Send` so a
+/// prepared GPU can move to the worker thread that runs it.
 pub trait SmAttachment: fmt::Debug + Send {
     /// A warp was installed in `slot`; `entry` is its initial recovery
     /// point (the beginning of the warp).

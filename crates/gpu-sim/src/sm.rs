@@ -14,7 +14,7 @@ use crate::regfile::{Value, WarpRegFile};
 use crate::resilience::{BoundaryAction, SmAttachment};
 use crate::scheduler::{Candidate, Scheduler, SchedulerKind};
 use crate::stats::SimStats;
-use crate::uop::KernelView;
+use crate::uop::UopKernel;
 use crate::warp::{RecoveryPoint, Warp, WarpState, WARP_SIZE};
 use flame_trace::{Event as TraceEvent, TraceBuffer, Tracer};
 
@@ -85,9 +85,8 @@ struct AtomicLogEntry {
 /// One global-memory operation issued this cycle whose shared-state
 /// effects (L2 probes, device-memory reads/writes, hit/miss statistics)
 /// are deferred to [`Sm::apply_global`]. The tick phase touches only
-/// per-SM state, which is what lets the SM-parallel engine run all ticks
-/// concurrently and then replay the shared accesses in fixed SM order —
-/// reproducing the serial interleaving exactly (see `DESIGN.md`).
+/// per-SM state; the shared accesses replay afterwards in fixed SM order
+/// (see `DESIGN.md`).
 ///
 /// Payloads live in the [`PendingGlobal`] arenas; each op records its own
 /// start index per arena it uses (the arenas advance at different rates —
@@ -252,9 +251,8 @@ pub struct Sm {
     /// `Gpu::step_window` cannot engage). Any external mutation (CTA
     /// launch, fault injection, recovery) resets it to 0.
     frozen_until: u64,
-    /// [`GpuConfig::effective_fast_forward`] resolved at construction;
-    /// when off, the frozen fast path never engages and every cycle runs
-    /// the full tick (the debugging escape hatch).
+    /// [`GpuConfig::fast_forward`] copied at construction; when off, the
+    /// frozen fast path never engages and every cycle runs the full tick.
     fast_forward: bool,
     port: MemPort,
     l1: Cache,
@@ -338,7 +336,7 @@ impl Sm {
             sched_blocked_until: vec![0; cfg.schedulers_per_sm],
             last_stall: vec![StallCause::default(); cfg.schedulers_per_sm],
             frozen_until: 0,
-            fast_forward: cfg.effective_fast_forward(),
+            fast_forward: cfg.fast_forward,
             port: MemPort::new(cfg.mshrs_per_sm),
             l1: Cache::new(cfg.l1_bytes, cfg.l1_ways),
             attachment,
@@ -546,10 +544,8 @@ impl Sm {
     /// The tick touches only per-SM state: effects on shared state (L2,
     /// device memory) are queued and must be flushed by
     /// [`Sm::apply_global`] in the same cycle, after every SM has ticked,
-    /// in ascending SM order. The engine in `Gpu::step_window` upholds
-    /// this for both the serial and the SM-parallel path, which is what
-    /// makes the two bit-identical.
-    pub fn tick<K: KernelView>(&mut self, now: u64, kernel: &K, dims: &LaunchDims) -> bool {
+    /// in ascending SM order, as `Gpu::step_window` does.
+    pub fn tick(&mut self, now: u64, kernel: &UopKernel, dims: &LaunchDims) -> bool {
         if now < self.frozen_until {
             // Frozen window: the port retires nothing, the attachment
             // wakes nobody, every scan repeats itself and every empty
@@ -744,7 +740,7 @@ impl Sm {
     /// eligible or blocked. Eligible candidates land in
     /// `self.eligible_buf` (reused scratch); blocked warps are tallied by
     /// cause. Runs every cycle per scheduler, so it never allocates.
-    fn scan<K: KernelView>(&mut self, sched: usize, now: u64, kernel: &K) -> (BlockTally, usize) {
+    fn scan(&mut self, sched: usize, now: u64, kernel: &UopKernel) -> (BlockTally, usize) {
         let nsched = self.schedulers.len();
         self.eligible_buf.clear();
         let mut tally = BlockTally::default();
@@ -863,7 +859,7 @@ impl Sm {
     /// `self.pending` for [`Sm::apply_global`]; everything else happens
     /// here.
     #[allow(clippy::too_many_lines)]
-    fn issue<K: KernelView>(&mut self, slot: usize, now: u64, kernel: &K, dims: &LaunchDims) {
+    fn issue(&mut self, slot: usize, now: u64, kernel: &UopKernel, dims: &LaunchDims) {
         let s = self.slots[slot].as_mut().expect("issued slot is live");
         let pc = s.warp.stack.pc().expect("issued warp has a pc");
         let u = kernel.uop(pc);
@@ -1309,10 +1305,9 @@ impl Sm {
     /// patching plus scoreboard completion).
     ///
     /// Must be called exactly once after every [`Sm::tick`], in ascending
-    /// SM order across the GPU, before any SM ticks the next cycle. The
-    /// serial and SM-parallel engines share this code path, which is what
-    /// keeps the L2 access order — and therefore every latency, stall and
-    /// cache statistic — bit-identical between them.
+    /// SM order across the GPU, before any SM ticks the next cycle: one
+    /// fixed L2 access order, and therefore deterministic latencies,
+    /// stalls and cache statistics.
     pub(crate) fn apply_global(&mut self, now: u64, global: &mut GlobalMemory, l2: &mut Cache) {
         if self.pending.ops.is_empty() {
             return;
@@ -1655,7 +1650,7 @@ mod tests {
         )
     }
 
-    /// One full cycle as the engines run it: tick, then the same-cycle
+    /// One full cycle as `Gpu::step_window` runs it: tick, then the same-cycle
     /// global-traffic drain.
     fn tick_full(
         sm: &mut Sm,
@@ -1665,8 +1660,8 @@ mod tests {
         g: &mut GlobalMemory,
         l2: &mut Cache,
     ) -> bool {
-        let view = crate::uop::OnDemand::new(kernel, cfg().latency);
-        let r = sm.tick(now, &view, dims);
+        let uops = UopKernel::build(kernel, &cfg().latency);
+        let r = sm.tick(now, &uops, dims);
         sm.apply_global(now, g, l2);
         r
     }

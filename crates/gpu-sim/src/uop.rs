@@ -1,22 +1,20 @@
-//! Pre-decoded micro-ops and the kernel view abstraction.
+//! Pre-decoded micro-ops: the kernel image the issue loop runs from.
 //!
 //! The per-cycle loop in [`crate::sm`] used to re-match `isa.rs` enums on
 //! every issued instruction: operand vectors were walked through bounds
 //! checks, branch targets resolved through `BlockId` indirection, and the
 //! latency table re-derived per issue. This module lowers each
-//! [`Instruction`] once, at kernel load, into a dense [`MicroOp`] with
+//! [`Instruction`] once, at kernel launch, into a dense [`MicroOp`] with
 //! operands in fixed slots, the branch target and reconvergence PC
 //! pre-linked, the issue latency precomputed, and the scoreboard register
-//! list flattened.
-//!
-//! The pipeline is generic over a [`KernelView`] so the pre-decoded path
-//! ([`UopKernel`]) and the decode-on-demand path ([`OnDemand`], kept as
-//! the `FLAME_NO_PREDECODE` escape hatch) share one interpreter — the two
-//! are bit-identical by construction, which `tests/sm_jobs.rs` pins.
+//! list flattened. `flame-oracle`, which executes the raw instructions,
+//! referees the result.
 //!
 //! A [`UopKernel`] is *derived* state: it is rebuilt from the immutable
 //! [`FlatKernel`] on restore and deliberately excluded from
 //! [`crate::gpu::Snapshot`].
+//!
+//! [`Instruction`]: crate::isa::Instruction
 
 use crate::config::LatencyConfig;
 use crate::isa::{MemSpace, Opcode, Operand, Reg};
@@ -130,66 +128,6 @@ impl MicroOp {
     }
 }
 
-/// Uniform access to a kernel's instructions for the issue loop, served
-/// either from a pre-decoded array ([`UopKernel`]) or decoded on demand
-/// ([`OnDemand`]). `Sync` because the SM-parallel engine probes views
-/// from worker threads.
-pub trait KernelView: Sync {
-    /// The (possibly freshly lowered) micro-op at `pc`.
-    fn uop(&self, pc: u32) -> MicroOp;
-
-    /// Whether the instruction at `pc` is a region boundary.
-    fn is_boundary(&self, pc: u32) -> bool;
-
-    /// Whether the instruction at `pc` needs a free MSHR to issue.
-    fn needs_mshr(&self, pc: u32) -> bool;
-
-    /// Whether the instruction at `pc` passes the scoreboard at `now`.
-    fn scoreboard_ready(&self, pc: u32, regs: &WarpRegFile, now: u64) -> bool;
-}
-
-/// Decode-on-demand view: re-derives everything from the [`FlatKernel`]
-/// per probe, exactly like the pre-PR-7 interpreter. Kept as the
-/// `FLAME_NO_PREDECODE` baseline and as the bit-identity reference.
-#[derive(Debug, Clone, Copy)]
-pub struct OnDemand<'a> {
-    kernel: &'a FlatKernel,
-    lat: LatencyConfig,
-}
-
-impl<'a> OnDemand<'a> {
-    /// Creates a view over `kernel` with latencies from `lat`.
-    pub fn new(kernel: &'a FlatKernel, lat: LatencyConfig) -> OnDemand<'a> {
-        OnDemand { kernel, lat }
-    }
-}
-
-impl KernelView for OnDemand<'_> {
-    fn uop(&self, pc: u32) -> MicroOp {
-        MicroOp::lower(self.kernel, pc, &self.lat)
-    }
-
-    fn is_boundary(&self, pc: u32) -> bool {
-        self.kernel.inst(pc).op == Opcode::RegionBoundary
-    }
-
-    fn needs_mshr(&self, pc: u32) -> bool {
-        matches!(
-            self.kernel.inst(pc).op,
-            Opcode::Ld(MemSpace::Global)
-                | Opcode::St(MemSpace::Global)
-                | Opcode::Atom(MemSpace::Global, _)
-        )
-    }
-
-    fn scoreboard_ready(&self, pc: u32, regs: &WarpRegFile, now: u64) -> bool {
-        let inst = self.kernel.inst(pc);
-        inst.reads()
-            .chain(inst.writes())
-            .all(|r| regs.is_ready(r, now))
-    }
-}
-
 /// The pre-decoded micro-op cache: one [`MicroOp`] per PC, built once at
 /// kernel launch. Derived state — rebuilt on restore, never snapshotted.
 #[derive(Debug, Clone)]
@@ -218,24 +156,28 @@ impl UopKernel {
     }
 }
 
-impl KernelView for UopKernel {
+impl UopKernel {
+    /// The micro-op at `pc`.
     #[inline]
-    fn uop(&self, pc: u32) -> MicroOp {
+    pub fn uop(&self, pc: u32) -> MicroOp {
         self.uops[pc as usize]
     }
 
+    /// Whether the instruction at `pc` is a region boundary.
     #[inline]
-    fn is_boundary(&self, pc: u32) -> bool {
+    pub fn is_boundary(&self, pc: u32) -> bool {
         self.uops[pc as usize].op == Opcode::RegionBoundary
     }
 
+    /// Whether the instruction at `pc` needs a free MSHR to issue.
     #[inline]
-    fn needs_mshr(&self, pc: u32) -> bool {
+    pub fn needs_mshr(&self, pc: u32) -> bool {
         self.uops[pc as usize].needs_mshr
     }
 
+    /// Whether the instruction at `pc` passes the scoreboard at `now`.
     #[inline]
-    fn scoreboard_ready(&self, pc: u32, regs: &WarpRegFile, now: u64) -> bool {
+    pub fn scoreboard_ready(&self, pc: u32, regs: &WarpRegFile, now: u64) -> bool {
         self.uops[pc as usize].scoreboard_ready(regs, now)
     }
 }
@@ -280,26 +222,33 @@ mod tests {
 
     #[test]
     fn views_agree_on_every_probe() {
+        // Every cached probe answers exactly what the raw instruction
+        // says.
         let k = sample_kernel();
-        let lat = LatencyConfig::default();
-        let cache = UopKernel::build(&k, &lat);
-        let ondemand = OnDemand::new(&k, lat);
+        let cache = UopKernel::build(&k, &LatencyConfig::default());
         assert_eq!(cache.len(), k.len());
         assert!(!cache.is_empty());
         let regs = WarpRegFile::new(k.regs_per_thread);
         for pc in 0..k.len() as u32 {
-            assert_eq!(cache.is_boundary(pc), ondemand.is_boundary(pc));
-            assert_eq!(cache.needs_mshr(pc), ondemand.needs_mshr(pc));
+            let inst = k.inst(pc);
+            assert_eq!(cache.is_boundary(pc), inst.op == Opcode::RegionBoundary);
+            assert_eq!(
+                cache.needs_mshr(pc),
+                matches!(
+                    inst.op,
+                    Opcode::Ld(MemSpace::Global)
+                        | Opcode::St(MemSpace::Global)
+                        | Opcode::Atom(MemSpace::Global, _)
+                ),
+                "pc {pc}"
+            );
             assert_eq!(
                 cache.scoreboard_ready(pc, &regs, 0),
-                ondemand.scoreboard_ready(pc, &regs, 0)
+                inst.reads()
+                    .chain(inst.writes())
+                    .all(|r| regs.is_ready(r, 0))
             );
-            let (a, b) = (cache.uop(pc), ondemand.uop(pc));
-            assert_eq!(a.op, b.op);
-            assert_eq!(a.srcs, b.srcs);
-            assert_eq!(a.lat, b.lat);
-            assert_eq!(a.target_pc, b.target_pc);
-            assert_eq!(a.reconv_pc, b.reconv_pc);
+            assert_eq!(cache.uop(pc).op, inst.op);
         }
     }
 

@@ -36,7 +36,7 @@ pub mod tailer;
 pub use catalog::catalog_json;
 pub use json::JsonValue;
 pub use metrics::Metrics;
-pub use registry::{CampaignEntry, CampaignState, Registry};
+pub use registry::{CampaignEntry, CampaignState, Registry, RunSettings};
 pub use server::serve;
 pub use spec::{parse_campaign_request, CampaignRequest};
 pub use tailer::{JournalTailer, TailSnapshot};

@@ -14,6 +14,7 @@ use crate::metrics::Metrics;
 use crate::spec::{load_campaign_dir, CampaignRequest};
 use crate::tailer::JournalTailer;
 use flame_core::runner::RunnerError;
+use flame_core::shard::DEFAULT_LEASE_TTL;
 use flame_core::{
     campaign_clean_cycles, merge_shard_records, run_sharded_campaign, ShardOptions, SummaryJson,
 };
@@ -179,6 +180,35 @@ impl CampaignEntry {
     }
 }
 
+/// Operator settings the registry applies to every campaign it runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunSettings {
+    /// Shard lease TTL; workers heartbeat at a quarter of it.
+    pub lease_ttl: Duration,
+    /// Forward-progress watchdog horizon in cycles, replacing each
+    /// submitted spec's own. It enters the campaign id like any
+    /// submitted watchdog. `None` keeps the spec's value.
+    pub watchdog: Option<u64>,
+}
+
+impl Default for RunSettings {
+    fn default() -> RunSettings {
+        RunSettings {
+            lease_ttl: DEFAULT_LEASE_TTL,
+            watchdog: None,
+        }
+    }
+}
+
+impl RunSettings {
+    fn apply(&self, mut request: CampaignRequest) -> CampaignRequest {
+        if let Some(wd) = self.watchdog {
+            request.spec.watchdog = wd;
+        }
+        request
+    }
+}
+
 /// The server's campaign registry and runner pool.
 #[derive(Debug)]
 pub struct Registry {
@@ -188,13 +218,15 @@ pub struct Registry {
     /// Shared server counters.
     pub metrics: Arc<Metrics>,
     shutdown: Arc<AtomicBool>,
+    settings: RunSettings,
     campaigns: Mutex<BTreeMap<String, Arc<CampaignEntry>>>,
     queue: Mutex<VecDeque<Arc<CampaignEntry>>>,
     queue_cv: Condvar,
 }
 
 impl Registry {
-    /// A registry rooted at `data_dir` (created if absent).
+    /// A registry rooted at `data_dir` (created if absent), running
+    /// campaigns under `settings`.
     ///
     /// # Errors
     ///
@@ -203,12 +235,14 @@ impl Registry {
         data_dir: PathBuf,
         metrics: Arc<Metrics>,
         shutdown: Arc<AtomicBool>,
+        settings: RunSettings,
     ) -> std::io::Result<Registry> {
         std::fs::create_dir_all(&data_dir)?;
         Ok(Registry {
             data_dir,
             metrics,
             shutdown,
+            settings,
             campaigns: Mutex::new(BTreeMap::new()),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
@@ -227,6 +261,7 @@ impl Registry {
     /// An error string (for a 4xx/5xx response) when the campaign
     /// directory cannot be persisted or collides with a different spec.
     pub fn submit(&self, request: CampaignRequest) -> Result<(Arc<CampaignEntry>, bool), String> {
+        let request = self.settings.apply(request);
         let id = request.id();
         let mut campaigns = self.campaigns.lock().unwrap();
         if let Some(entry) = campaigns.get(&id) {
@@ -282,7 +317,7 @@ impl Registry {
                 continue;
             };
             let dir = e.path();
-            let Some(request) = load_campaign_dir(&dir) else {
+            let Some(request) = load_campaign_dir(&dir).map(|r| self.settings.apply(r)) else {
                 continue;
             };
             let id = request.id();
@@ -363,6 +398,8 @@ impl Registry {
             .fetch_add(1, Ordering::Relaxed);
         let opts = ShardOptions {
             worker_id: format!("serve-{}-pid{}", entry.id, std::process::id()),
+            lease_ttl: self.settings.lease_ttl,
+            heartbeat: self.settings.lease_ttl / 4,
             shutdown: Some(self.shutdown.clone()),
             progress: Some(self.metrics.seeds_run.clone()),
             ..ShardOptions::new(entry.request.shards)

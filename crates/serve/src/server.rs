@@ -280,7 +280,7 @@ fn trace_run(stream: &mut TcpStream, entry: &Arc<crate::registry::CampaignEntry>
         &entry.request.workload,
         spec,
         seed,
-        flame_trace::default_capacity(),
+        flame_trace::DEFAULT_CAPACITY,
     ) {
         Ok((_result, trace)) => {
             let body = flame_trace::chrome_trace_json(&trace);

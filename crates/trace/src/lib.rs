@@ -40,7 +40,6 @@ pub mod trace;
 pub use event::{Event, StallCause};
 pub use export::{chrome_trace_json, region_csv, stall_table, validate_json};
 pub use record::{
-    default_capacity, Histogram, RegionRecord, StallMatrix, TraceBuffer, TraceRecord, Tracer,
-    DEFAULT_CAPACITY,
+    Histogram, RegionRecord, StallMatrix, TraceBuffer, TraceRecord, Tracer, DEFAULT_CAPACITY,
 };
 pub use trace::{SimTrace, SmRecord, HARNESS_SM};

@@ -13,18 +13,6 @@ pub const DEFAULT_CAPACITY: usize = 1 << 16;
 /// buffer counts drops instead of growing unboundedly).
 pub const REGION_CAPACITY: usize = 1 << 20;
 
-/// Ring capacity to use: `FLAME_TRACE_CAPACITY` if set and parseable
-/// (clamped to ≥ 16), else [`DEFAULT_CAPACITY`].
-pub fn default_capacity() -> usize {
-    match std::env::var("FLAME_TRACE_CAPACITY") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) => n.max(16),
-            Err(_) => DEFAULT_CAPACITY,
-        },
-        Err(_) => DEFAULT_CAPACITY,
-    }
-}
-
 /// One recorded event with its emission cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
@@ -498,11 +486,10 @@ mod tests {
 
     #[test]
     fn default_capacity_floor() {
-        // The env override clamps to the same floor TraceBuffer::new does.
-        std::env::set_var("FLAME_TRACE_CAPACITY", "1");
-        assert_eq!(default_capacity(), 16);
-        std::env::remove_var("FLAME_TRACE_CAPACITY");
-        assert_eq!(default_capacity(), DEFAULT_CAPACITY);
+        assert_eq!(
+            TraceBuffer::new(DEFAULT_CAPACITY).capacity(),
+            DEFAULT_CAPACITY
+        );
         assert_eq!(TraceBuffer::new(0).capacity(), 16);
     }
 }

@@ -4,11 +4,15 @@
 #   ./scripts/verify.sh
 #
 # Runs the tier-1 check from ROADMAP.md (release build + full test
-# suite) plus formatting and lint gates. Fails fast on the first broken
-# step.
+# suite), the benchmark's self-test, the end-to-end smokes, and the
+# environment, formatting and lint gates. Fails fast on the first broken
+# step. Every step writes under target/ or a temp dir: the run must
+# leave the tracked files as it found them.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+status_before=$(git status --porcelain --untracked-files=no)
 
 echo "==> cargo build --release"
 cargo build --release
@@ -16,14 +20,15 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test -q under FLAME_SM_JOBS=1 (forced-serial engine)"
-FLAME_SM_JOBS=1 cargo test -q
+echo "==> perfbench self-test (the benchmark still builds and runs against the libraries)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> cargo test -q under FLAME_SM_JOBS=4 (forced-parallel engine)"
-FLAME_SM_JOBS=4 cargo test -q
-
-echo "==> bench-smjobs (serial vs predecode vs SM-parallel -> BENCH_pr7.json)"
-cargo run --release -q -p flame-bench --bin bench-smjobs
+echo "==> library crates read no environment"
+if grep -rnE 'env::(var|var_os|vars|set_var|remove_var)' \
+    crates/{gpu-sim,core,trace,serve,compiler,workloads,oracle,sensors}/src; then
+    echo "verify: a library crate reads the process environment (parse it in the binary)" >&2
+    exit 1
+fi
 
 echo "==> fault-campaign smoke (golden report + journal resume)"
 cargo run --release -q -p flame-bench --bin fault_campaign -- smoke
@@ -60,5 +65,13 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> tracked files unchanged"
+status_after=$(git status --porcelain --untracked-files=no)
+if [[ "$status_before" != "$status_after" ]]; then
+    diff <(echo "$status_before") <(echo "$status_after") || true
+    echo "verify: the run modified tracked files" >&2
+    exit 1
+fi
 
 echo "verify: all gates passed"

@@ -4,11 +4,8 @@
 //! be bit-identical with fast-forward on and off, across workloads,
 //! schemes (including the WCDL-heavy descheduling and scheduler-stall
 //! modes, whose idle windows are exactly what the clock skips), GPU
-//! configurations, and fault-injection campaigns.
-//!
-//! The tests toggle the process-global `FLAME_NO_FAST_FORWARD` escape
-//! hatch, so they serialize on a [`Mutex`] like the `FLAME_JOBS` tests in
-//! `matrix.rs`.
+//! configurations, and fault-injection campaigns. The clock is switched
+//! through [`GpuConfig::fast_forward`].
 
 use flame::core::experiment::{run_scheme, run_with_faults, ExperimentConfig, RunResult};
 use flame::core::scheme::Scheme;
@@ -16,9 +13,6 @@ use flame::sensors::fault::{Strike, StrikeTarget};
 use flame::sim::config::GpuConfig;
 use flame::sim::scheduler::SchedulerKind;
 use flame::workloads::by_abbr;
-use std::sync::Mutex;
-
-static LOCK: Mutex<()> = Mutex::new(());
 
 const WORKLOADS: [&str; 3] = ["Triad", "GUPS", "NN"];
 
@@ -50,15 +44,11 @@ fn configs() -> [ExperimentConfig; 2] {
     ]
 }
 
-fn with_fast_forward<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    if on {
-        std::env::remove_var("FLAME_NO_FAST_FORWARD");
-    } else {
-        std::env::set_var("FLAME_NO_FAST_FORWARD", "1");
-    }
-    let out = f();
-    std::env::remove_var("FLAME_NO_FAST_FORWARD");
-    out
+/// `cfg` with the event-driven clock switched on or off.
+fn with_fast_forward(cfg: &ExperimentConfig, on: bool) -> ExperimentConfig {
+    let mut cfg = cfg.clone();
+    cfg.gpu.fast_forward = on;
+    cfg
 }
 
 fn run_cell(w: &str, scheme: Scheme, cfg: &ExperimentConfig) -> RunResult {
@@ -70,12 +60,11 @@ fn run_cell(w: &str, scheme: Scheme, cfg: &ExperimentConfig) -> RunResult {
 /// grid: `SimStats` bit-identical with fast-forward on and off.
 #[test]
 fn stats_bit_identical_with_and_without_fast_forward() {
-    let _g = LOCK.lock().unwrap();
     for cfg in &configs() {
         for w in WORKLOADS {
             for scheme in all_schemes() {
-                let fast = with_fast_forward(true, || run_cell(w, scheme, cfg));
-                let slow = with_fast_forward(false, || run_cell(w, scheme, cfg));
+                let fast = run_cell(w, scheme, &with_fast_forward(cfg, true));
+                let slow = run_cell(w, scheme, &with_fast_forward(cfg, false));
                 let diff = fast.stats.diff(&slow.stats);
                 assert!(
                     diff.is_empty(),
@@ -98,7 +87,6 @@ fn stats_bit_identical_with_and_without_fast_forward() {
 /// same cycles — identical stats *and* identical campaign outcome.
 #[test]
 fn fault_injection_unchanged_by_fast_forward() {
-    let _g = LOCK.lock().unwrap();
     let cfg = ExperimentConfig::default();
     let strikes: Vec<Strike> = (0..6)
         .map(|i| Strike {
@@ -117,12 +105,10 @@ fn fault_injection_unchanged_by_fast_forward() {
         .collect();
     for scheme in [Scheme::SensorRenaming, Scheme::NaiveSensorRenaming] {
         let spec = by_abbr("Triad").expect("known workload");
-        let fast = with_fast_forward(true, || {
-            run_with_faults(&spec, scheme, &cfg, &strikes).expect("fast run")
-        });
-        let slow = with_fast_forward(false, || {
-            run_with_faults(&spec, scheme, &cfg, &strikes).expect("slow run")
-        });
+        let fast = run_with_faults(&spec, scheme, &with_fast_forward(&cfg, true), &strikes)
+            .expect("fast run");
+        let slow = run_with_faults(&spec, scheme, &with_fast_forward(&cfg, false), &strikes)
+            .expect("slow run");
         let diff = fast.run.stats.diff(&slow.run.stats);
         assert!(diff.is_empty(), "{scheme:?}: fast-forward changed {diff:?}");
         assert_eq!(fast.corrupted, slow.corrupted, "{scheme:?}: corrupted");

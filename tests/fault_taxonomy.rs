@@ -498,3 +498,68 @@ fn default_generator_stream_is_unchanged() {
         StrikeTarget::Pipeline | StrikeTarget::EccProtected
     )));
 }
+
+/// The forward-progress watchdog is a spec field: the default is silent
+/// in the journal fingerprint (old journals resume), an override enters
+/// it, a one-cycle watchdog hangs every seed, and a journal written under
+/// one watchdog refuses to resume under another.
+#[test]
+fn watchdog_is_configurable_and_fingerprint_safe() {
+    let w = workload(8, 64);
+    let spec = |watchdog| CampaignSpec {
+        base_seed: 0xD06,
+        runs: 4,
+        strikes_per_run: 1,
+        horizon: 400,
+        strike_window: (0.0, 1.0),
+        fork_points: 0,
+        coverage: 1.0,
+        control_fraction: 0.0,
+        recovery_fraction: 0.0,
+        scheme: Scheme::SensorRenaming,
+        cfg: cfg(),
+        proto: ProtocolConfig::default(),
+        watchdog,
+        retry: RetryPolicy::default(),
+        self_fault: SelfFault::default(),
+    };
+    let default_hw = ProtocolConfig::default().hang_window;
+
+    // Field 0 inherits the protocol hang window and keeps the legacy
+    // header bytes; an explicit field equal to the default does too.
+    let s0 = spec(0);
+    assert_eq!(s0.effective_hang_window(), default_hw);
+    assert!(
+        !s0.fingerprint(w.name).contains("watchdog"),
+        "default watchdog must not enter the fingerprint"
+    );
+    assert_eq!(spec(default_hw).fingerprint(w.name), s0.fingerprint(w.name));
+
+    // A nonzero field replaces the horizon and enters the fingerprint.
+    let s_tight = spec(1);
+    assert_eq!(s_tight.effective_hang_window(), 1);
+    assert!(s_tight.fingerprint(w.name).contains("\"watchdog\":1"));
+    assert_ne!(s_tight.fingerprint(w.name), s0.fingerprint(w.name));
+
+    // A one-cycle watchdog trips on the first memory stall, so every
+    // run classifies as Hang.
+    let hung = run_campaign_runner_with_jobs(&w, &s_tight, None, 1).unwrap();
+    assert_eq!(hung.count(Outcome::Hang), 4, "{}", hung.render());
+    let calm = run_campaign_runner_with_jobs(&w, &s0, None, 1).unwrap();
+    assert_eq!(calm.count(Outcome::Hang), 0, "{}", calm.render());
+
+    // A journal of the default campaign must refuse a resume under the
+    // tight watchdog instead of silently reclassifying its seeds.
+    let path = std::env::temp_dir().join(format!("flame_wdog_{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    run_campaign_runner_with_jobs(&w, &s0, Some(&path), 1).unwrap();
+    match run_campaign_runner_with_jobs(&w, &s_tight, Some(&path), 1) {
+        Err(RunnerError::JournalMismatch { .. }) => {}
+        other => panic!("resume under another watchdog must be refused, got {other:?}"),
+    }
+    // Under the original watchdog the journal resumes untouched.
+    let resumed = run_campaign_runner_with_jobs(&w, &s0, Some(&path), 1).unwrap();
+    assert_eq!(resumed.ran_now, 0);
+    assert_eq!(resumed.render(), calm.render());
+    let _ = std::fs::remove_file(&path);
+}

@@ -2,13 +2,12 @@
 //! count must never change results, and baselines must be simulated
 //! exactly once per (workload, config).
 //!
-//! The tests share a [`Mutex`]: `prepare_count()` is process-global and
-//! `FLAME_JOBS` is process-global state, so the exact-count and
-//! env-driven assertions are only meaningful when the tests in this
+//! The tests share a [`Mutex`]: `prepare_count()` is process-global, so
+//! the exact-count assertion is only meaningful when the tests in this
 //! binary run one at a time.
 
 use flame::core::experiment::{prepare_count, ExperimentConfig};
-use flame::core::matrix::{run_matrix, run_matrix_with_jobs, CellResult, MatrixCell};
+use flame::core::matrix::{run_matrix_with_jobs, CellResult, MatrixCell};
 use flame::core::scheme::Scheme;
 use flame::workloads::by_abbr;
 use std::sync::Mutex;
@@ -44,19 +43,16 @@ fn unwrap_all(results: Vec<Result<CellResult, impl std::fmt::Display>>) -> Vec<C
         .collect()
 }
 
-/// The fig13_14-style sub-matrix must be bit-identical under
-/// `FLAME_JOBS=1` and `FLAME_JOBS=8`: identical `SimStats` on both the
-/// scheme run and the baseline, and bit-equal normalized values.
+/// The fig13_14-style sub-matrix must be bit-identical on 1 and 8
+/// workers: identical `SimStats` on both the scheme run and the
+/// baseline, and bit-equal normalized values.
 #[test]
 fn parallel_matrix_matches_serial_bit_for_bit() {
     let _g = LOCK.lock().unwrap();
     let (suite, cells) = sub_matrix();
 
-    std::env::set_var("FLAME_JOBS", "1");
-    let serial = unwrap_all(run_matrix(&suite, &cells));
-    std::env::set_var("FLAME_JOBS", "8");
-    let parallel = unwrap_all(run_matrix(&suite, &cells));
-    std::env::remove_var("FLAME_JOBS");
+    let serial = unwrap_all(run_matrix_with_jobs(&suite, &cells, 1));
+    let parallel = unwrap_all(run_matrix_with_jobs(&suite, &cells, 8));
 
     assert_eq!(serial.len(), parallel.len());
     for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {

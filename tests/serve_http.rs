@@ -8,11 +8,13 @@
 //! exact merged result.
 
 use flame::core::experiment::{ExperimentConfig, ProtocolConfig};
-use flame::core::runner::{run_campaign_runner, CampaignSpec, RetryPolicy, RunRecord, SelfFault};
+use flame::core::runner::{
+    run_campaign_runner_with_jobs, CampaignSpec, RetryPolicy, RunRecord, SelfFault,
+};
 use flame::core::scheme::Scheme;
 use flame::core::shard::{journal_path, run_shard_worker, ShardOptions};
 use flame::core::{merge_shard_records, Outcome, SummaryJson};
-use flame::serve::{client, JournalTailer, Metrics, Registry};
+use flame::serve::{client, JournalTailer, Metrics, Registry, RunSettings};
 use std::io::Write;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
@@ -51,8 +53,13 @@ impl TestServer {
         let addr = listener.local_addr().expect("local_addr").to_string();
         let shutdown = Arc::new(AtomicBool::new(false));
         let registry = Arc::new(
-            Registry::new(data_dir, Arc::new(Metrics::new()), shutdown.clone())
-                .expect("open data dir"),
+            Registry::new(
+                data_dir,
+                Arc::new(Metrics::new()),
+                shutdown.clone(),
+                RunSettings::default(),
+            )
+            .expect("open data dir"),
         );
         let flag = shutdown.clone();
         let handle = std::thread::spawn(move || flame::serve::serve(listener, registry, flag, 2));
@@ -76,7 +83,8 @@ impl TestServer {
 /// through the same `SummaryJson::to_json` the server uses.
 fn serial_reference(body: &str) -> (flame::serve::CampaignRequest, String) {
     let req = flame::serve::parse_campaign_request(body).expect("reference body parses");
-    let summary = run_campaign_runner(&req.workload, &req.spec, None).expect("serial reference");
+    let summary =
+        run_campaign_runner_with_jobs(&req.workload, &req.spec, None, 2).expect("serial reference");
     let json = SummaryJson::from_summary(&summary).to_json();
     (req, json)
 }

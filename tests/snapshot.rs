@@ -96,30 +96,29 @@ fn fuzz_snapshot_round_trip_is_bit_identical() {
 
 /// The micro-op cache is derived state: snapshots never capture it, and
 /// restores rebuild nothing because the launch-time lowering is the only
-/// source of truth. A restore into a pre-decoding, SM-parallel GPU must
-/// replay bit-identically to an on-demand-decoding serial GPU simulated
-/// from scratch — the strongest form of "the cache is invisible".
+/// source of truth. A restore into a GPU that has run the whole kernel
+/// must replay bit-identically to a fresh GPU simulated from scratch,
+/// with the event-driven clock off on the reference side so the two
+/// sides share no stepping shortcut.
 #[test]
 fn snapshot_excludes_micro_op_cache() {
-    // Reference side: from-scratch, on-demand decoding, serial stepping.
-    let mut serial_cfg = ExperimentConfig::default();
-    serial_cfg.gpu.predecode = false;
-    serial_cfg.gpu.sm_jobs = 1;
-    // Restored side: pre-decoded micro-ops, parallel stepping.
-    let mut par_cfg = ExperimentConfig::default();
-    par_cfg.gpu.predecode = true;
-    par_cfg.gpu.sm_jobs = 4;
+    // Reference side: from scratch, per-cycle clock.
+    let mut scratch_cfg = ExperimentConfig::default();
+    scratch_cfg.gpu.fast_forward = false;
+    // Restored side: the default configuration.
+    let restored_cfg = ExperimentConfig::default();
 
     for k in 0..4u64 {
         let seed = fuzz::FUZZ_SEED_BASE + 0x50 + k;
         let w = fuzz_workload(seed);
 
         let (mut gpu, _) =
-            prepare_scheme(&w, Scheme::SensorRenaming, &serial_cfg).expect("prepare");
-        let ref_stats = gpu.run(serial_cfg.max_cycles).expect("reference run");
+            prepare_scheme(&w, Scheme::SensorRenaming, &scratch_cfg).expect("prepare");
+        let ref_stats = gpu.run(scratch_cfg.max_cycles).expect("reference run");
         let ref_mem = gpu.into_global();
 
-        let (mut gpu, _) = prepare_scheme(&w, Scheme::SensorRenaming, &par_cfg).expect("prepare");
+        let (mut gpu, _) =
+            prepare_scheme(&w, Scheme::SensorRenaming, &restored_cfg).expect("prepare");
         let base = gpu.memory_base();
         let cp = ref_stats.cycles / 2;
         let mut running = gpu.running();
@@ -128,14 +127,14 @@ fn snapshot_excludes_micro_op_cache() {
         }
         assert!(running, "seed {seed:#x}: finished before midpoint {cp}");
         let snap = gpu.snapshot_delta(&base);
-        gpu.run(par_cfg.max_cycles).expect("mutating run");
+        gpu.run(restored_cfg.max_cycles).expect("mutating run");
 
         gpu.restore(&snap);
         assert_eq!(gpu.cycle(), cp, "restore did not rewind the clock");
-        let stats = gpu.run(par_cfg.max_cycles).expect("restored run");
+        let stats = gpu.run(restored_cfg.max_cycles).expect("restored run");
         assert_eq!(
             stats, ref_stats,
-            "seed {seed:#x}: predecoded parallel restore diverged from on-demand serial scratch"
+            "seed {seed:#x}: restore diverged from the per-cycle scratch run"
         );
         assert_eq!(
             gpu.global().words(),

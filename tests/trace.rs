@@ -7,9 +7,6 @@
 //! descheduled warp's RBQ wait overlaps other warps' issue slots; a
 //! strike → detect → rollback arc appears on the timeline in causal
 //! order).
-//!
-//! Some tests toggle the process-global `FLAME_NO_FAST_FORWARD` escape
-//! hatch, so every test serializes on a [`Mutex`] like `event_clock.rs`.
 
 use flame::core::experiment::{
     run_scheme, run_scheme_traced, ExperimentConfig, ProtocolConfig, RunResult,
@@ -19,21 +16,14 @@ use flame::core::scheme::Scheme;
 use flame::sim::stats::SimStats;
 use flame::trace::{chrome_trace_json, region_csv, stall_table, validate_json, Event, SimTrace};
 use flame::workloads::by_abbr;
-use std::sync::Mutex;
-
-static LOCK: Mutex<()> = Mutex::new(());
 
 const WORKLOADS: [&str; 3] = ["Triad", "GUPS", "NN"];
 
-fn with_fast_forward<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    if on {
-        std::env::remove_var("FLAME_NO_FAST_FORWARD");
-    } else {
-        std::env::set_var("FLAME_NO_FAST_FORWARD", "1");
-    }
-    let out = f();
-    std::env::remove_var("FLAME_NO_FAST_FORWARD");
-    out
+/// `cfg` with the event-driven clock switched on or off.
+fn with_fast_forward(cfg: &ExperimentConfig, on: bool) -> ExperimentConfig {
+    let mut cfg = cfg.clone();
+    cfg.gpu.fast_forward = on;
+    cfg
 }
 
 /// Asserts the trace's streaming stall matrix sums exactly to the run's
@@ -61,7 +51,6 @@ fn assert_stalls_match(label: &str, trace: &SimTrace, stats: &SimStats) {
 /// stall attribution explains the stats exactly.
 #[test]
 fn tracing_is_invisible_across_the_taxonomy() {
-    let _g = LOCK.lock().unwrap();
     let cfg = ExperimentConfig::default();
     for w in WORKLOADS {
         let spec = by_abbr(w).expect("known workload");
@@ -85,7 +74,6 @@ fn tracing_is_invisible_across_the_taxonomy() {
 /// identically, event for event.
 #[test]
 fn fast_forward_never_drops_or_duplicates_trace_events() {
-    let _g = LOCK.lock().unwrap();
     let cfg = ExperimentConfig {
         wcdl: 100,
         ..ExperimentConfig::default()
@@ -100,12 +88,12 @@ fn fast_forward_never_drops_or_duplicates_trace_events() {
             Scheme::NaiveSensorRenaming,
             Scheme::DuplicationRenaming,
         ] {
-            let (fast_run, fast) = with_fast_forward(true, || {
-                run_scheme_traced(&spec, scheme, &cfg, capacity).expect("fast run")
-            });
-            let (slow_run, slow) = with_fast_forward(false, || {
-                run_scheme_traced(&spec, scheme, &cfg, capacity).expect("slow run")
-            });
+            let (fast_run, fast) =
+                run_scheme_traced(&spec, scheme, &with_fast_forward(&cfg, true), capacity)
+                    .expect("fast run");
+            let (slow_run, slow) =
+                run_scheme_traced(&spec, scheme, &with_fast_forward(&cfg, false), capacity)
+                    .expect("slow run");
             let diff = fast_run.stats.diff(&slow_run.stats);
             assert!(diff.is_empty(), "{w}/{scheme:?}: clock changed {diff:?}");
             assert_eq!(fast.dropped, 0, "{w}/{scheme:?}: fast ring overflowed");
@@ -127,7 +115,6 @@ fn fast_forward_never_drops_or_duplicates_trace_events() {
 /// simulator counted, every one closed on a fault-free run.
 #[test]
 fn chrome_export_is_valid_and_regions_match_boundaries() {
-    let _g = LOCK.lock().unwrap();
     let spec = by_abbr("GUPS").expect("known workload");
     let cfg = ExperimentConfig {
         wcdl: 1000,
@@ -168,7 +155,6 @@ fn chrome_export_is_valid_and_regions_match_boundaries() {
 /// issuing — the WCDL is hidden behind warp-level parallelism.
 #[test]
 fn descheduled_warps_overlap_other_warps_issue() {
-    let _g = LOCK.lock().unwrap();
     let spec = by_abbr("GUPS").expect("known workload");
     let cfg = ExperimentConfig {
         wcdl: 1000,
@@ -188,7 +174,6 @@ fn descheduled_warps_overlap_other_warps_issue() {
 /// and a rollback on the struck SM at or after each detection.
 #[test]
 fn campaign_seed_replay_shows_fault_arcs() {
-    let _g = LOCK.lock().unwrap();
     let spec = by_abbr("Triad").expect("known workload");
     let cfg = ExperimentConfig::default();
     let clean = run_scheme(&spec, Scheme::SensorRenaming, &cfg).expect("clean run");
@@ -240,7 +225,6 @@ fn campaign_seed_replay_shows_fault_arcs() {
 /// cannot skew them.
 #[test]
 fn tiny_ring_drops_events_but_aggregates_stay_exact() {
-    let _g = LOCK.lock().unwrap();
     let spec = by_abbr("GUPS").expect("known workload");
     let cfg = ExperimentConfig {
         wcdl: 1000,
