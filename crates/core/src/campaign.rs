@@ -166,7 +166,7 @@ pub fn classify_against_golden(
         Outcome::Due
     } else if r.watchdog_fired || r.timed_out {
         Outcome::Hang
-    } else if final_image.words() != golden.words() {
+    } else if final_image != golden {
         Outcome::Sdc
     } else if r.recoveries > 0 || r.cta_relaunches > 0 || r.kernel_relaunches > 0 {
         Outcome::DetectedRecovered

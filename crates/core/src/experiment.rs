@@ -154,7 +154,9 @@ pub fn prepare_count() -> u64 {
     PREPARES.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-fn prepare(
+/// Compiles `w` under `scheme` and launches it with device memory still
+/// unseeded.
+fn launch(
     w: &WorkloadSpec,
     scheme: Scheme,
     cfg: &ExperimentConfig,
@@ -168,15 +170,15 @@ fn prepare(
     let slots = cfg.gpu.max_warps_per_sm;
     let nsched = cfg.gpu.schedulers_per_sm;
     let restores = built.restores_by_pc.clone();
-    let mut gpu = Gpu::launch_with(cfg.gpu.clone(), built.flat, w.dims, cfg.sched, |_| {
+    let gpu = Gpu::launch_with(cfg.gpu.clone(), built.flat, w.dims, cfg.sched, |_| {
         Box::new(FlameUnit::new(mode, slots, nsched, restores.clone()))
     })?;
-    (w.init)(gpu.global_mut());
     Ok((gpu, built.stats))
 }
 
-/// Compiles `w` under `scheme` and launches it on a fresh GPU without
-/// stepping a single cycle: the prepared simulator plus compile stats.
+/// Compiles `w` under `scheme`, launches it on a fresh GPU and seeds its
+/// inputs, without stepping a single cycle: the prepared simulator plus
+/// compile stats.
 /// Benchmarks use this to time the simulation loop separately from
 /// compilation and memory seeding (which are identical regardless of the
 /// clock mode); [`run_scheme`] is the one-call version.
@@ -189,7 +191,9 @@ pub fn prepare_scheme(
     scheme: Scheme,
     cfg: &ExperimentConfig,
 ) -> Result<(Gpu, CompileStats), ExperimentError> {
-    prepare(w, scheme, cfg)
+    let (mut gpu, compile) = launch(w, scheme, cfg)?;
+    (w.init)(gpu.global_mut());
+    Ok((gpu, compile))
 }
 
 /// Runs `w` under `scheme`, fault-free.
@@ -203,7 +207,7 @@ pub fn run_scheme(
     scheme: Scheme,
     cfg: &ExperimentConfig,
 ) -> Result<RunResult, ExperimentError> {
-    let (mut gpu, compile) = prepare(w, scheme, cfg)?;
+    let (mut gpu, compile) = prepare_scheme(w, scheme, cfg)?;
     let stats = gpu.run(cfg.max_cycles)?;
     let output_ok = (w.check)(gpu.global());
     Ok(RunResult {
@@ -229,7 +233,7 @@ pub fn run_scheme_traced(
     cfg: &ExperimentConfig,
     capacity: usize,
 ) -> Result<(RunResult, SimTrace), ExperimentError> {
-    let (mut gpu, compile) = prepare(w, scheme, cfg)?;
+    let (mut gpu, compile) = prepare_scheme(w, scheme, cfg)?;
     gpu.set_tracing(capacity);
     let stats = gpu.run(cfg.max_cycles)?;
     let output_ok = (w.check)(gpu.global());
@@ -277,7 +281,7 @@ pub fn run_with_faults(
     cfg: &ExperimentConfig,
     strikes: &[Strike],
 ) -> Result<FaultRunResult, ExperimentError> {
-    let (mut gpu, compile) = prepare(w, scheme, cfg)?;
+    let (mut gpu, compile) = prepare_scheme(w, scheme, cfg)?;
     let mut corrupted = 0usize;
     let mut detections = 0usize;
     let mut recoveries = 0usize;
@@ -540,11 +544,14 @@ pub struct ForkTelemetry {
 
 /// [`run_with_protocol_capturing`] that optionally *forks* the run from a
 /// clean-prefix checkpoint: when `checkpoint` is `Some`, the first kernel
-/// attempt restores the snapshot (captured from an identically-prepared
-/// clean run of the same workload/scheme/config) instead of simulating
-/// the prefix, and the fault protocol drives only the post-checkpoint
-/// suffix. Escalated kernel relaunches always start from scratch — a
-/// relaunch reinitializes memory, so the checkpoint no longer applies.
+/// attempt launches the kernel without seeding its inputs and restores
+/// the snapshot (captured from an identically-prepared clean run of the
+/// same workload/scheme/config, so its memory image already holds the
+/// inputs) instead of simulating the prefix, and the fault protocol
+/// drives only the post-checkpoint suffix. Restoring assigns the
+/// snapshot's page table, so the fork costs no copy of device memory.
+/// Escalated kernel relaunches always start from scratch — a relaunch
+/// seeds memory afresh, so the checkpoint no longer applies.
 ///
 /// Determinism contract: provided every strike cycle is ≥ the checkpoint
 /// cycle, the forked run is bit-identical (stats, outcome, final memory
@@ -642,22 +649,21 @@ fn run_protocol_inner(
     // Strikes are physical events: each is injected once, even across
     // kernel relaunches (the remaining suffix lands on the fresh clock).
     let mut next = 0usize;
-    let mut first_attempt = true;
+    let mut checkpoint = checkpoint;
     loop {
-        let (mut gpu, compile) = prepare(w, scheme, cfg)?;
+        // Only the first attempt forks. It skips input seeding: the
+        // restore assigns the checkpoint's image, inputs included.
+        let fork_from = checkpoint.take();
+        let (mut gpu, compile) = match fork_from {
+            Some(_) => launch(w, scheme, cfg)?,
+            None => prepare_scheme(w, scheme, cfg)?,
+        };
         if let Some(cap) = trace_capacity {
             gpu.set_tracing(cap);
         }
-        if first_attempt {
-            if let Some(snap) = checkpoint {
-                // The GPU was just prepared, so its memory is exactly
-                // the post-init image the snapshot delta-encodes
-                // against: the overlay-only restore applies the dirty
-                // chunks without recopying the whole address space.
-                gpu.restore_fresh(snap);
-                fork.fork_cycle = snap.cycle();
-            }
-            first_attempt = false;
+        if let Some(snap) = fork_from {
+            gpu.restore(snap);
+            fork.fork_cycle = snap.cycle();
         }
         let start_cycle = gpu.cycle();
         let attempt = drive(&mut gpu, cfg, strikes, proto, &mut next, &mut c);

@@ -697,8 +697,9 @@ fn fork_grid(spec: &CampaignSpec) -> Vec<u64> {
 }
 
 /// Simulates the fault-free baseline once, pausing at each `grid` cycle
-/// to capture a [`Snapshot`] (delta-encoded against the post-init memory
-/// image), then running to completion. Returns the clean cycle count —
+/// to capture a [`Snapshot`] (whose memory pages the checkpoints share
+/// with each other wherever the kernel has not written between them),
+/// then running to completion. Returns the clean cycle count —
 /// bit-identical to an unpaused run by the event clock's step-bound
 /// invariance — and the checkpoints actually reached (a grid cycle past
 /// kernel completion yields none). A launch failure or cycle-budget
@@ -712,7 +713,6 @@ pub(crate) fn clean_baseline(
     else {
         return (0, Vec::new());
     };
-    let base = gpu.memory_base();
     let mut snaps = Vec::with_capacity(grid.len());
     let mut running = gpu.running();
     for &cp in grid {
@@ -723,7 +723,7 @@ pub(crate) fn clean_baseline(
             running = gpu.step_window(cp);
         }
         if running && gpu.cycle() == cp {
-            snaps.push(gpu.snapshot_delta(&base));
+            snaps.push(gpu.snapshot());
         }
     }
     while running {

@@ -3,7 +3,7 @@
 
 use crate::config::GpuConfig;
 use crate::isa::Reg;
-use crate::memory::{Cache, GlobalMemory, MemDelta};
+use crate::memory::{Cache, GlobalMemory};
 use crate::program::FlatKernel;
 use crate::resilience::{NullAttachment, SmAttachment};
 use crate::scheduler::SchedulerKind;
@@ -13,7 +13,6 @@ use crate::uop::UopKernel;
 use crate::warp::WARP_SIZE;
 use flame_trace::{Event as TraceEvent, SimTrace, Tracer};
 use std::fmt;
-use std::sync::Arc;
 
 /// Error returned when a kernel cannot be launched on a GPU configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -242,10 +241,9 @@ impl Gpu {
         &mut self.global
     }
 
-    /// Consumes the GPU, yielding its final device-memory image without
-    /// copying (the oracle-grounded classifiers bit-compare whole
-    /// images; cloning 256 MiB per injection run would dominate a
-    /// campaign).
+    /// Consumes the GPU, yielding its final device-memory image: the
+    /// page table itself, with no page copied. The oracle-grounded
+    /// classifiers compare it against a golden image page by page.
     pub fn into_global(self) -> GlobalMemory {
         self.global
     }
@@ -486,41 +484,43 @@ impl Gpu {
         self.sms.iter().map(|s| s.stats().instructions).sum()
     }
 
-    /// A shareable copy of the current device-memory image, suitable as
-    /// the delta base for a family of [`Gpu::snapshot_delta`] checkpoints.
-    /// Campaigns capture it once right after input seeding, so every
-    /// checkpoint stores only the chunks the kernel has dirtied since.
-    pub fn memory_base(&self) -> Arc<GlobalMemory> {
-        Arc::new(self.global.clone())
+    /// A copy of the current device-memory image that shares every page
+    /// with it: the base a family of
+    /// [`Gpu::snapshot_delta`] checkpoints counts their written pages
+    /// against. Costs the page table, not the image.
+    pub fn memory_base(&mut self) -> GlobalMemory {
+        self.global.share()
     }
 
-    /// Captures the complete mutable run state as a self-contained
-    /// [`Snapshot`] (the memory image is its own delta base). Prefer
-    /// [`Gpu::snapshot_delta`] when taking several checkpoints of one
-    /// launch.
+    /// Captures the complete mutable run state as a [`Snapshot`] whose
+    /// [`Snapshot::dirty_chunks`] counts every written page.
     ///
     /// # Panics
     ///
     /// Panics if any SM's resilience attachment does not support
     /// snapshotting (see [`SmAttachment::snapshot_box`]).
     pub fn snapshot(&mut self) -> Snapshot {
-        let base = self.memory_base();
-        self.snapshot_delta(&base)
+        let empty = GlobalMemory::new(self.global.len_bytes());
+        self.snapshot_delta(&empty)
     }
 
-    /// Captures the complete mutable run state, delta-encoding the
-    /// device-memory image against `base` (from [`Gpu::memory_base`]).
-    /// Emits a [`TraceEvent::SnapshotSave`] on the harness track when
-    /// tracing is enabled. The snapshot is immutable and `Send + Sync`:
-    /// one checkpoint can seed forked runs on many worker threads.
+    /// Captures the complete mutable run state. The device-memory image
+    /// is shared page by page with this GPU, so the capture costs the
+    /// page table plus one copy of each page written since the last
+    /// capture; `base` (from [`Gpu::memory_base`]) only sets what
+    /// [`Snapshot::dirty_chunks`] counts. Emits a
+    /// [`TraceEvent::SnapshotSave`] on the harness track when tracing is
+    /// enabled. The snapshot is immutable and `Send + Sync`: one
+    /// checkpoint can seed forked runs on many worker threads.
     ///
     /// # Panics
     ///
     /// Panics if any SM's resilience attachment does not support
     /// snapshotting, or if `base` was captured from a launch with a
     /// different device-memory size.
-    pub fn snapshot_delta(&mut self, base: &Arc<GlobalMemory>) -> Snapshot {
-        let delta = self.global.delta_from(base);
+    pub fn snapshot_delta(&mut self, base: &GlobalMemory) -> Snapshot {
+        let global = self.global.share();
+        let dirty_chunks = global.unshared_pages(base);
         let sms = self
             .sms
             .iter()
@@ -535,73 +535,39 @@ impl Gpu {
             })
             .collect();
         if self.tracing() {
-            let dirty_chunks = delta.dirty_chunks() as u32;
+            let dirty_chunks = dirty_chunks as u32;
             self.trace_emit(TraceEvent::SnapshotSave { dirty_chunks });
         }
         Snapshot {
             cycle: self.cycle,
             next_cta: self.next_cta,
             l2: self.l2.clone(),
-            base: Arc::clone(base),
-            delta,
+            global,
+            dirty_chunks,
             sms,
         }
     }
 
     /// Rewinds this GPU to a snapshot captured from an
-    /// identically-prepared launch (same config, kernel, dims and
-    /// scheduler — the campaign fork path re-runs the same preparation
-    /// before restoring). The snapshot stays reusable. Emits a
-    /// [`TraceEvent::SnapshotRestore`] at the restored cycle when tracing
-    /// is enabled, so later strike → detect → rollback events stay
-    /// causally ordered after the restore on the timeline.
+    /// identically-launched GPU (same config, kernel, dims and scheduler).
+    /// Every piece of mutable state is assigned from the snapshot,
+    /// device memory included, so the GPU's own memory contents do not
+    /// matter: a campaign fork restores onto a launch it never seeded.
+    /// The snapshot stays reusable. Emits a [`TraceEvent::SnapshotRestore`]
+    /// at the restored cycle when tracing is enabled, so later strike →
+    /// detect → rollback events stay causally ordered after the restore
+    /// on the timeline.
     ///
     /// # Panics
     ///
     /// Panics if the snapshot geometry does not match this launch.
     pub fn restore(&mut self, snap: &Snapshot) {
-        self.global.restore_from(&snap.base, &snap.delta);
-        self.restore_non_memory(snap);
-    }
-
-    /// [`Gpu::restore`] onto a **freshly prepared** GPU — one whose
-    /// device memory is still the post-init image the snapshot was
-    /// delta-encoded against. Applies only the snapshot's dirty chunks
-    /// instead of recopying the whole address space, so a campaign fork
-    /// costs O(dirty set), not O(256 MiB). Calling this on a GPU that
-    /// has already run past initialization silently leaves stale memory
-    /// behind; use [`Gpu::restore`] there.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot geometry does not match this launch. In
-    /// debug builds, additionally spot-checks that this memory matches
-    /// the snapshot's base image on a sample of clean chunks.
-    pub fn restore_fresh(&mut self, snap: &Snapshot) {
-        #[cfg(debug_assertions)]
-        {
-            let words = self.global.words();
-            let base = snap.base.words();
-            debug_assert_eq!(words.len(), base.len(), "restore_fresh image size");
-            // Every 64th word of the first dirty-chunk span: cheap, and
-            // still catches a caller whose memory is not the base image.
-            for i in (0..words.len().min(1 << 18)).step_by(64) {
-                debug_assert_eq!(
-                    words[i], base[i],
-                    "restore_fresh onto a GPU whose memory is not the snapshot base (word {i})"
-                );
-            }
-        }
-        self.global.overlay(&snap.delta);
-        self.restore_non_memory(snap);
-    }
-
-    fn restore_non_memory(&mut self, snap: &Snapshot) {
         assert_eq!(
-            self.sms.len(),
-            snap.sms.len(),
+            (self.sms.len(), self.global.len_bytes()),
+            (snap.sms.len(), snap.global.len_bytes()),
             "snapshot restored onto a differently-configured GPU"
         );
+        self.global = snap.global.clone();
         for (sm, s) in self.sms.iter_mut().zip(&snap.sms) {
             sm.restore(s);
         }
@@ -618,21 +584,22 @@ impl Gpu {
 /// A frozen copy of a [`Gpu`]'s complete mutable run state: every SM
 /// (warps, SIMT stacks, register files, shared memory, MemPort in-flight
 /// requests, scheduler and resilience-attachment state), the L2 tag
-/// array, the CTA dispatch cursor, the clock, and a delta-encoded
-/// device-memory image. Captured by [`Gpu::snapshot`] /
+/// array, the CTA dispatch cursor, the clock, and the device-memory
+/// image, whose pages it shares with the GPU it was captured from and
+/// with every GPU restored from it. Captured by [`Gpu::snapshot`] /
 /// [`Gpu::snapshot_delta`], reapplied (any number of times) by
 /// [`Gpu::restore`]. Derived state is deliberately excluded: the
 /// pre-decoded micro-op cache is a pure function of the immutable kernel
-/// and is rebuilt when a fork re-prepares the launch, never captured.
+/// and is rebuilt when a fork launches the kernel, never captured.
 #[derive(Debug)]
 pub struct Snapshot {
     cycle: u64,
     next_cta: u32,
     l2: Cache,
-    /// Shared delta base; checkpoints of one launch all point at the same
-    /// post-init image.
-    base: Arc<GlobalMemory>,
-    delta: MemDelta,
+    /// Holds shared and zero pages only, so cloning it on restore copies
+    /// the page table and nothing else.
+    global: GlobalMemory,
+    dirty_chunks: usize,
     sms: Vec<SmSnapshot>,
 }
 
@@ -642,10 +609,11 @@ impl Snapshot {
         self.cycle
     }
 
-    /// Device-memory chunks stored beyond the shared base image — the
-    /// sparsity telemetry for checkpoint-cost reporting.
+    /// Device-memory pages (32 KiB each) the snapshot does not share
+    /// with the base image it was captured against: the pages written
+    /// since that base. The checkpoint-cost telemetry.
     pub fn dirty_chunks(&self) -> usize {
-        self.delta.dirty_chunks()
+        self.dirty_chunks
     }
 }
 

@@ -9,6 +9,8 @@
 
 use crate::regfile::Value;
 use crate::warp::WARP_SIZE;
+use std::fmt;
+use std::sync::Arc;
 
 /// Width of a memory word in bytes (all accesses are word-granular).
 pub const WORD_BYTES: u64 = 8;
@@ -17,55 +19,112 @@ pub const LINE_BYTES: u64 = 128;
 /// Number of shared-memory banks.
 pub const SHARED_BANKS: u64 = 32;
 
-/// Byte-addressed device memory backed by 8-byte words.
+/// `(addr / WORD_BYTES) % len`, taking the hardware divide only when the
+/// word index is out of range.
+#[inline]
+fn wrap_word(addr: u64, len: usize) -> usize {
+    let word = addr / WORD_BYTES;
+    let len = len as u64;
+    (if word < len { word } else { word % len }) as usize
+}
+
+/// Words per device-memory page (32 KiB of payload per page).
+const PAGE_WORDS: usize = 4096;
+
+/// The contents of every never-written page.
+static ZERO_PAGE: [Value; PAGE_WORDS] = [0; PAGE_WORDS];
+
+/// One page of a [`GlobalMemory`] page table.
+#[derive(Clone)]
+enum Page {
+    /// Never written: reads as [`ZERO_PAGE`].
+    Zero,
+    /// Held by this image alone: written in place.
+    Owned(Box<[Value; PAGE_WORDS]>),
+    /// Held by a snapshot and possibly other images: copied on write.
+    Shared(Arc<[Value; PAGE_WORDS]>),
+}
+
+impl Page {
+    #[inline]
+    fn words(&self) -> &[Value; PAGE_WORDS] {
+        match self {
+            Page::Zero => &ZERO_PAGE,
+            Page::Owned(words) => words,
+            Page::Shared(words) => words,
+        }
+    }
+}
+
+/// Byte-addressed device memory backed by 8-byte words, stored as a
+/// table of 32 KiB copy-on-write pages.
 ///
 /// Addresses wrap modulo the memory size: the simulator models a bounded
 /// physical address space, so wild addresses produced by corrupted values
 /// land somewhere in memory rather than aborting the simulation.
-#[derive(Debug, Clone)]
+///
+/// A page is allocated on its first write. Sharing an image (what a
+/// [`crate::gpu::Snapshot`] holds) costs one page table: both copies
+/// then hold every written page by `Arc`, and the next write to such a
+/// page copies that page alone. Owned pages are plain `Box`es, so a write
+/// to a page this image already owns performs no atomic operation.
+#[derive(Clone)]
 pub struct GlobalMemory {
-    words: Vec<Value>,
-    /// Exclusive upper bound of word indices ever written. Words at or
-    /// beyond this index are still their initial zero, so delta encoding
-    /// ([`GlobalMemory::delta_from`]) only scans the touched prefix
-    /// instead of the whole (typically 256 MiB) address space.
-    touched: usize,
+    pages: Vec<Page>,
+    /// Size in words.
+    len: usize,
 }
 
 impl GlobalMemory {
     /// Allocates `bytes` of zeroed device memory (rounded up to a word).
     pub fn new(bytes: u64) -> GlobalMemory {
-        let words = (bytes.div_ceil(WORD_BYTES)).max(1) as usize;
+        let len = (bytes.div_ceil(WORD_BYTES)).max(1) as usize;
         GlobalMemory {
-            words: vec![0; words],
-            touched: 0,
+            pages: vec![Page::Zero; len.div_ceil(PAGE_WORDS)],
+            len,
         }
     }
 
     /// Size in bytes.
     pub fn len_bytes(&self) -> u64 {
-        self.words.len() as u64 * WORD_BYTES
+        self.len as u64 * WORD_BYTES
     }
 
     #[inline]
     fn index(&self, addr: u64) -> usize {
-        ((addr / WORD_BYTES) as usize) % self.words.len()
+        wrap_word(addr, self.len)
     }
 
     /// Reads the word containing byte address `addr`.
     #[inline]
     pub fn read(&self, addr: u64) -> Value {
-        self.words[self.index(addr)]
+        let i = self.index(addr);
+        self.pages[i / PAGE_WORDS].words()[i % PAGE_WORDS]
     }
 
     /// Writes the word containing byte address `addr`.
     #[inline]
     pub fn write(&mut self, addr: u64, v: Value) {
         let i = self.index(addr);
-        self.words[i] = v;
-        if i >= self.touched {
-            self.touched = i + 1;
+        if let Page::Owned(words) = &mut self.pages[i / PAGE_WORDS] {
+            words[i % PAGE_WORDS] = v;
+        } else {
+            self.write_unowned(i, v);
         }
+    }
+
+    /// The first write to a zero or shared page: copies the page into a
+    /// fresh allocation this image owns, then writes. Out of line so the
+    /// in-place store above stays small enough to inline everywhere.
+    #[cold]
+    #[inline(never)]
+    fn write_unowned(&mut self, i: usize, v: Value) {
+        let page = &mut self.pages[i / PAGE_WORDS];
+        let mut words: Box<[Value; PAGE_WORDS]> = Box::<[Value]>::from(&page.words()[..])
+            .try_into()
+            .expect("a page holds PAGE_WORDS words");
+        words[i % PAGE_WORDS] = v;
+        *page = Page::Owned(words);
     }
 
     /// Reads an `f32` stored by the workloads' convention (bit pattern in
@@ -93,103 +152,79 @@ impl GlobalMemory {
         }
     }
 
-    /// The raw word array, for whole-image bit-comparison (the oracle
-    /// conformance suite memcmps entire 256 MiB images; going through
-    /// [`GlobalMemory::read`] word-by-word would dominate the test).
-    pub fn words(&self) -> &[Value] {
-        &self.words
+    /// Returns a copy of this image that shares every written page with
+    /// it. Costs the page table: each page this image owns becomes
+    /// shared (one 32 KiB copy into an `Arc`, once), and later writes on
+    /// either side copy only the page they touch. A snapshot holds such
+    /// a copy, so restoring one is an assignment.
+    pub(crate) fn share(&mut self) -> GlobalMemory {
+        for page in &mut self.pages {
+            *page = match std::mem::replace(page, Page::Zero) {
+                Page::Owned(words) => Page::Shared(Arc::from(words)),
+                other => other,
+            };
+        }
+        self.clone()
     }
 
-    /// Records the difference of this image against `base` as a sparse
-    /// [`MemDelta`]: only the [`DELTA_CHUNK_WORDS`]-word chunks whose
-    /// contents diverge are stored. Campaign checkpoints delta-encode
-    /// against the post-init memory image, so memory-heavy workloads
-    /// (GUPS touches a large table, but each checkpoint has only written
-    /// a prefix of it) pay for dirty chunks, not the whole address space.
+    /// Number of pages (32 KiB each) this image does not share with
+    /// `base`: when one was shared from the other, the pages written
+    /// since. Pages that are zero on both sides count as shared.
     ///
     /// # Panics
     ///
-    /// Panics if the two images have different sizes — deltas are only
-    /// meaningful between snapshots of one launch.
-    pub fn delta_from(&self, base: &GlobalMemory) -> MemDelta {
+    /// Panics if the two images have different sizes.
+    pub(crate) fn unshared_pages(&self, base: &GlobalMemory) -> usize {
         assert_eq!(
-            self.words.len(),
-            base.words.len(),
-            "memory delta between differently-sized images"
+            self.len, base.len,
+            "page count between differently-sized images"
         );
-        // Words beyond both images' write high-water marks are still
-        // their initial zero on both sides, so only the touched prefix
-        // can diverge — the scan is O(touched), not O(address space).
-        let hw = self.touched.max(base.touched).min(self.words.len());
-        let mut chunks = Vec::new();
-        for (i, (cur, old)) in self.words[..hw]
-            .chunks(DELTA_CHUNK_WORDS)
-            .zip(base.words[..hw].chunks(DELTA_CHUNK_WORDS))
+        self.pages
+            .iter()
+            .zip(&base.pages)
+            .filter(|(a, b)| !std::ptr::eq(a.words(), b.words()))
+            .count()
+    }
+
+    /// Index of the lowest word whose value differs between the two
+    /// images, or `None` when they are equal. Pages shared by both
+    /// images, or zero on both sides, are skipped without reading them.
+    /// Images of different sizes differ at the end of the shorter one.
+    pub fn first_difference(&self, other: &GlobalMemory) -> Option<usize> {
+        if self.len != other.len {
+            return Some(self.len.min(other.len));
+        }
+        self.pages
+            .iter()
+            .zip(&other.pages)
             .enumerate()
-        {
-            if cur != old {
-                chunks.push((i as u32, cur.to_vec()));
-            }
-        }
-        MemDelta { chunks }
-    }
-
-    /// Rebuilds this image as `base` overlaid with `delta` (the inverse of
-    /// [`GlobalMemory::delta_from`]). The existing allocation is reused.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the image sizes differ.
-    pub fn restore_from(&mut self, base: &GlobalMemory, delta: &MemDelta) {
-        assert_eq!(
-            self.words.len(),
-            base.words.len(),
-            "memory restore between differently-sized images"
-        );
-        self.words.copy_from_slice(&base.words);
-        self.touched = base.touched;
-        self.overlay(delta);
-    }
-
-    /// Applies only `delta`'s dirty chunks, without first copying the
-    /// base image. Equivalent to [`GlobalMemory::restore_from`] **iff**
-    /// this image already equals the delta's base — the campaign fork
-    /// path restores onto a freshly-initialized memory that is exactly
-    /// the base image, and skipping the full-image copy keeps the
-    /// per-fork cost proportional to the dirty set, not the 256 MiB
-    /// address space.
-    pub fn overlay(&mut self, delta: &MemDelta) {
-        for (chunk, words) in &delta.chunks {
-            let start = *chunk as usize * DELTA_CHUNK_WORDS;
-            self.words[start..start + words.len()].copy_from_slice(words);
-            self.touched = self.touched.max(start + words.len());
-        }
+            .find_map(|(p, (a, b))| {
+                let (a, b) = (a.words(), b.words());
+                if std::ptr::eq(a, b) || a == b {
+                    return None;
+                }
+                let o = a.iter().zip(b).position(|(x, y)| x != y)?;
+                Some(p * PAGE_WORDS + o)
+            })
     }
 }
 
-/// Words per [`MemDelta`] chunk (32 KiB of payload per dirty chunk).
-pub const DELTA_CHUNK_WORDS: usize = 4096;
-
-/// Sparse difference between two equally-sized [`GlobalMemory`] images:
-/// the chunk-granular set of regions that changed. Produced by
-/// [`GlobalMemory::delta_from`], applied by [`GlobalMemory::restore_from`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemDelta {
-    /// `(chunk_index, chunk_contents)` for each diverging chunk, in
-    /// ascending chunk order. The final chunk may be short.
-    chunks: Vec<(u32, Vec<Value>)>,
+/// Compares contents: an untouched page equals a page written with
+/// zeros.
+impl PartialEq for GlobalMemory {
+    fn eq(&self, other: &GlobalMemory) -> bool {
+        self.first_difference(other).is_none()
+    }
 }
 
-impl MemDelta {
-    /// Number of diverging chunks (observability: lets checkpoint
-    /// telemetry report how sparse the encoding actually was).
-    pub fn dirty_chunks(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Total payload words held by the delta.
-    pub fn words(&self) -> usize {
-        self.chunks.iter().map(|(_, w)| w.len()).sum()
+impl fmt::Debug for GlobalMemory {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let count = |want: fn(&Page) -> bool| self.pages.iter().filter(|p| want(p)).count();
+        f.debug_struct("GlobalMemory")
+            .field("bytes", &self.len_bytes())
+            .field("owned_pages", &count(|p| matches!(p, Page::Owned(_))))
+            .field("shared_pages", &count(|p| matches!(p, Page::Shared(_))))
+            .finish_non_exhaustive()
     }
 }
 
@@ -284,7 +319,7 @@ impl SharedMemory {
 
     #[inline]
     fn index(&self, addr: u64) -> usize {
-        ((addr / WORD_BYTES) as usize) % self.words.len()
+        wrap_word(addr, self.words.len())
     }
 
     /// Reads the word at byte address `addr` (wrapping).
@@ -468,27 +503,134 @@ mod tests {
         assert_eq!(m.read_f32(16), 1.5);
         m.write_block(0, &[1, 2, 3]);
         assert_eq!(m.read_block(0, 3), vec![1, 2, 3]);
+        // Out-of-range addresses land where the `%` formula puts them.
+        let len = m.len_bytes() / WORD_BYTES;
+        for (k, addr) in [1024, 1024 + 8, u64::MAX - 7, u64::MAX, u64::MAX - 1024]
+            .into_iter()
+            .enumerate()
+        {
+            let canonical = (addr / WORD_BYTES) % len * WORD_BYTES;
+            m.write(addr, 100 + k as u64);
+            assert_eq!(m.read(canonical), 100 + k as u64, "addr {addr:#x}");
+            assert_eq!(m.read(addr), m.read(canonical), "addr {addr:#x}");
+        }
     }
 
     #[test]
-    fn mem_delta_round_trips_and_stays_sparse() {
-        let words = DELTA_CHUNK_WORDS as u64 * 4 + 100; // ragged tail chunk
-        let mut base = GlobalMemory::new(words * WORD_BYTES);
-        for i in 0..64 {
-            base.write(i * WORD_BYTES, i + 1);
+    fn shared_memory_wraps_like_the_modulo_formula() {
+        let mut m = SharedMemory::new(48);
+        for (k, addr) in [0, 40, 48, 56, u64::MAX - 7, u64::MAX]
+            .into_iter()
+            .enumerate()
+        {
+            let canonical = (addr / WORD_BYTES) % 6 * WORD_BYTES;
+            m.write(addr, 7 + k as u64);
+            assert_eq!(m.read(canonical), 7 + k as u64, "addr {addr:#x}");
         }
-        let mut cur = base.clone();
-        // Dirty one word in chunk 1 and one in the short tail chunk.
-        cur.write(DELTA_CHUNK_WORDS as u64 * WORD_BYTES + 8, 0xABCD);
-        cur.write((words - 1) * WORD_BYTES, 0xEF01);
-        let delta = cur.delta_from(&base);
-        assert_eq!(delta.dirty_chunks(), 2);
-        assert!(delta.words() < cur.words().len());
-        let mut rebuilt = base.clone();
-        rebuilt.restore_from(&base, &delta);
-        assert_eq!(rebuilt.words(), cur.words());
-        // Empty delta between identical images.
-        assert_eq!(base.delta_from(&base).dirty_chunks(), 0);
+    }
+
+    const PAGE_BYTES: u64 = PAGE_WORDS as u64 * WORD_BYTES;
+
+    /// A four-page image with one written word per page.
+    fn four_pages() -> GlobalMemory {
+        let mut m = GlobalMemory::new(4 * PAGE_BYTES);
+        for p in 0..4 {
+            m.write(p * PAGE_BYTES + 8, p + 1);
+        }
+        m
+    }
+
+    #[test]
+    fn shared_copy_shares_every_page() {
+        let mut m = four_pages();
+        let copy = m.share();
+        assert_eq!(copy.unshared_pages(&m), 0);
+        assert_eq!(m.unshared_pages(&copy), 0);
+        assert_eq!(m.first_difference(&copy), None);
+        // Two untouched images share their zero pages too.
+        let zero = GlobalMemory::new(4 * PAGE_BYTES);
+        assert_eq!(zero.unshared_pages(&GlobalMemory::new(4 * PAGE_BYTES)), 0);
+        assert_eq!(m.unshared_pages(&zero), 4);
+    }
+
+    #[test]
+    fn write_after_share_changes_only_the_writer() {
+        let mut m = four_pages();
+        let mut copy = m.share();
+        m.write(PAGE_BYTES + 16, 0xAB);
+        copy.write(3 * PAGE_BYTES, 0xCD);
+        assert_eq!(
+            (m.read(PAGE_BYTES + 16), copy.read(PAGE_BYTES + 16)),
+            (0xAB, 0)
+        );
+        assert_eq!(
+            (m.read(3 * PAGE_BYTES), copy.read(3 * PAGE_BYTES)),
+            (0, 0xCD)
+        );
+        // Each side copied the one page it wrote; the rest stay shared.
+        assert_eq!(m.unshared_pages(&copy), 2);
+        // Pre-share contents survive on both sides.
+        for p in 0..4 {
+            assert_eq!(m.read(p * PAGE_BYTES + 8), p + 1);
+            assert_eq!(copy.read(p * PAGE_BYTES + 8), p + 1);
+        }
+        // A snapshot of a snapshot holder still sees its own contents.
+        let again = m.share();
+        m.write(PAGE_BYTES + 16, 0xEF);
+        assert_eq!(again.read(PAGE_BYTES + 16), 0xAB);
+    }
+
+    #[test]
+    fn untouched_page_equals_zero_written_page() {
+        let mut written = GlobalMemory::new(4 * PAGE_BYTES);
+        for w in 0..PAGE_WORDS as u64 {
+            written.write(2 * PAGE_BYTES + w * WORD_BYTES, 0);
+        }
+        let untouched = GlobalMemory::new(4 * PAGE_BYTES);
+        assert_eq!(written.unshared_pages(&untouched), 1);
+        assert!(written == untouched);
+        assert_eq!(untouched.first_difference(&written), None);
+        assert!(GlobalMemory::new(4 * PAGE_BYTES) != GlobalMemory::new(5 * PAGE_BYTES));
+    }
+
+    #[test]
+    fn first_difference_finds_lowest_word_across_page_kinds() {
+        let mut a = GlobalMemory::new(4 * PAGE_BYTES);
+        a.write(2 * PAGE_BYTES, 5);
+        let mut b = a.share();
+        // Page 3: owned by `a`, zero in `b`.
+        a.write(3 * PAGE_BYTES + 9 * WORD_BYTES, 1);
+        assert_eq!(a.first_difference(&b), Some(3 * PAGE_WORDS + 9));
+        // Page 2: a copy owned by `b` against the page `a` still shares.
+        b.write(2 * PAGE_BYTES + 3 * WORD_BYTES, 2);
+        assert_eq!(a.first_difference(&b), Some(2 * PAGE_WORDS + 3));
+        // Page 0: zero in `a`, owned by `b`.
+        b.write(7 * WORD_BYTES, 3);
+        assert_eq!(a.first_difference(&b), Some(7));
+        assert_eq!(b.first_difference(&a), Some(7));
+        // Both own page 0 now: the lower of its two differences wins.
+        a.write(4 * WORD_BYTES, 4);
+        assert_eq!(a.first_difference(&b), Some(4));
+        assert!(a != b);
+    }
+
+    #[test]
+    fn ragged_size_reads_writes_and_wraps() {
+        // Two full pages plus a 100-word tail page.
+        let words = 2 * PAGE_WORDS as u64 + 100;
+        let mut m = GlobalMemory::new(words * WORD_BYTES);
+        assert_eq!(m.len_bytes(), words * WORD_BYTES);
+        let last = (words - 1) * WORD_BYTES;
+        m.write(last, 0xEF01);
+        assert_eq!(m.read(last), 0xEF01);
+        // One word past the end wraps to word 0, not into the tail page.
+        m.write(words * WORD_BYTES, 0x11);
+        assert_eq!(m.read(0), 0x11);
+        assert_eq!(m.read(last + 2 * WORD_BYTES), m.read(WORD_BYTES));
+        let copy = m.share();
+        m.write(last, 0xEF02);
+        assert_eq!(copy.read(last), 0xEF01);
+        assert_eq!(m.first_difference(&copy), Some(words as usize - 1));
     }
 
     #[test]

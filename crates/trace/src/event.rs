@@ -185,10 +185,11 @@ pub enum Event {
         warps: u32,
     },
     /// The campaign harness captured a whole-GPU checkpoint
-    /// (`Gpu::snapshot_delta`) at this cycle.
+    /// (`Gpu::snapshot` or `Gpu::snapshot_delta`) at this cycle.
     SnapshotSave {
-        /// Device-memory chunks the checkpoint stored beyond the shared
-        /// delta base (the sparsity of the encoding).
+        /// Device-memory pages (32 KiB each) the checkpoint does not
+        /// share with its base image: the pages written since the base
+        /// was taken.
         dirty_chunks: u32,
     },
     /// The campaign harness rewound the GPU to a checkpoint

@@ -25,7 +25,7 @@ use flame_core::scheme::Scheme;
 use flame_oracle::{execute, OracleConfig};
 use gpu_sim::builder::KernelBuilder;
 use gpu_sim::isa::{AtomOp, Cmp, MemSpace, Special};
-use gpu_sim::memory::GlobalMemory;
+use gpu_sim::memory::{GlobalMemory, WORD_BYTES};
 use gpu_sim::rng::Rng64;
 use gpu_sim::sm::LaunchDims;
 use gpu_sim::Kernel;
@@ -244,9 +244,9 @@ pub fn check_seed_with(seed: u64, sabotage: bool) -> Result<(), String> {
             .map_err(|e| format!("seed {seed:#x}: prepare failed under {scheme:?}: {e:?}"))?;
         gpu.run(cfg.max_cycles)
             .map_err(|e| format!("seed {seed:#x}: run failed under {scheme:?}: {e:?}"))?;
-        let sim = gpu.global().words();
-        let gold = golden.global.words();
-        if let Some((i, (&s, &g))) = sim.iter().zip(gold).enumerate().find(|(_, (s, g))| s != g) {
+        if let Some(i) = gpu.global().first_difference(&golden.global) {
+            let addr = i as u64 * WORD_BYTES;
+            let (s, g) = (gpu.global().read(addr), golden.global.read(addr));
             return Err(format!(
                 "oracle/sim divergence under {scheme:?} at word {i}: sim {s:#x} != oracle {g:#x}\n\
                  kernel: {rk:?}\n\

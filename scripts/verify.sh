@@ -17,6 +17,9 @@ status_before=$(git status --porcelain --untracked-files=no)
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> perfbench build (fails fast when a library item the benchmark calls changes)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 

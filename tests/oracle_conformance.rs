@@ -19,7 +19,7 @@
 use flame::core::experiment::{prepare_scheme, ExperimentConfig};
 use flame::oracle::{execute, OracleConfig};
 use flame::prelude::*;
-use flame::sim::memory::GlobalMemory;
+use flame::sim::memory::{GlobalMemory, WORD_BYTES};
 
 /// Every scheme variant: the eight evaluated schemes plus the baseline
 /// and the two ablations.
@@ -32,12 +32,9 @@ fn all_schemes() -> Vec<Scheme> {
 }
 
 fn first_divergence(a: &GlobalMemory, b: &GlobalMemory) -> Option<(usize, u64, u64)> {
-    a.words()
-        .iter()
-        .zip(b.words())
-        .enumerate()
-        .find(|(_, (x, y))| x != y)
-        .map(|(i, (&x, &y))| (i, x, y))
+    let word = a.first_difference(b)?;
+    let addr = word as u64 * WORD_BYTES;
+    Some((word, a.read(addr), b.read(addr)))
 }
 
 /// Runs the conformance sweep for the workloads of `suite`, keeping only

@@ -257,17 +257,12 @@ fn poison_seed_is_quarantined_identically_on_both_paths() {
 #[test]
 fn resume_repairs_truncation_at_every_byte_offset() {
     let w = workload(2, 32);
-    let mut s = CampaignSpec {
+    let s = CampaignSpec {
         runs: 2,
         horizon: 300,
         fork_points: 0,
         ..spec(2)
     };
-    // The sweep re-creates the device hundreds of times (one campaign
-    // per byte offset); the default 256 MiB zeroed image would make
-    // kernel page-zeroing, not the property under test, the cost. The
-    // kernel touches < 128 KiB.
-    s.cfg.gpu.device_mem_bytes = 2 * 1024 * 1024;
     let reference = run_campaign_runner_with_jobs(&w, &s, None, 1).unwrap();
 
     let seed_path = fast_tmp().join(format!(
@@ -284,8 +279,7 @@ fn resume_repairs_truncation_at_every_byte_offset() {
     let last = lines[lines.len() - 1];
 
     // Every offset is an independent journal; sweep them on a small
-    // thread pool — the per-invocation cost is dominated by fixed
-    // per-run work (device image allocation), which parallelizes.
+    // thread pool.
     let check_offset = |cut: usize| {
         let path = fast_tmp().join(format!(
             "flame_shard_truncprop_{}_{cut}.jsonl",

@@ -29,6 +29,7 @@ use flame::core::scheme::Scheme;
 use flame::sensors::fault::StrikeGenerator;
 use flame::sim::rng::Rng64;
 use flame::workloads::fuzz;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn fuzz_workload(seed: u64) -> WorkloadSpec {
@@ -86,8 +87,8 @@ fn fuzz_snapshot_round_trip_is_bit_identical() {
                 "seed {seed:#x} round {round}: stats diverged after restore"
             );
             assert_eq!(
-                gpu.global().words(),
-                ref_mem.words(),
+                gpu.global().first_difference(&ref_mem),
+                None,
                 "seed {seed:#x} round {round}: memory diverged after restore"
             );
         }
@@ -137,11 +138,57 @@ fn snapshot_excludes_micro_op_cache() {
             "seed {seed:#x}: restore diverged from the per-cycle scratch run"
         );
         assert_eq!(
-            gpu.global().words(),
-            ref_mem.words(),
+            gpu.global().first_difference(&ref_mem),
+            None,
             "seed {seed:#x}: memory diverged after restore"
         );
     }
+}
+
+/// A forked run launches the kernel without seeding its inputs: the
+/// checkpoint's image already holds them. Counting the workload's `init`
+/// calls pins this, and the forked run must still match the scratch run
+/// in stats and final image.
+#[test]
+fn forked_run_skips_input_seeding() {
+    let cfg = ExperimentConfig::default();
+    let scheme = Scheme::SensorRenaming;
+    let seeded = Arc::new(AtomicUsize::new(0));
+    let w = {
+        let mut w = fuzz_workload(fuzz::FUZZ_SEED_BASE);
+        let (init, seeded) = (Arc::clone(&w.init), Arc::clone(&seeded));
+        w.init = Arc::new(move |m| {
+            seeded.fetch_add(1, Ordering::Relaxed);
+            init(m);
+        });
+        w
+    };
+    let clean = run_scheme(&w, scheme, &cfg).expect("clean run");
+    let cp = clean.stats.cycles / 2;
+    let (mut gpu, _) = prepare_scheme(&w, scheme, &cfg).expect("prepare");
+    let mut running = gpu.running();
+    while running && gpu.cycle() < cp {
+        running = gpu.step_window(cp);
+    }
+    assert!(running, "finished before midpoint {cp}");
+    let snap = gpu.snapshot();
+
+    let proto = ProtocolConfig::default();
+    seeded.store(0, Ordering::Relaxed);
+    let (forked, fmem, tele) =
+        run_with_protocol_forked(&w, scheme, &cfg, &[], &proto, Some(&snap)).expect("forked run");
+    assert_eq!(seeded.load(Ordering::Relaxed), 0, "the forked run seeded");
+    let (scratch, smem) =
+        run_with_protocol_capturing(&w, scheme, &cfg, &[], &proto).expect("scratch run");
+    assert_eq!(
+        seeded.load(Ordering::Relaxed),
+        1,
+        "the scratch run seeds once"
+    );
+
+    assert_eq!(tele.fork_cycle, cp);
+    assert_eq!(forked.run.stats, scratch.run.stats, "stats");
+    assert_eq!(fmem.first_difference(&smem), None, "final memory image");
 }
 
 /// Forked fault runs are bit-identical to from-scratch runs across the
@@ -225,7 +272,11 @@ fn forked_runs_bit_identical_across_taxonomy() {
                 flame::core::classify(&scratch),
                 "{cell}: outcome"
             );
-            assert_eq!(fmem.words(), smem.words(), "{cell}: final memory image");
+            assert_eq!(
+                fmem.first_difference(&smem),
+                None,
+                "{cell}: final memory image"
+            );
         }
     }
 }
