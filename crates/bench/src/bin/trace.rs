@@ -22,12 +22,13 @@
 //! [`gpu_sim::stats::StallStats`] — the trace is cross-checked against
 //! the statistics it claims to explain, every time it is produced.
 
+use flame_core::campaign::{classify, Outcome};
 use flame_core::experiment::{
-    run_scheme, run_scheme_traced, run_with_protocol_traced, ExperimentConfig, ProtocolConfig,
-    WorkloadSpec,
+    run_scheme, run_with_protocol, ExperimentConfig, FaultProtocolResult, ProtocolConfig,
+    RunOptions, WorkloadSpec,
 };
 use flame_core::scheme::Scheme;
-use flame_sensors::fault::StrikeGenerator;
+use flame_sensors::fault::{Strike, StrikeGenerator};
 use flame_trace::{chrome_trace_json, region_csv, stall_table, validate_json, Event, SimTrace};
 use gpu_sim::config::GpuConfig;
 use gpu_sim::scheduler::SchedulerKind;
@@ -179,6 +180,29 @@ fn write_exports(dir: &Path, stem: &str, json: &str, trace: &SimTrace) {
     }
 }
 
+/// Runs one traced cell through the protocol driver; a fault-free cell
+/// (no strikes) must end [`Outcome::Masked`]: completed, output correct.
+fn traced_run(
+    w: &WorkloadSpec,
+    scheme: Scheme,
+    cfg: &ExperimentConfig,
+    strikes: &[Strike],
+    capacity: usize,
+    label: &str,
+) -> (FaultProtocolResult, SimTrace) {
+    let opts = RunOptions {
+        trace: Some(capacity),
+        ..RunOptions::default()
+    };
+    let mut r = run_with_protocol(w, scheme, cfg, strikes, &ProtocolConfig::default(), &opts)
+        .unwrap_or_else(|e| fail(&format!("{label} failed: {e}")));
+    if strikes.is_empty() && classify(&r) != Outcome::Masked {
+        fail(&format!("{label}: fault-free run ended {}", classify(&r)));
+    }
+    let trace = r.trace.take().expect("tracing was enabled");
+    (r, trace)
+}
+
 fn capture(a: &TraceArgs) {
     let stem = format!(
         "{}_{}_{}_{}_wcdl{}{}",
@@ -203,13 +227,8 @@ fn capture(a: &TraceArgs) {
         a.faults,
         a.capacity
     );
-    let (stats, trace) = if a.faults == 0 {
-        let (run, trace) = run_scheme_traced(&a.workload, a.scheme, &a.cfg, a.capacity)
-            .unwrap_or_else(|e| fail(&format!("run failed: {e}")));
-        if !run.output_ok {
-            fail("workload output check failed");
-        }
-        (run.stats, trace)
+    let strikes = if a.faults == 0 {
+        Vec::new()
     } else {
         // Learn the fault-free runtime to place strikes inside it, as the
         // campaign drivers do.
@@ -217,22 +236,16 @@ fn capture(a: &TraceArgs) {
             .unwrap_or_else(|e| fail(&format!("clean run failed: {e}")));
         let mut gen =
             StrikeGenerator::new(a.seed, a.cfg.wcdl, a.cfg.gpu.num_sms).with_ecc_fraction(0.0);
-        let strikes = gen.schedule(a.faults, (clean.stats.cycles * 3 / 4).max(10));
-        let (r, trace) = run_with_protocol_traced(
-            &a.workload,
-            a.scheme,
-            &a.cfg,
-            &strikes,
-            &ProtocolConfig::default(),
-            a.capacity,
-        )
-        .unwrap_or_else(|e| fail(&format!("fault run failed: {e}")));
+        gen.schedule(a.faults, (clean.stats.cycles * 3 / 4).max(10))
+    };
+    let (r, trace) = traced_run(&a.workload, a.scheme, &a.cfg, &strikes, a.capacity, "run");
+    if a.faults > 0 {
         println!(
             "faults: injected={} detections={} recoveries={} output_ok={}",
             r.injected, r.detections, r.recoveries, r.run.output_ok
         );
-        (r.run.stats, trace)
-    };
+    }
+    let stats = r.run.stats;
     let json = validate(&trace, &stats, &stem);
     println!(
         "captured {} events ({} dropped from rings), {} regions, {} cycles",
@@ -262,11 +275,8 @@ fn smoke() {
     let capacity = 1 << 16;
 
     // Fault-free cell.
-    let (run, trace) = run_scheme_traced(&w, Scheme::SensorRenaming, &cfg, capacity)
-        .unwrap_or_else(|e| fail(&format!("smoke run failed: {e}")));
-    if !run.output_ok {
-        fail("smoke: output check failed");
-    }
+    let (r, trace) = traced_run(&w, Scheme::SensorRenaming, &cfg, &[], capacity, "smoke");
+    let run = r.run;
     let json = validate(&trace, &run.stats, "smoke");
     write_exports(&out, "smoke_gups_flame", &json, &trace);
     if trace.regions.len() as u64 != run.stats.resilience.boundaries {
@@ -284,15 +294,14 @@ fn smoke() {
     // on the timeline, in causal order per SM.
     let mut gen = StrikeGenerator::new(0xF1A3, cfg.wcdl, cfg.gpu.num_sms).with_ecc_fraction(0.0);
     let strikes = gen.schedule(4, (run.stats.cycles * 3 / 4).max(10));
-    let (r, ftrace) = run_with_protocol_traced(
+    let (r, ftrace) = traced_run(
         &w,
         Scheme::SensorRenaming,
         &cfg,
         &strikes,
-        &ProtocolConfig::default(),
         capacity,
-    )
-    .unwrap_or_else(|e| fail(&format!("smoke fault run failed: {e}")));
+        "smoke fault run",
+    );
     if !r.run.output_ok {
         fail("smoke: fault run output corrupted despite recovery");
     }

@@ -1,12 +1,8 @@
 //! Realistic fault campaigns: mapping the paper's §IV field-study rates
-//! (strikes per GPU per *day*) onto simulation cycles, and summarizing
-//! the resilience outcome of a campaign.
+//! (strikes per GPU per *day*) onto simulation cycles, and classifying
+//! each run of a campaign into the outcome taxonomy.
 
-use crate::experiment::{
-    run_with_faults, ExperimentConfig, ExperimentError, FaultProtocolResult, RunResult,
-    WorkloadSpec,
-};
-use crate::scheme::Scheme;
+use crate::experiment::FaultProtocolResult;
 use flame_sensors::fault::{FaultRates, Strike, StrikeGenerator};
 use std::fmt;
 
@@ -124,24 +120,10 @@ impl fmt::Display for Outcome {
     }
 }
 
-/// Classifies a protocol run into the outcome taxonomy.
-///
-/// Precedence: a declared DUE trumps everything (the machine *knows* it
-/// lost the run); a hang is a hang regardless of memory contents; then
-/// the output decides between SDC and the two good outcomes, split by
-/// whether the protocol had to intervene.
+/// Classifies a protocol run into the outcome taxonomy, trusting the
+/// workload's own output check.
 pub fn classify(r: &FaultProtocolResult) -> Outcome {
-    if r.due {
-        Outcome::Due
-    } else if r.watchdog_fired || r.timed_out {
-        Outcome::Hang
-    } else if !r.run.output_ok {
-        Outcome::Sdc
-    } else if r.recoveries > 0 || r.cta_relaunches > 0 || r.kernel_relaunches > 0 {
-        Outcome::DetectedRecovered
-    } else {
-        Outcome::Masked
-    }
+    ladder(r, !r.run.output_ok)
 }
 
 /// [`classify`] grounded in an architectural golden image instead of the
@@ -149,24 +131,31 @@ pub fn classify(r: &FaultProtocolResult) -> Outcome {
 ///
 /// Workload `check` closures sample their output (spot values, checksums)
 /// and can miss corruption that lands between the samples. Given the
-/// run's final device-memory image (from
-/// [`crate::experiment::run_with_protocol_capturing`]) and the golden
-/// image of a fault-free architectural execution (from `flame-oracle`),
-/// the SDC decision becomes exact: a completed run is SDC iff its image
-/// differs from the golden image *anywhere*, and Masked /
-/// DetectedRecovered demand bit-identity. Due and Hang keep their
-/// precedence — the machine declared those outcomes; memory contents
-/// don't override them.
+/// golden image of a fault-free architectural execution (from
+/// `flame-oracle`), the SDC decision becomes exact: a completed run is
+/// SDC iff its final image ([`FaultProtocolResult::image`]) differs from
+/// the golden image *anywhere*, and Masked / DetectedRecovered demand
+/// bit-identity.
 pub fn classify_against_golden(
     r: &FaultProtocolResult,
-    final_image: &gpu_sim::memory::GlobalMemory,
     golden: &gpu_sim::memory::GlobalMemory,
 ) -> Outcome {
+    ladder(r, r.image != *golden)
+}
+
+/// The outcome ladder both classifiers share, given whether the output
+/// is corrupt.
+///
+/// Precedence: a declared DUE trumps everything (the machine *knows* it
+/// lost the run); a hang is a hang regardless of memory contents; then
+/// the output decides between SDC and the two good outcomes, split by
+/// whether the protocol had to intervene.
+fn ladder(r: &FaultProtocolResult, corrupt: bool) -> Outcome {
     if r.due {
         Outcome::Due
     } else if r.watchdog_fired || r.timed_out {
         Outcome::Hang
-    } else if final_image != golden {
+    } else if corrupt {
         Outcome::Sdc
     } else if r.recoveries > 0 || r.cta_relaunches > 0 || r.kernel_relaunches > 0 {
         Outcome::DetectedRecovered
@@ -175,79 +164,17 @@ pub fn classify_against_golden(
     }
 }
 
-/// Outcome summary of a campaign run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignReport {
-    /// Strikes injected.
-    pub strikes: usize,
-    /// Strikes whose bit flip landed on an in-flight write.
-    pub corrupted: usize,
-    /// Sensor detections delivered (always equals `strikes`: the mesh
-    /// hears everything).
-    pub detections: usize,
-    /// All-warp rollbacks performed.
-    pub recoveries: usize,
-    /// Warps rolled back in total.
-    pub warps_rolled_back: u64,
-    /// Final output correct?
-    pub output_ok: bool,
-    /// Cycles relative to a fault-free run of the same scheme.
-    pub slowdown_vs_clean: f64,
-}
-
-/// Runs `campaign` against `w` under `scheme` and summarizes the outcome,
-/// simulating the fault-free baseline first.
-///
-/// Multi-seed campaigns should compute that baseline once and call
-/// [`run_campaign_with_baseline`] per seed instead of re-simulating the
-/// clean run every time.
-///
-/// # Errors
-///
-/// Propagates [`ExperimentError`] from the underlying runs.
-pub fn run_campaign(
-    w: &WorkloadSpec,
-    scheme: Scheme,
-    cfg: &ExperimentConfig,
-    campaign: &Campaign,
-) -> Result<CampaignReport, ExperimentError> {
-    let clean = crate::experiment::run_scheme(w, scheme, cfg)?;
-    run_campaign_with_baseline(w, scheme, cfg, campaign, &clean)
-}
-
-/// [`run_campaign`] with a precomputed fault-free baseline: only the
-/// faulted run is simulated. The caller is responsible for `clean` being
-/// a [`crate::experiment::run_scheme`] result for the same
-/// `(w, scheme, cfg)` triple — the matrix engine's memoized baselines
-/// qualify.
-///
-/// # Errors
-///
-/// Propagates [`ExperimentError`] from the faulted run.
-pub fn run_campaign_with_baseline(
-    w: &WorkloadSpec,
-    scheme: Scheme,
-    cfg: &ExperimentConfig,
-    campaign: &Campaign,
-    clean: &RunResult,
-) -> Result<CampaignReport, ExperimentError> {
-    let r = run_with_faults(w, scheme, cfg, &campaign.strikes)?;
-    Ok(CampaignReport {
-        strikes: campaign.len(),
-        corrupted: r.corrupted,
-        detections: r.detections,
-        recoveries: r.recoveries,
-        warps_rolled_back: r.run.stats.resilience.warps_rolled_back,
-        output_ok: r.run.output_ok,
-        slowdown_vs_clean: r.run.stats.cycles as f64 / clean.stats.cycles as f64,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::{
+        run_scheme, run_with_protocol, ExperimentConfig, ProtocolConfig, RunOptions, RunResult,
+        WorkloadSpec,
+    };
+    use crate::scheme::Scheme;
     use gpu_sim::builder::KernelBuilder;
     use gpu_sim::isa::{MemSpace, Special};
+    use gpu_sim::memory::GlobalMemory;
     use gpu_sim::sm::LaunchDims;
     use std::sync::Arc;
 
@@ -343,6 +270,9 @@ mod tests {
             watchdog_fired: false,
             timed_out: false,
             due: false,
+            image: GlobalMemory::new(1024),
+            trace: None,
+            fork: Default::default(),
         }
     }
 
@@ -384,8 +314,6 @@ mod tests {
 
     #[test]
     fn golden_classification_truth_table() {
-        use gpu_sim::memory::GlobalMemory;
-
         let golden = {
             let mut m = GlobalMemory::new(1024);
             m.write(0, 0xDEAD_BEEF);
@@ -399,42 +327,37 @@ mod tests {
             m.write(256, 1);
             m
         };
+        let with_image = |output_ok: bool, image: &GlobalMemory| FaultProtocolResult {
+            image: image.clone(),
+            ..proto_fixture(output_ok)
+        };
 
         // Bit-identical image, no interventions: masked.
-        let r = proto_fixture(true);
-        assert_eq!(
-            classify_against_golden(&r, &matching, &golden),
-            Outcome::Masked
-        );
+        let r = with_image(true, &matching);
+        assert_eq!(classify_against_golden(&r, &golden), Outcome::Masked);
 
         // Bit-identical image after an intervention: recovered.
-        let mut r = proto_fixture(true);
+        let mut r = with_image(true, &matching);
         r.recoveries = 2;
         assert_eq!(
-            classify_against_golden(&r, &matching, &golden),
+            classify_against_golden(&r, &golden),
             Outcome::DetectedRecovered
         );
 
         // Any image difference on a completed run is SDC — even when the
         // workload's own (sampling) check was fooled into output_ok.
-        let mut r = proto_fixture(true);
+        let mut r = with_image(true, &corrupt);
         r.recoveries = 2;
-        assert_eq!(classify_against_golden(&r, &corrupt, &golden), Outcome::Sdc);
+        assert_eq!(classify_against_golden(&r, &golden), Outcome::Sdc);
 
         // Due and Hang keep precedence over memory contents.
-        let mut r = proto_fixture(true);
+        let mut r = with_image(true, &corrupt);
         r.timed_out = true;
-        assert_eq!(
-            classify_against_golden(&r, &corrupt, &golden),
-            Outcome::Hang
-        );
-        let mut r = proto_fixture(false);
+        assert_eq!(classify_against_golden(&r, &golden), Outcome::Hang);
+        let mut r = with_image(false, &matching);
         r.due = true;
         r.watchdog_fired = true;
-        assert_eq!(
-            classify_against_golden(&r, &matching, &golden),
-            Outcome::Due
-        );
+        assert_eq!(classify_against_golden(&r, &golden), Outcome::Due);
     }
 
     #[test]
@@ -447,36 +370,13 @@ mod tests {
     }
 
     #[test]
-    fn baseline_variant_matches_recomputing_form() {
-        let w = tiny_workload();
-        let cfg = ExperimentConfig {
-            max_cycles: 10_000_000,
-            ..ExperimentConfig::default()
-        };
-        let clean = crate::experiment::run_scheme(&w, Scheme::SensorRenaming, &cfg).unwrap();
-        let c = Campaign::accelerated(
-            11,
-            3,
-            clean.stats.cycles / 2,
-            cfg.wcdl,
-            cfg.gpu.num_sms,
-            cfg.gpu.core_clock_mhz,
-            &FaultRates::default(),
-        );
-        let recomputed = run_campaign(&w, Scheme::SensorRenaming, &cfg, &c).unwrap();
-        let reused =
-            run_campaign_with_baseline(&w, Scheme::SensorRenaming, &cfg, &c, &clean).unwrap();
-        assert_eq!(recomputed, reused);
-    }
-
-    #[test]
     fn campaign_report_end_to_end() {
         let w = tiny_workload();
         let cfg = ExperimentConfig {
             max_cycles: 10_000_000,
             ..ExperimentConfig::default()
         };
-        let clean = crate::experiment::run_scheme(&w, Scheme::SensorRenaming, &cfg).unwrap();
+        let clean = run_scheme(&w, Scheme::SensorRenaming, &cfg).unwrap();
         let c = Campaign::accelerated(
             7,
             5,
@@ -486,10 +386,19 @@ mod tests {
             cfg.gpu.core_clock_mhz,
             &FaultRates::default(),
         );
-        let report = run_campaign(&w, Scheme::SensorRenaming, &cfg, &c).unwrap();
-        assert_eq!(report.detections, 5);
-        assert!(report.output_ok, "recovery failed under campaign");
-        assert!(report.slowdown_vs_clean < 2.0);
-        assert!(report.recoveries >= 1);
+        let r = run_with_protocol(
+            &w,
+            Scheme::SensorRenaming,
+            &cfg,
+            &c.strikes,
+            &ProtocolConfig::default(),
+            &RunOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(r.detections, 5);
+        assert!(r.run.output_ok, "recovery failed under campaign");
+        let slowdown_vs_clean = r.run.stats.cycles as f64 / clean.stats.cycles as f64;
+        assert!(slowdown_vs_clean < 2.0);
+        assert!(r.recoveries >= 1);
     }
 }

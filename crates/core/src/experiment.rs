@@ -87,20 +87,6 @@ pub struct RunResult {
     pub output_ok: bool,
 }
 
-/// Outcome of a fault-injection run.
-#[derive(Debug, Clone)]
-pub struct FaultRunResult {
-    /// The underlying run.
-    pub run: RunResult,
-    /// Strikes whose bit-flip landed on an in-flight write.
-    pub corrupted: usize,
-    /// Strikes delivered as detections (all of them — sensors hear every
-    /// strike).
-    pub detections: usize,
-    /// All-warp rollbacks performed.
-    pub recoveries: usize,
-}
-
 /// Errors from the experiment driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExperimentError {
@@ -217,37 +203,6 @@ pub fn run_scheme(
     })
 }
 
-/// [`run_scheme`] with event tracing enabled: every SM records into a
-/// ring of `capacity` events (see [`flame_trace::DEFAULT_CAPACITY`]) and
-/// the merged, cycle-ordered [`SimTrace`] is returned alongside the run.
-/// Tracing is observational — the returned stats are bit-identical to an
-/// untraced run (the invariance tests pin this).
-///
-/// # Errors
-///
-/// Returns an [`ExperimentError`] on allocation/launch failure or cycle
-/// budget exhaustion.
-pub fn run_scheme_traced(
-    w: &WorkloadSpec,
-    scheme: Scheme,
-    cfg: &ExperimentConfig,
-    capacity: usize,
-) -> Result<(RunResult, SimTrace), ExperimentError> {
-    let (mut gpu, compile) = prepare_scheme(w, scheme, cfg)?;
-    gpu.set_tracing(capacity);
-    let stats = gpu.run(cfg.max_cycles)?;
-    let output_ok = (w.check)(gpu.global());
-    let trace = gpu.take_trace().expect("tracing was enabled");
-    Ok((
-        RunResult {
-            stats,
-            compile,
-            output_ok,
-        },
-        trace,
-    ))
-}
-
 /// Normalized execution time of `scheme` on `w`: `cycles(scheme) /
 /// cycles(baseline)` — the y-axis of the paper's Figures 13–19.
 ///
@@ -264,103 +219,6 @@ pub fn normalized_time(
     Ok(run.stats.cycles as f64 / base.stats.cycles as f64)
 }
 
-/// Runs `w` under `scheme` while injecting the given particle strikes and
-/// driving the detection/recovery protocol end to end.
-///
-/// Every strike is "heard" by the sensor mesh and triggers a recovery of
-/// the struck SM `detection_latency` cycles later; pipeline strikes also
-/// corrupt an in-flight register write at injection time.
-///
-/// # Errors
-///
-/// Returns an [`ExperimentError`] on allocation/launch failure or cycle
-/// budget exhaustion.
-pub fn run_with_faults(
-    w: &WorkloadSpec,
-    scheme: Scheme,
-    cfg: &ExperimentConfig,
-    strikes: &[Strike],
-) -> Result<FaultRunResult, ExperimentError> {
-    let (mut gpu, compile) = prepare_scheme(w, scheme, cfg)?;
-    let mut corrupted = 0usize;
-    let mut detections = 0usize;
-    let mut recoveries = 0usize;
-    let mut pending: Vec<(u64, usize)> = Vec::new(); // (detect cycle, sm)
-    let mut next = 0usize;
-    // Victim-slot scratch, reused across injections (`live_warps` is lazy
-    // and `corrupt_recent_write` needs the GPU mutably).
-    let mut victims: Vec<usize> = Vec::new();
-    while gpu.running() {
-        if gpu.cycle() >= cfg.max_cycles {
-            return Err(TimeoutError {
-                max_cycles: cfg.max_cycles,
-            }
-            .into());
-        }
-        // The harness interacts with the GPU at externally scheduled
-        // cycles — strike arrivals and detection deadlines — which the
-        // simulator's event-driven clock cannot see. Bound each step at
-        // the earliest of them so fast-forward never jumps over one: a
-        // strike at cycle k must be processed when the clock reads k + 1
-        // (its detection deadline is anchored there), and a detection at
-        // cycle d must trigger recovery exactly at d.
-        let mut bound = cfg.max_cycles;
-        if let Some(s) = strikes.get(next) {
-            bound = bound.min(s.cycle + 1);
-        }
-        if let Some(&(d, _)) = pending.iter().min_by_key(|&&(d, _)| d) {
-            bound = bound.min(d);
-        }
-        gpu.step_window(bound);
-        let now = gpu.cycle();
-        // Strikes land during the tick that just completed (cycle now-1).
-        while next < strikes.len() && strikes[next].cycle < now {
-            let s = strikes[next];
-            next += 1;
-            if s.sm >= gpu.num_sms() {
-                continue;
-            }
-            if s.target == StrikeTarget::Pipeline {
-                // Corrupt a value written by the pipeline this cycle.
-                victims.clear();
-                victims.extend(gpu.live_warps(s.sm));
-                for &slot in &victims {
-                    if gpu.corrupt_recent_write(s.sm, slot, s.lane as usize, 1u64 << s.bit) {
-                        corrupted += 1;
-                        break;
-                    }
-                }
-            }
-            // The mesh hears every strike; detection fires WCDL-bounded
-            // cycles later.
-            pending.push((now + u64::from(s.detection_latency), s.sm));
-        }
-        let mut i = 0;
-        while i < pending.len() {
-            if pending[i].0 <= now {
-                let (_, sm) = pending.swap_remove(i);
-                gpu.recover_sm(sm);
-                detections += 1;
-                recoveries += 1;
-            } else {
-                i += 1;
-            }
-        }
-    }
-    let stats = gpu.stats();
-    let output_ok = (w.check)(gpu.global());
-    Ok(FaultRunResult {
-        run: RunResult {
-            stats,
-            compile,
-            output_ok,
-        },
-        corrupted,
-        detections,
-        recoveries,
-    })
-}
-
 /// Bounds and thresholds of the escalating recovery protocol driven by
 /// [`run_with_protocol`].
 ///
@@ -369,7 +227,7 @@ pub fn run_with_faults(
 /// → kernel relaunch (fresh GPU, memory reinitialized) → detected
 /// unrecoverable error (DUE). Each rung has a budget; the defaults are
 /// generous enough that runs which never violate Flame's assumptions
-/// behave exactly like [`run_with_faults`].
+/// never leave the bottom rung, i.e. run the paper's protocol unchanged.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtocolConfig {
     /// Consecutive nested detections tolerated per SM — a detection is
@@ -408,7 +266,54 @@ impl Default for ProtocolConfig {
     }
 }
 
-/// Outcome of a [`run_with_protocol`] fault-injection run.
+/// What [`run_with_protocol`] records and where it starts. The
+/// `Default` records no trace and simulates from scratch.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunOptions<'a> {
+    /// Enables event tracing with a ring of this many events per SM (see
+    /// [`flame_trace::DEFAULT_CAPACITY`]); the merged timeline comes back
+    /// in [`FaultProtocolResult::trace`]. Tracing is observational: the
+    /// stats are bit-identical to an untraced run.
+    pub trace: Option<usize>,
+    /// A clean-prefix checkpoint to fork the first kernel attempt from,
+    /// captured from an identically prepared clean run of the same
+    /// workload, scheme and config.
+    ///
+    /// The forked attempt launches the kernel without seeding its inputs
+    /// (the checkpoint's image already holds them), restores the
+    /// snapshot by assigning its page table, and drives only the
+    /// post-checkpoint suffix. Escalated kernel relaunches start from
+    /// scratch, since a relaunch seeds memory afresh.
+    ///
+    /// Provided every strike cycle is ≥ the checkpoint cycle, the forked
+    /// run is bit-identical (counters, stats, final image) to a scratch
+    /// run: the event clock's step-bound invariance makes the clean
+    /// run's state at the checkpoint equal the scratch run's state there.
+    /// The hang watchdog anchors at the checkpoint cycle instead of the
+    /// last pre-checkpoint issue; the anchors converge at the first
+    /// post-checkpoint issue, so they could only diverge on a clean prefix
+    /// that issues nothing for a whole `hang_window`. A traced fork's
+    /// timeline starts with a `SnapshotRestore` instant at the checkpoint
+    /// cycle.
+    pub fork_from: Option<&'a Snapshot>,
+}
+
+/// Cost accounting of a (possibly) forked protocol run — what the
+/// campaign journal records per seed to report aggregate prefix cycles
+/// saved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ForkTelemetry {
+    /// Cycle of the checkpoint the first kernel attempt resumed from;
+    /// 0 when the run started from scratch (checkpoint miss / fork off).
+    pub fork_cycle: u64,
+    /// Cycles actually stepped by the simulator across every kernel
+    /// attempt of this run. For a forked run this is the post-checkpoint
+    /// suffix (plus any full relaunch attempts); for a scratch run it is
+    /// the whole simulation.
+    pub simulated_cycles: u64,
+}
+
+/// Outcome of a [`run_with_protocol`] run.
 #[derive(Debug, Clone)]
 pub struct FaultProtocolResult {
     /// The underlying run (stats/compile/output of the final kernel
@@ -443,6 +348,17 @@ pub struct FaultProtocolResult {
     pub timed_out: bool,
     /// The escalation ladder was exhausted: detected unrecoverable error.
     pub due: bool,
+    /// The final device-memory image of the last kernel attempt: what the
+    /// workload's `check` judged, moved out of the GPU (no page copied)
+    /// so it can be held against a golden image from `flame-oracle`
+    /// (see [`crate::campaign::classify_against_golden`]).
+    pub image: GlobalMemory,
+    /// The merged timeline when [`RunOptions::trace`] was set. After a
+    /// kernel relaunch it covers the final attempt only (matching `run`),
+    /// plus the strike and detect events delivered during it.
+    pub trace: Option<SimTrace>,
+    /// Where the run started and how many cycles it simulated.
+    pub fork: ForkTelemetry,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -475,19 +391,17 @@ enum Attempt {
 }
 
 /// Runs `w` under `scheme` injecting `strikes` and driving the *full*
-/// recovery protocol: sensor coverage gaps (`Strike::detected`), strikes
-/// on PCs and on the recovery hardware itself, nested detections inside
-/// recovery windows, the bounded escalation ladder of [`ProtocolConfig`],
-/// and a hang watchdog.
+/// recovery protocol: sensor detection within WCDL, region rollback,
+/// sensor coverage gaps (`Strike::detected`), strikes on PCs and on the
+/// recovery hardware itself, nested detections inside recovery windows,
+/// the bounded escalation ladder of [`ProtocolConfig`], and a hang
+/// watchdog. `opts` turns on tracing and forks from a checkpoint.
 ///
-/// With every strike detected and the default protocol bounds, the run is
-/// cycle-for-cycle identical to [`run_with_faults`] — the taxonomy is a
-/// strict refinement of the legacy harness, which remains for the paper's
-/// original all-assumptions-hold campaigns.
-///
-/// Unlike [`run_with_faults`], exhausting `max_cycles` is *not* an error:
-/// it reports `timed_out` (classified as a hang) so campaigns can count
-/// livelocks instead of aborting on them.
+/// This is the one entry point for a run under strikes or with tracing;
+/// with no strikes it is a fault-free run whose stats equal
+/// [`run_scheme`]'s. Unlike [`run_scheme`], exhausting `max_cycles` is
+/// *not* an error: it reports `timed_out` (classified as a hang) so
+/// campaigns can count livelocks instead of aborting on them.
 ///
 /// # Errors
 ///
@@ -499,157 +413,14 @@ pub fn run_with_protocol(
     cfg: &ExperimentConfig,
     strikes: &[Strike],
     proto: &ProtocolConfig,
+    opts: &RunOptions,
 ) -> Result<FaultProtocolResult, ExperimentError> {
-    run_with_protocol_capturing(w, scheme, cfg, strikes, proto).map(|(r, _)| r)
-}
-
-/// [`run_with_protocol`], additionally yielding the final device-memory
-/// image of the run.
-///
-/// The image is what the workload's `check` closure judged, handed back
-/// by value (no copy — the GPU is consumed) so callers can hold it
-/// against an architectural golden image from `flame-oracle` instead of
-/// trusting the boolean: [`crate::campaign::classify_against_golden`]
-/// demands bit-identity for Masked/DetectedRecovered and a bit
-/// difference for SDC.
-///
-/// # Errors
-///
-/// Returns an [`ExperimentError`] on compile or allocation/launch
-/// failure.
-pub fn run_with_protocol_capturing(
-    w: &WorkloadSpec,
-    scheme: Scheme,
-    cfg: &ExperimentConfig,
-    strikes: &[Strike],
-    proto: &ProtocolConfig,
-) -> Result<(FaultProtocolResult, GlobalMemory), ExperimentError> {
-    run_protocol_inner(w, scheme, cfg, strikes, proto, None, None).map(|(r, m, _, _)| (r, m))
-}
-
-/// Cost accounting of a (possibly) forked protocol run — what the
-/// campaign journal records per seed to report aggregate prefix cycles
-/// saved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ForkTelemetry {
-    /// Cycle of the checkpoint the first kernel attempt resumed from;
-    /// 0 when the run started from scratch (checkpoint miss / fork off).
-    pub fork_cycle: u64,
-    /// Cycles actually stepped by the simulator across every kernel
-    /// attempt of this run. For a forked run this is the post-checkpoint
-    /// suffix (plus any full relaunch attempts); for a scratch run it is
-    /// the whole simulation.
-    pub simulated_cycles: u64,
-}
-
-/// [`run_with_protocol_capturing`] that optionally *forks* the run from a
-/// clean-prefix checkpoint: when `checkpoint` is `Some`, the first kernel
-/// attempt launches the kernel without seeding its inputs and restores
-/// the snapshot (captured from an identically-prepared clean run of the
-/// same workload/scheme/config, so its memory image already holds the
-/// inputs) instead of simulating the prefix, and the fault protocol
-/// drives only the post-checkpoint suffix. Restoring assigns the
-/// snapshot's page table, so the fork costs no copy of device memory.
-/// Escalated kernel relaunches always start from scratch — a relaunch
-/// seeds memory afresh, so the checkpoint no longer applies.
-///
-/// Determinism contract: provided every strike cycle is ≥ the checkpoint
-/// cycle, the forked run is bit-identical (stats, outcome, final memory
-/// image) to a from-scratch run — the event-driven clock's step-bound
-/// invariance guarantees the clean run's state at the checkpoint cycle
-/// equals the scratch run's state there. (The hang watchdog anchors at
-/// the checkpoint cycle instead of the last pre-checkpoint issue; the two
-/// anchors converge at the first post-checkpoint instruction issue, so
-/// divergence would need a clean prefix that issues nothing for a whole
-/// `hang_window` — no real workload stalls that long while healthy.)
-///
-/// # Errors
-///
-/// Returns an [`ExperimentError`] on compile or allocation/launch
-/// failure.
-pub fn run_with_protocol_forked(
-    w: &WorkloadSpec,
-    scheme: Scheme,
-    cfg: &ExperimentConfig,
-    strikes: &[Strike],
-    proto: &ProtocolConfig,
-    checkpoint: Option<&Snapshot>,
-) -> Result<(FaultProtocolResult, GlobalMemory, ForkTelemetry), ExperimentError> {
-    run_protocol_inner(w, scheme, cfg, strikes, proto, None, checkpoint)
-        .map(|(r, m, _, t)| (r, m, t))
-}
-
-/// [`run_with_protocol`] with event tracing enabled, yielding the merged
-/// [`SimTrace`] of the run so strike → detect → rollback arcs appear on
-/// the timeline alongside the warps they preempt.
-///
-/// If the escalation ladder reaches a kernel relaunch, earlier attempts'
-/// traces are discarded with their GPUs: the returned timeline describes
-/// the **final** kernel attempt only (matching the stats in `run`), plus
-/// the harness-level strike/detect events delivered during it.
-///
-/// # Errors
-///
-/// Returns an [`ExperimentError`] on compile or allocation/launch
-/// failure.
-pub fn run_with_protocol_traced(
-    w: &WorkloadSpec,
-    scheme: Scheme,
-    cfg: &ExperimentConfig,
-    strikes: &[Strike],
-    proto: &ProtocolConfig,
-    capacity: usize,
-) -> Result<(FaultProtocolResult, SimTrace), ExperimentError> {
-    run_protocol_inner(w, scheme, cfg, strikes, proto, Some(capacity), None)
-        .map(|(r, _, t, _)| (r, t.expect("tracing was enabled")))
-}
-
-/// [`run_with_protocol_traced`] forking from a clean-prefix checkpoint
-/// (see [`run_with_protocol_forked`]): the timeline starts with a
-/// `SnapshotRestore` instant at the checkpoint cycle, keeping the strike
-/// → detect → rollback arc causally ordered after the restore.
-///
-/// # Errors
-///
-/// Returns an [`ExperimentError`] on compile or allocation/launch
-/// failure.
-pub fn run_with_protocol_traced_forked(
-    w: &WorkloadSpec,
-    scheme: Scheme,
-    cfg: &ExperimentConfig,
-    strikes: &[Strike],
-    proto: &ProtocolConfig,
-    capacity: usize,
-    checkpoint: Option<&Snapshot>,
-) -> Result<(FaultProtocolResult, SimTrace, ForkTelemetry), ExperimentError> {
-    run_protocol_inner(w, scheme, cfg, strikes, proto, Some(capacity), checkpoint)
-        .map(|(r, _, t, f)| (r, t.expect("tracing was enabled"), f))
-}
-
-#[allow(clippy::type_complexity)]
-fn run_protocol_inner(
-    w: &WorkloadSpec,
-    scheme: Scheme,
-    cfg: &ExperimentConfig,
-    strikes: &[Strike],
-    proto: &ProtocolConfig,
-    trace_capacity: Option<usize>,
-    checkpoint: Option<&Snapshot>,
-) -> Result<
-    (
-        FaultProtocolResult,
-        GlobalMemory,
-        Option<SimTrace>,
-        ForkTelemetry,
-    ),
-    ExperimentError,
-> {
     let mut c = ProtoCounters::default();
     let mut fork = ForkTelemetry::default();
     // Strikes are physical events: each is injected once, even across
     // kernel relaunches (the remaining suffix lands on the fresh clock).
     let mut next = 0usize;
-    let mut checkpoint = checkpoint;
+    let mut checkpoint = opts.fork_from;
     loop {
         // Only the first attempt forks. It skips input seeding: the
         // restore assigns the checkpoint's image, inputs included.
@@ -658,7 +429,7 @@ fn run_protocol_inner(
             Some(_) => launch(w, scheme, cfg)?,
             None => prepare_scheme(w, scheme, cfg)?,
         };
-        if let Some(cap) = trace_capacity {
+        if let Some(cap) = opts.trace {
             gpu.set_tracing(cap);
         }
         if let Some(snap) = fork_from {
@@ -675,7 +446,7 @@ fn run_protocol_inner(
         let stats = gpu.stats();
         let output_ok = (w.check)(gpu.global());
         let trace = gpu.take_trace();
-        let result = FaultProtocolResult {
+        return Ok(FaultProtocolResult {
             run: RunResult {
                 stats,
                 compile,
@@ -694,8 +465,10 @@ fn run_protocol_inner(
             watchdog_fired: c.watchdog_fired,
             timed_out: c.timed_out,
             due: c.due,
-        };
-        return Ok((result, gpu.into_global(), trace, fork));
+            image: gpu.into_global(),
+            trace,
+            fork,
+        });
     }
 }
 
@@ -711,9 +484,10 @@ fn drive(
     c: &mut ProtoCounters,
 ) -> Attempt {
     let num_sms = gpu.num_sms();
-    let mut pending: Vec<(u64, usize)> = Vec::new(); // (detect cycle, sm)
-                                                     // Cycle of the last recovery per SM (`u64::MAX` = none yet) and the
-                                                     // running count of consecutive nested detections on it.
+    // Detections in flight as (detect cycle, sm); the cycle of the last
+    // recovery per SM (`u64::MAX` = none yet) and the running count of
+    // consecutive nested detections on it.
+    let mut pending: Vec<(u64, usize)> = Vec::new();
     let mut last_recovery: Vec<u64> = vec![u64::MAX; num_sms];
     let mut nested_chain: Vec<u32> = vec![0; num_sms];
     let mut progress_cycle = gpu.cycle();
@@ -724,9 +498,15 @@ fn drive(
             c.timed_out = true;
             return Attempt::Hung;
         }
-        // Bound the event-driven clock at every externally scheduled
-        // cycle (see `run_with_faults`), plus the watchdog deadline so a
-        // frozen GPU cannot fast-forward past its own hang diagnosis.
+        // The driver interacts with the GPU at externally scheduled
+        // cycles — strike arrivals and detection deadlines — which the
+        // simulator's event-driven clock cannot see. Bound each step at
+        // the earliest of them so fast-forward never jumps over one: a
+        // strike at cycle k must be processed when the clock reads k + 1
+        // (its detection deadline is anchored there), and a detection at
+        // cycle d must trigger recovery exactly at d. The watchdog
+        // deadline bounds it too, so a frozen GPU cannot fast-forward
+        // past its own hang diagnosis.
         let mut bound = cfg.max_cycles;
         bound = bound.min(progress_cycle + proto.hang_window + 1);
         if let Some(s) = strikes.get(*next) {
@@ -926,6 +706,17 @@ mod tests {
         }
     }
 
+    /// An untraced scratch run under the default protocol budgets.
+    fn run_default_protocol(
+        w: &WorkloadSpec,
+        scheme: Scheme,
+        cfg: &ExperimentConfig,
+        strikes: &[Strike],
+    ) -> FaultProtocolResult {
+        let proto = ProtocolConfig::default();
+        run_with_protocol(w, scheme, cfg, strikes, &proto, &RunOptions::default()).unwrap()
+    }
+
     #[test]
     fn baseline_run_is_correct() {
         let w = test_workload();
@@ -976,7 +767,7 @@ mod tests {
         let mut gen =
             StrikeGenerator::new(0xF1A3, cfg.wcdl, cfg.gpu.num_sms).with_ecc_fraction(0.0);
         let strikes = gen.schedule(6, horizon.max(10));
-        let r = run_with_faults(&w, Scheme::SensorRenaming, &cfg, &strikes).unwrap();
+        let r = run_default_protocol(&w, Scheme::SensorRenaming, &cfg, &strikes);
         assert_eq!(r.detections, 6, "every strike must be detected");
         assert!(r.run.output_ok, "output corrupted despite recovery");
         assert!(r.run.stats.resilience.recoveries >= 1);
@@ -990,7 +781,7 @@ mod tests {
         let base = run_scheme(&w, Scheme::SensorRenaming, &cfg).unwrap();
         let mut gen = StrikeGenerator::new(7, cfg.wcdl, cfg.gpu.num_sms).with_ecc_fraction(1.0); // all strikes masked by ECC
         let strikes = gen.schedule(4, base.stats.cycles / 2);
-        let r = run_with_faults(&w, Scheme::SensorRenaming, &cfg, &strikes).unwrap();
+        let r = run_default_protocol(&w, Scheme::SensorRenaming, &cfg, &strikes);
         assert_eq!(r.corrupted, 0);
         assert_eq!(r.detections, 4);
         assert!(r.run.output_ok);
@@ -1004,39 +795,8 @@ mod tests {
         let base = run_scheme(&w, Scheme::SensorCheckpointing, &cfg).unwrap();
         let mut gen = StrikeGenerator::new(0xC4E, cfg.wcdl, cfg.gpu.num_sms).with_ecc_fraction(0.0);
         let strikes = gen.schedule(6, base.stats.cycles * 3 / 4);
-        let r = run_with_faults(&w, Scheme::SensorCheckpointing, &cfg, &strikes).unwrap();
+        let r = run_default_protocol(&w, Scheme::SensorCheckpointing, &cfg, &strikes);
         assert!(r.run.output_ok, "checkpoint recovery failed");
-    }
-
-    #[test]
-    fn protocol_with_full_coverage_matches_legacy_harness() {
-        use flame_sensors::fault::StrikeGenerator;
-        let w = test_workload();
-        let cfg = quick_cfg();
-        let base = run_scheme(&w, Scheme::SensorRenaming, &cfg).unwrap();
-        let mut gen =
-            StrikeGenerator::new(0xF1A3, cfg.wcdl, cfg.gpu.num_sms).with_ecc_fraction(0.0);
-        let strikes = gen.schedule(6, (base.stats.cycles * 3 / 4).max(10));
-        let legacy = run_with_faults(&w, Scheme::SensorRenaming, &cfg, &strikes).unwrap();
-        let proto = run_with_protocol(
-            &w,
-            Scheme::SensorRenaming,
-            &cfg,
-            &strikes,
-            &ProtocolConfig::default(),
-        )
-        .unwrap();
-        // The protocol harness is a strict refinement: same cycles, same
-        // stats, same counters, nothing escalated.
-        assert_eq!(proto.run.stats, legacy.run.stats, "stats diverged");
-        assert_eq!(proto.detections, legacy.detections);
-        assert_eq!(proto.recoveries, legacy.recoveries);
-        assert_eq!(proto.corrupted, legacy.corrupted);
-        assert_eq!(proto.undetected, 0);
-        assert_eq!(proto.cta_relaunches, 0);
-        assert_eq!(proto.kernel_relaunches, 0);
-        assert!(!proto.due && !proto.watchdog_fired && !proto.timed_out);
-        assert!(proto.run.output_ok);
     }
 
     #[test]
@@ -1044,7 +804,19 @@ mod tests {
         let w = test_workload();
         let cfg = quick_cfg();
         let plain = run_scheme(&w, Scheme::SensorRenaming, &cfg).unwrap();
-        let (traced, trace) = run_scheme_traced(&w, Scheme::SensorRenaming, &cfg, 1 << 14).unwrap();
+        let traced = run_with_protocol(
+            &w,
+            Scheme::SensorRenaming,
+            &cfg,
+            &[],
+            &ProtocolConfig::default(),
+            &RunOptions {
+                trace: Some(1 << 14),
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
+        let (traced, trace) = (traced.run, traced.trace.unwrap());
         assert_eq!(
             plain.stats.diff(&traced.stats),
             vec![],
@@ -1078,15 +850,19 @@ mod tests {
         let mut gen =
             StrikeGenerator::new(0xF1A3, cfg.wcdl, cfg.gpu.num_sms).with_ecc_fraction(0.0);
         let strikes = gen.schedule(4, (base.stats.cycles * 3 / 4).max(10));
-        let (r, trace) = run_with_protocol_traced(
+        let r = run_with_protocol(
             &w,
             Scheme::SensorRenaming,
             &cfg,
             &strikes,
             &ProtocolConfig::default(),
-            1 << 14,
+            &RunOptions {
+                trace: Some(1 << 14),
+                ..RunOptions::default()
+            },
         )
         .unwrap();
+        let trace = r.trace.as_ref().unwrap();
         assert!(r.run.output_ok);
         // Every injected strike and every delivered detection is on the
         // timeline, and each struck SM eventually shows a rollback at or

@@ -15,8 +15,9 @@
 //! * [`scheme`] — the evaluated scheme taxonomy (§VI-B1): Flame,
 //!   Sensor+Checkpointing, recovery-only, SwapCodes duplication and
 //!   tail-DMR hybrids;
-//! * [`experiment`] — fault-free and fault-injecting experiment drivers,
-//!   including the end-to-end detect → rollback → re-execute protocol;
+//! * [`experiment`] — the fault-free driver and the one protocol driver
+//!   for runs under strikes or with tracing: the end-to-end detect →
+//!   rollback → re-execute protocol;
 //! * [`matrix`] — the parallel experiment-matrix engine fanning
 //!   independent `(workload, scheme, config)` cells across scoped worker
 //!   threads, with per-matrix baseline memoization;
@@ -72,23 +73,19 @@ pub mod runtime;
 pub mod scheme;
 pub mod shard;
 
-pub use campaign::{
-    classify, run_campaign, run_campaign_with_baseline, Campaign, CampaignReport, Outcome,
-};
+pub use campaign::{classify, Campaign, Outcome};
 pub use experiment::{
-    geomean, normalized_time, run_scheme, run_scheme_traced, run_with_faults, run_with_protocol,
-    run_with_protocol_forked, run_with_protocol_traced, run_with_protocol_traced_forked,
-    ExperimentConfig, ExperimentError, FaultProtocolResult, FaultRunResult, ForkTelemetry,
-    ProtocolConfig, RunResult, WorkloadSpec,
+    geomean, normalized_time, run_scheme, run_with_protocol, ExperimentConfig, ExperimentError,
+    FaultProtocolResult, ForkTelemetry, ProtocolConfig, RunOptions, RunResult, WorkloadSpec,
 };
 pub use matrix::{run_matrix_with_jobs, CellResult, MatrixCell};
 pub use rbq::Rbq;
 pub use report::{json_f64, OutcomeStat, SummaryJson};
 pub use rpt::Rpt;
 pub use runner::{
-    campaign_clean_cycles, run_campaign_runner_with_jobs, run_one_seed, run_one_seed_forked,
-    run_one_seed_retrying, strikes_for_seed, trace_one_seed, wilson_interval, CampaignSpec,
-    CampaignSummary, RetryPolicy, RunRecord, RunnerError, SelfFault,
+    campaign_clean_cycles, run_campaign_runner_with_jobs, run_one_seed, run_one_seed_retrying,
+    strikes_for_seed, trace_one_seed, wilson_interval, CampaignSpec, CampaignSummary, RetryPolicy,
+    RunRecord, RunnerError, SelfFault,
 };
 pub use runtime::{FlameUnit, VerificationMode};
 pub use scheme::Scheme;

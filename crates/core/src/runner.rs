@@ -27,7 +27,10 @@
 //! `f64::to_bits` so round-trips are exact.
 
 use crate::campaign::{classify, Outcome};
-use crate::experiment::{ExperimentConfig, ProtocolConfig, WorkloadSpec};
+use crate::experiment::{
+    run_with_protocol, ExperimentConfig, FaultProtocolResult, ProtocolConfig, RunOptions,
+    WorkloadSpec,
+};
 use crate::scheme::Scheme;
 use flame_sensors::fault::{Strike, StrikeGenerator};
 use gpu_sim::gpu::Snapshot;
@@ -527,31 +530,21 @@ pub fn wilson_interval(k: usize, n: usize, z: f64) -> (f64, f64) {
 }
 
 /// Simulates one seed of the spec from scratch. Public so tests and the
-/// report binary can replay a single seed in isolation. Equivalent to
-/// [`run_one_seed_forked`] with no checkpoints — the records are
-/// bit-identical modulo the fork telemetry fields.
+/// report binary can replay a single seed in isolation. The record is
+/// bit-identical to a forked run of the seed (see
+/// [`run_one_seed_retrying`]) modulo the fork telemetry fields.
 pub fn run_one_seed(w: &WorkloadSpec, spec: &CampaignSpec, seed: u64) -> RunRecord {
-    run_one_seed_forked(w, spec, seed, &[])
+    run_one_seed_attempt(w, spec, seed, &[], 1)
 }
 
-/// Simulates one seed, forking from the best clean-prefix checkpoint:
-/// the highest-cycle snapshot at or below the seed's first strike cycle
-/// (a strikeless seed forks from the last checkpoint). With no usable
-/// checkpoint the run falls back to scratch. Outcome classification and
-/// all counter fields are bit-identical either way — only the
-/// `fork_cycle`/`sim_cycles`/`fork_hit` telemetry differs.
-pub fn run_one_seed_forked(
-    w: &WorkloadSpec,
-    spec: &CampaignSpec,
-    seed: u64,
-    checkpoints: &[Snapshot],
-) -> RunRecord {
-    run_one_seed_attempt(w, spec, seed, checkpoints, 1)
-}
-
-/// One attempt of one seed. Attempt numbers only matter to the
-/// [`SelfFault`] drill hook — a genuine simulation is identical on every
-/// attempt.
+/// One attempt of one seed, forking from the best clean-prefix
+/// checkpoint: the highest-cycle snapshot at or below the seed's first
+/// strike cycle (a strikeless seed forks from the last checkpoint). With
+/// no usable checkpoint the run falls back to scratch. Outcome and
+/// counters are bit-identical either way — only the
+/// `fork_cycle`/`sim_cycles`/`fork_hit` telemetry differs. Attempt
+/// numbers only matter to the [`SelfFault`] drill hook — a genuine
+/// simulation is identical on every attempt.
 fn run_one_seed_attempt(
     w: &WorkloadSpec,
     spec: &CampaignSpec,
@@ -574,10 +567,14 @@ fn run_one_seed_attempt(
             .iter()
             .filter(|c| c.cycle() <= first)
             .max_by_key(|c| c.cycle());
-        crate::experiment::run_with_protocol_forked(w, spec.scheme, &spec.cfg, &strikes, &proto, cp)
+        let opts = RunOptions {
+            fork_from: cp,
+            ..RunOptions::default()
+        };
+        run_with_protocol(w, spec.scheme, &spec.cfg, &strikes, &proto, &opts)
     }));
     match result {
-        Ok(Ok((r, _mem, fork))) => RunRecord {
+        Ok(Ok(r)) => RunRecord {
             seed,
             outcome: classify(&r),
             injected: r.injected as u64,
@@ -588,9 +585,9 @@ fn run_one_seed_attempt(
             kernel_relaunches: u64::from(r.kernel_relaunches),
             cycles: r.run.stats.cycles,
             crashed: false,
-            fork_cycle: fork.fork_cycle,
-            sim_cycles: fork.simulated_cycles,
-            fork_hit: fork.fork_cycle > 0,
+            fork_cycle: r.fork.fork_cycle,
+            sim_cycles: r.fork.simulated_cycles,
+            fork_hit: r.fork.fork_cycle > 0,
             attempts: u64::from(attempt),
             quarantined: false,
         },
@@ -645,13 +642,13 @@ pub fn run_one_seed_retrying(
     }
 }
 
-/// Replays one seed of the spec with event tracing enabled, yielding the
-/// merged timeline alongside the protocol result. The strikes are the
-/// same deterministic schedule [`run_one_seed`] would inject, so a seed
-/// whose campaign record looks suspicious (an SDC, a watchdog hang) can
-/// be re-simulated under the tracer and inspected cycle by cycle in a
-/// Chrome-trace viewer. Unlike [`run_one_seed`] this does not absorb
-/// failures: a trace of a crashed run would be misleading.
+/// Replays one seed of the spec with event tracing enabled: the result's
+/// [`FaultProtocolResult::trace`] holds the merged timeline. The strikes
+/// are the same deterministic schedule [`run_one_seed`] would inject, so
+/// a seed whose campaign record looks suspicious (an SDC, a watchdog
+/// hang) can be re-simulated under the tracer and inspected cycle by
+/// cycle in a Chrome-trace viewer. Unlike [`run_one_seed`] this does not
+/// absorb failures: a trace of a crashed run would be misleading.
 ///
 /// # Errors
 ///
@@ -662,21 +659,19 @@ pub fn trace_one_seed(
     spec: &CampaignSpec,
     seed: u64,
     capacity: usize,
-) -> Result<
-    (
-        crate::experiment::FaultProtocolResult,
-        flame_trace::SimTrace,
-    ),
-    crate::experiment::ExperimentError,
-> {
+) -> Result<FaultProtocolResult, crate::experiment::ExperimentError> {
     let strikes = strikes_for_seed(spec, seed);
-    crate::experiment::run_with_protocol_traced(
+    let opts = RunOptions {
+        trace: Some(capacity),
+        ..RunOptions::default()
+    };
+    run_with_protocol(
         w,
         spec.scheme,
         &spec.cfg,
         &strikes,
         &spec.effective_proto(),
-        capacity,
+        &opts,
     )
 }
 

@@ -78,9 +78,9 @@ pub mod oracle {
 
 /// Cycle-level event tracing, stall attribution and Chrome-trace export
 /// (re-export of `flame-trace`). Capture with
-/// [`crate::core::run_scheme_traced`] or the `flame-bench` `trace`
-/// binary; tracing is zero-cost when disabled and never perturbs the
-/// statistics.
+/// [`crate::core::run_with_protocol`] (set [`crate::core::RunOptions`]
+/// `trace`) or the `flame-bench` `trace` binary; tracing is zero-cost
+/// when disabled and never perturbs the statistics.
 pub mod trace {
     pub use flame_trace::*;
 }
@@ -96,7 +96,8 @@ pub mod serve {
 /// The most common imports for running experiments.
 pub mod prelude {
     pub use flame_core::experiment::{
-        geomean, normalized_time, run_scheme, run_with_faults, ExperimentConfig, WorkloadSpec,
+        geomean, normalized_time, run_scheme, run_with_protocol, ExperimentConfig, ProtocolConfig,
+        RunOptions, WorkloadSpec,
     };
     pub use flame_core::scheme::Scheme;
     pub use flame_core::{FlameUnit, Rbq, Rpt, VerificationMode};
@@ -106,6 +107,12 @@ pub mod prelude {
     pub use gpu_sim::scheduler::SchedulerKind;
     pub use gpu_sim::sm::LaunchDims;
 }
+
+/// The README's code, compiled and run as doctests so an API change
+/// cannot silently break the documentation.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+pub struct ReadmeDoctests;
 
 #[cfg(test)]
 mod tests {

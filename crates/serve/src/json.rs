@@ -9,6 +9,12 @@
 
 use std::collections::BTreeMap;
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts — the cap
+/// `flame_trace::validate_json` uses. The parser recurses once per
+/// level on the connection thread's stack, so an unbounded body of a few
+/// kilobytes of `[` would overflow it and abort the whole server.
+const MAX_DEPTH: u32 = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -36,6 +42,7 @@ impl JsonValue {
         let mut p = Parser {
             b: s.as_bytes(),
             i: 0,
+            depth: 0,
         };
         p.ws();
         let v = p.value()?;
@@ -118,6 +125,8 @@ pub fn json_escape(s: &str) -> String {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects open around the cursor.
+    depth: u32,
 }
 
 impl Parser<'_> {
@@ -143,14 +152,31 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.b.get(self.i) {
             None => Err("unexpected end of input".into()),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'n') => self.literal("null", JsonValue::Null),
             Some(_) => self.number(),
         }
+    }
+
+    /// Parses one array or object with `f`, one level deeper.
+    fn nested(
+        &mut self,
+        f: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                self.i
+            ));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
@@ -325,6 +351,18 @@ mod tests {
         assert!(JsonValue::parse("{} trailing").is_err());
         assert!(JsonValue::parse("\"unterminated").is_err());
         assert!(JsonValue::parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(JsonValue::parse(&arrays(200)).is_err());
+        JsonValue::parse(&arrays(100)).unwrap();
+        // The cap is exact, and objects count like arrays.
+        let objects = |n: usize| "{\"a\":".repeat(n) + "1" + &"}".repeat(n);
+        JsonValue::parse(&arrays(128)).unwrap();
+        JsonValue::parse(&objects(128)).unwrap();
+        assert!(JsonValue::parse(&objects(129)).is_err());
     }
 
     #[test]

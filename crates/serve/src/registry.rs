@@ -117,9 +117,10 @@ impl CampaignEntry {
             .get_or_init(|| campaign_clean_cycles(&self.request.workload, &self.request.spec))
     }
 
-    /// The final summary as JSON — the byte-identity anchor: a serial
-    /// `run_campaign` of the same spec serializes through the very same
-    /// [`SummaryJson::to_json`] to the very same bytes.
+    /// The final summary as JSON — the byte-identity anchor: the serial
+    /// runner (`run_campaign_runner_with_jobs`) on the same spec
+    /// serializes through the very same [`SummaryJson::to_json`] to the
+    /// very same bytes.
     ///
     /// # Errors
     ///

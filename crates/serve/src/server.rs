@@ -282,7 +282,8 @@ fn trace_run(stream: &mut TcpStream, entry: &Arc<crate::registry::CampaignEntry>
         seed,
         flame_trace::DEFAULT_CAPACITY,
     ) {
-        Ok((_result, trace)) => {
+        Ok(r) => {
+            let trace = r.trace.expect("tracing was enabled");
             let body = flame_trace::chrome_trace_json(&trace);
             respond(stream, 200, "application/json", &body);
         }

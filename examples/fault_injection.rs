@@ -22,7 +22,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let strikes = gen.schedule(10, clean.stats.cycles * 3 / 4);
     println!("injecting {} strikes...", strikes.len());
 
-    let r = run_with_faults(&w, Scheme::SensorRenaming, &cfg, &strikes)?;
+    let proto = ProtocolConfig::default();
+    let r = run_with_protocol(
+        &w,
+        Scheme::SensorRenaming,
+        &cfg,
+        &strikes,
+        &proto,
+        &RunOptions::default(),
+    )?;
     println!(
         "bit-flips landed on in-flight writes: {} / {}",
         r.corrupted,

@@ -22,8 +22,12 @@ fn fault_campaigns_are_deterministic() {
         let mut g = StrikeGenerator::new(99, cfg.wcdl, cfg.gpu.num_sms).with_ecc_fraction(0.0);
         g.schedule(4, clean.stats.cycles / 2)
     };
-    let a = run_with_faults(&w, Scheme::SensorRenaming, &cfg, &strikes).unwrap();
-    let b = run_with_faults(&w, Scheme::SensorRenaming, &cfg, &strikes).unwrap();
+    let run = || {
+        let proto = ProtocolConfig::default();
+        let opts = RunOptions::default();
+        run_with_protocol(&w, Scheme::SensorRenaming, &cfg, &strikes, &proto, &opts).unwrap()
+    };
+    let (a, b) = (run(), run());
     assert_eq!(a.run.stats, b.run.stats);
     assert_eq!(a.corrupted, b.corrupted);
     assert_eq!(a.recoveries, b.recoveries);

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: every resilience scheme must produce
 //! bit-correct output, fault-free and under injected particle strikes.
 
+use flame::core::campaign::{classify, Outcome};
 use flame::prelude::*;
 
 fn cfg() -> ExperimentConfig {
@@ -8,6 +9,17 @@ fn cfg() -> ExperimentConfig {
         max_cycles: 100_000_000,
         ..ExperimentConfig::default()
     }
+}
+
+/// A scratch, untraced run of the full protocol at its default budgets.
+fn run_faulted(
+    w: &WorkloadSpec,
+    scheme: Scheme,
+    cfg: &ExperimentConfig,
+    strikes: &[flame::sensors::Strike],
+) -> Result<flame::core::FaultProtocolResult, flame::core::ExperimentError> {
+    let proto = ProtocolConfig::default();
+    run_with_protocol(w, scheme, cfg, strikes, &proto, &RunOptions::default())
 }
 
 /// Small-but-representative subset used to bound debug-mode test time.
@@ -46,7 +58,7 @@ fn flame_recovers_every_workload_subset_from_strikes() {
         let mut gen = StrikeGenerator::new(0xDEAD + w.abbr.len() as u64, cfg.wcdl, cfg.gpu.num_sms)
             .with_ecc_fraction(0.0);
         let strikes = gen.schedule(5, (clean.stats.cycles * 3 / 4).max(10));
-        let r = run_with_faults(&w, Scheme::SensorRenaming, &cfg, &strikes)
+        let r = run_faulted(&w, Scheme::SensorRenaming, &cfg, &strikes)
             .unwrap_or_else(|e| panic!("{}: {e}", w.abbr));
         assert_eq!(r.detections, 5, "{}: every strike must be detected", w.abbr);
         assert!(
@@ -66,7 +78,7 @@ fn checkpointing_recovers_from_strikes() {
         let mut gen =
             StrikeGenerator::new(0xC0FFEE, cfg.wcdl, cfg.gpu.num_sms).with_ecc_fraction(0.0);
         let strikes = gen.schedule(4, (clean.stats.cycles * 3 / 4).max(10));
-        let r = run_with_faults(&w, Scheme::SensorCheckpointing, &cfg, &strikes).unwrap();
+        let r = run_faulted(&w, Scheme::SensorCheckpointing, &cfg, &strikes).unwrap();
         assert!(r.run.output_ok, "{abbr}: checkpoint recovery failed");
     }
 }
@@ -79,7 +91,7 @@ fn masked_strikes_are_harmless_false_positives() {
     // Strikes that all land on ECC-protected arrays: heard but harmless.
     let mut gen = StrikeGenerator::new(11, cfg.wcdl, cfg.gpu.num_sms).with_ecc_fraction(1.0);
     let strikes = gen.schedule(6, clean.stats.cycles / 2);
-    let r = run_with_faults(&w, Scheme::SensorRenaming, &cfg, &strikes).unwrap();
+    let r = run_faulted(&w, Scheme::SensorRenaming, &cfg, &strikes).unwrap();
     assert_eq!(r.corrupted, 0);
     assert_eq!(r.detections, 6);
     assert!(r.run.output_ok);
@@ -114,9 +126,11 @@ fn strikes_against_an_unprotected_baseline_corrupt_output() {
         // Under Baseline there is no RPT, so recovery would roll back 0
         // warps anyway; the detection latency above keeps recoveries out
         // of the picture entirely.
-        let r = run_with_faults(&w, Scheme::Baseline, &cfg, &strikes);
+        // A completed run with a wrong output is an SDC; a hang (which
+        // the run surfaces as a flag, not an error) is not.
+        let r = run_faulted(&w, Scheme::Baseline, &cfg, &strikes);
         if let Ok(r) = r {
-            if r.corrupted > 0 && !r.run.output_ok {
+            if r.corrupted > 0 && classify(&r) == Outcome::Sdc {
                 corrupted_any = true;
                 break;
             }

@@ -7,7 +7,9 @@
 //! configurations, and fault-injection campaigns. The clock is switched
 //! through [`GpuConfig::fast_forward`].
 
-use flame::core::experiment::{run_scheme, run_with_faults, ExperimentConfig, RunResult};
+use flame::core::experiment::{
+    run_scheme, run_with_protocol, ExperimentConfig, ProtocolConfig, RunOptions, RunResult,
+};
 use flame::core::scheme::Scheme;
 use flame::sensors::fault::{Strike, StrikeTarget};
 use flame::sim::config::GpuConfig;
@@ -82,7 +84,7 @@ fn stats_bit_identical_with_and_without_fast_forward() {
 }
 
 /// Fault campaigns interact with the GPU at externally scheduled cycles
-/// (strike arrival, detection deadline); `run_with_faults` must bound the
+/// (strike arrival, detection deadline); `run_with_protocol` must bound the
 /// fast-forward so corruption, detection and recovery land on exactly the
 /// same cycles — identical stats *and* identical campaign outcome.
 #[test]
@@ -105,10 +107,20 @@ fn fault_injection_unchanged_by_fast_forward() {
         .collect();
     for scheme in [Scheme::SensorRenaming, Scheme::NaiveSensorRenaming] {
         let spec = by_abbr("Triad").expect("known workload");
-        let fast = run_with_faults(&spec, scheme, &with_fast_forward(&cfg, true), &strikes)
-            .expect("fast run");
-        let slow = run_with_faults(&spec, scheme, &with_fast_forward(&cfg, false), &strikes)
-            .expect("slow run");
+        let run = |fast_forward| {
+            let cfg = with_fast_forward(&cfg, fast_forward);
+            let proto = ProtocolConfig::default();
+            run_with_protocol(
+                &spec,
+                scheme,
+                &cfg,
+                &strikes,
+                &proto,
+                &RunOptions::default(),
+            )
+        };
+        let fast = run(true).expect("fast run");
+        let slow = run(false).expect("slow run");
         let diff = fast.run.stats.diff(&slow.run.stats);
         assert!(diff.is_empty(), "{scheme:?}: fast-forward changed {diff:?}");
         assert_eq!(fast.corrupted, slow.corrupted, "{scheme:?}: corrupted");

@@ -1,17 +1,16 @@
 //! Integration tests for the outcome-taxonomy fault engine: the protocol
-//! harness must be a strict refinement of the legacy fault harness at
-//! full coverage, coverage gaps must surface as SDCs at the configured
+//! driver must be a strict refinement of the paper's original fault
+//! protocol (kept here as `legacy_reference`) at full coverage, coverage
+//! gaps must surface as SDCs at the configured
 //! rate, overlapping detection windows must stay sound under every
 //! scheme, the escalation ladder must bottom out in DUE, livelocks must
 //! classify as hangs, and a killed campaign must resume to a
 //! byte-identical report.
 
-use flame::core::campaign::{
-    classify, classify_against_golden, run_campaign, run_campaign_with_baseline, Campaign, Outcome,
-};
+use flame::core::campaign::{classify, classify_against_golden, Campaign, Outcome};
 use flame::core::experiment::{
-    run_scheme, run_with_faults, run_with_protocol, run_with_protocol_capturing, ExperimentConfig,
-    ProtocolConfig, WorkloadSpec,
+    prepare_scheme, run_scheme, run_with_protocol, ExperimentConfig, FaultProtocolResult,
+    ProtocolConfig, RunOptions, WorkloadSpec,
 };
 use flame::core::runner::{
     run_campaign_runner_with_jobs, wilson_interval, CampaignSpec, RetryPolicy, RunnerError,
@@ -24,6 +23,7 @@ use flame::sensors::fault::{FaultRates, Strike, StrikeGenerator, StrikeTarget};
 use flame::sim::builder::KernelBuilder;
 use flame::sim::isa::{MemSpace, Special};
 use flame::sim::sm::LaunchDims;
+use flame::sim::stats::SimStats;
 use std::sync::Arc;
 
 /// Out-of-place arithmetic kernel: input at `[0, 8·n)`, output at
@@ -79,53 +79,138 @@ fn pipeline_strike(cycle: u64, sm: usize, latency: u32) -> Strike {
     }
 }
 
+/// A scratch, untraced protocol run.
+fn run_protocol(
+    w: &WorkloadSpec,
+    cfg: &ExperimentConfig,
+    strikes: &[Strike],
+    proto: &ProtocolConfig,
+) -> FaultProtocolResult {
+    run_with_protocol(
+        w,
+        Scheme::SensorRenaming,
+        cfg,
+        strikes,
+        proto,
+        &RunOptions::default(),
+    )
+    .unwrap()
+}
+
+/// What the paper's original fault protocol reports about a run.
+struct LegacyReport {
+    stats: SimStats,
+    output_ok: bool,
+    corrupted: usize,
+    detections: usize,
+    recoveries: usize,
+}
+
+/// The paper's original, all-assumptions-hold fault protocol, built on
+/// the public `Gpu` calls: the sensor mesh hears every strike, each
+/// detection rolls its SM back `detection_latency` cycles after the
+/// strike, a pipeline strike corrupts an in-flight write, nothing
+/// escalates and nothing watches for hangs. `run_with_protocol` must
+/// refine it cycle for cycle.
+fn legacy_reference(w: &WorkloadSpec, cfg: &ExperimentConfig, strikes: &[Strike]) -> LegacyReport {
+    let (mut gpu, _) = prepare_scheme(w, Scheme::SensorRenaming, cfg).unwrap();
+    let (mut corrupted, mut detections) = (0, 0);
+    let mut pending: Vec<(u64, usize)> = Vec::new(); // (detect cycle, sm)
+    let mut next = 0;
+    while gpu.running() {
+        assert!(
+            gpu.cycle() < cfg.max_cycles,
+            "{}: reference timed out",
+            w.abbr
+        );
+        // Bound each step at the next strike arrival and detection
+        // deadline, so fast-forward never jumps over either: a strike at
+        // cycle k lands when the clock reads k + 1, a detection at d
+        // recovers exactly at d.
+        let mut bound = cfg.max_cycles;
+        if let Some(s) = strikes.get(next) {
+            bound = bound.min(s.cycle + 1);
+        }
+        if let Some(&(d, _)) = pending.iter().min_by_key(|&&(d, _)| d) {
+            bound = bound.min(d);
+        }
+        gpu.step_window(bound);
+        let now = gpu.cycle();
+        while next < strikes.len() && strikes[next].cycle < now {
+            let s = strikes[next];
+            next += 1;
+            if s.sm >= gpu.num_sms() {
+                continue;
+            }
+            if s.target == StrikeTarget::Pipeline {
+                let victims: Vec<usize> = gpu.live_warps(s.sm).collect();
+                if victims.into_iter().any(|slot| {
+                    gpu.corrupt_recent_write(s.sm, slot, s.lane as usize, 1u64 << s.bit)
+                }) {
+                    corrupted += 1;
+                }
+            }
+            pending.push((now + u64::from(s.detection_latency), s.sm));
+        }
+        let mut i = 0;
+        while i < pending.len() {
+            if pending[i].0 <= now {
+                let (_, sm) = pending.swap_remove(i);
+                gpu.recover_sm(sm);
+                detections += 1;
+            } else {
+                i += 1;
+            }
+        }
+    }
+    LegacyReport {
+        stats: gpu.stats(),
+        output_ok: (w.check)(gpu.global()),
+        corrupted,
+        detections,
+        recoveries: detections,
+    }
+}
+
 /// Acceptance: with every strike detected and default budgets, the
-/// protocol harness reproduces the legacy harness and the campaign
-/// report exactly — taxonomy as a strict refinement, not a fork.
+/// protocol driver reproduces the paper's original protocol exactly —
+/// taxonomy as a strict refinement, not a fork — on a flat kernel and on
+/// LUD, whose barriers and shared memory the rollbacks must respect.
 #[test]
 fn full_coverage_reproduces_legacy_reports() {
-    let w = workload(64, 128);
     let cfg = cfg();
-    let clean = run_scheme(&w, Scheme::SensorRenaming, &cfg).unwrap();
-    let campaign = Campaign::accelerated(
-        0xBEEF,
-        6,
-        clean.stats.cycles * 3 / 4,
-        cfg.wcdl,
-        cfg.gpu.num_sms,
-        cfg.gpu.core_clock_mhz,
-        &FaultRates::default(),
-    );
+    for w in [workload(64, 128), flame::workloads::by_abbr("LUD").unwrap()] {
+        let clean = run_scheme(&w, Scheme::SensorRenaming, &cfg).unwrap();
+        let campaign = Campaign::accelerated(
+            0xBEEF,
+            6,
+            clean.stats.cycles * 3 / 4,
+            cfg.wcdl,
+            cfg.gpu.num_sms,
+            cfg.gpu.core_clock_mhz,
+            &FaultRates::default(),
+        );
 
-    let legacy = run_with_faults(&w, Scheme::SensorRenaming, &cfg, &campaign.strikes).unwrap();
-    let proto = run_with_protocol(
-        &w,
-        Scheme::SensorRenaming,
-        &cfg,
-        &campaign.strikes,
-        &ProtocolConfig::default(),
-    )
-    .unwrap();
-    assert_eq!(proto.run.stats, legacy.run.stats, "cycle-exact refinement");
-    assert_eq!(proto.run.output_ok, legacy.run.output_ok);
-    assert_eq!(proto.corrupted, legacy.corrupted);
-    assert_eq!(proto.detections, legacy.detections);
-    assert_eq!(proto.recoveries, legacy.recoveries);
-    assert_eq!(proto.undetected, 0);
-    assert_eq!(proto.cta_relaunches, 0);
-    assert_eq!(proto.kernel_relaunches, 0);
-    assert!(!proto.due && !proto.watchdog_fired && !proto.timed_out);
-    assert!(matches!(
-        classify(&proto),
-        Outcome::DetectedRecovered | Outcome::Masked
-    ));
-
-    // And the campaign report built on the precomputed baseline matches
-    // the recomputing entry point bit for bit.
-    let a = run_campaign(&w, Scheme::SensorRenaming, &cfg, &campaign).unwrap();
-    let b =
-        run_campaign_with_baseline(&w, Scheme::SensorRenaming, &cfg, &campaign, &clean).unwrap();
-    assert_eq!(a, b);
+        let legacy = legacy_reference(&w, &cfg, &campaign.strikes);
+        let proto = run_protocol(&w, &cfg, &campaign.strikes, &ProtocolConfig::default());
+        let abbr = w.abbr;
+        assert_eq!(
+            proto.run.stats, legacy.stats,
+            "{abbr}: cycle-exact refinement"
+        );
+        assert_eq!(proto.run.output_ok, legacy.output_ok, "{abbr}");
+        assert_eq!(proto.corrupted, legacy.corrupted, "{abbr}");
+        assert_eq!(proto.detections, legacy.detections, "{abbr}");
+        assert_eq!(proto.recoveries, legacy.recoveries, "{abbr}");
+        assert_eq!(proto.undetected, 0, "{abbr}");
+        assert_eq!(proto.cta_relaunches, 0, "{abbr}");
+        assert_eq!(proto.kernel_relaunches, 0, "{abbr}");
+        assert!(!proto.due && !proto.watchdog_fired && !proto.timed_out);
+        assert!(matches!(
+            classify(&proto),
+            Outcome::DetectedRecovered | Outcome::Masked
+        ));
+    }
 }
 
 /// Acceptance: over ≥200 seeded runs, the undetected-strike fraction's
@@ -207,7 +292,9 @@ fn overlapping_detection_windows_stay_sound() {
             pipeline_strike(mid, 0, latency),
             pipeline_strike(mid + u64::from(cfg.wcdl) / 2, 0, latency),
         ];
-        let r = run_with_protocol(&w, scheme, &cfg, &strikes, &ProtocolConfig::default()).unwrap();
+        let proto = ProtocolConfig::default();
+        let r =
+            run_with_protocol(&w, scheme, &cfg, &strikes, &proto, &RunOptions::default()).unwrap();
         assert_eq!(r.injected, 2, "{scheme}");
         assert_eq!(
             r.recoveries, 2,
@@ -244,19 +331,12 @@ fn recovery_hardware_strike_escalates_to_due() {
         max_kernel_relaunches: 0,
         ..ProtocolConfig::default()
     };
-    let r = run_with_protocol(&w, Scheme::SensorRenaming, &cfg, &strikes, &no_ladder).unwrap();
+    let r = run_protocol(&w, &cfg, &strikes, &no_ladder);
     assert_eq!(r.recovery_corruptions, 1, "strike missed the RPT");
     assert!(r.due, "no ladder: poisoned RPT must be unrecoverable");
     assert_eq!(classify(&r), Outcome::Due);
 
-    let r = run_with_protocol(
-        &w,
-        Scheme::SensorRenaming,
-        &cfg,
-        &strikes,
-        &ProtocolConfig::default(),
-    )
-    .unwrap();
+    let r = run_protocol(&w, &cfg, &strikes, &ProtocolConfig::default());
     assert_eq!(r.recovery_corruptions, 1);
     assert_eq!(
         r.cta_relaunches, 1,
@@ -278,7 +358,7 @@ fn watchdog_and_timeout_classify_as_hang() {
         hang_window: 1,
         ..ProtocolConfig::default()
     };
-    let r = run_with_protocol(&w, Scheme::SensorRenaming, &cfg(), &[], &trigger_happy).unwrap();
+    let r = run_protocol(&w, &cfg(), &[], &trigger_happy);
     assert!(
         r.watchdog_fired,
         "a 1-cycle window must trip on memory stalls"
@@ -290,14 +370,7 @@ fn watchdog_and_timeout_classify_as_hang() {
         max_cycles: 40,
         ..ExperimentConfig::default()
     };
-    let r = run_with_protocol(
-        &w,
-        Scheme::SensorRenaming,
-        &strangled,
-        &[],
-        &ProtocolConfig::default(),
-    )
-    .unwrap();
+    let r = run_protocol(&w, &strangled, &[], &ProtocolConfig::default());
     assert!(r.timed_out, "cycle-budget exhaustion must fold into Hang");
     assert_eq!(classify(&r), Outcome::Hang);
 }
@@ -426,22 +499,15 @@ fn oracle_golden_grounds_the_taxonomy() {
         cfg.gpu.core_clock_mhz,
         &FaultRates::default(),
     );
-    let (r, image) = run_with_protocol_capturing(
-        &w,
-        Scheme::SensorRenaming,
-        &cfg,
-        &campaign.strikes,
-        &ProtocolConfig::default(),
-    )
-    .unwrap();
-    let grounded = classify_against_golden(&r, &image, &golden.global);
+    let r = run_protocol(&w, &cfg, &campaign.strikes, &ProtocolConfig::default());
+    let grounded = classify_against_golden(&r, &golden.global);
     assert!(
         matches!(grounded, Outcome::Masked | Outcome::DetectedRecovered),
         "full coverage must mask or recover, got {grounded:?}"
     );
     assert_eq!(grounded, classify(&r), "grounded and boolean paths split");
     assert_eq!(
-        image.first_difference(&golden.global),
+        r.image.first_difference(&golden.global),
         None,
         "recovered run's image differs from the oracle"
     );
@@ -454,23 +520,16 @@ fn oracle_golden_grounds_the_taxonomy() {
         let strikes = StrikeGenerator::new(seed, cfg.wcdl, cfg.gpu.num_sms)
             .with_coverage(0.0)
             .schedule(3, horizon);
-        let (r, image) = run_with_protocol_capturing(
-            &w,
-            Scheme::SensorRenaming,
-            &cfg,
-            &strikes,
-            &ProtocolConfig::default(),
-        )
-        .unwrap();
+        let r = run_protocol(&w, &cfg, &strikes, &ProtocolConfig::default());
         if classify(&r) != Outcome::Sdc {
             continue;
         }
         assert!(
-            image.first_difference(&golden.global).is_some(),
+            r.image.first_difference(&golden.global).is_some(),
             "seed {seed}: SDC with a bit-identical image"
         );
         assert_eq!(
-            classify_against_golden(&r, &image, &golden.global),
+            classify_against_golden(&r, &golden.global),
             Outcome::Sdc,
             "seed {seed}: grounded classifier missed the corruption"
         );

@@ -1,11 +1,12 @@
 //! Integration tests for the campaign-as-a-service backend: an
 //! in-process `flame::serve` server must hand out histograms
-//! **byte-identical** to a serial `run_campaign` of the same spec —
-//! through `POST`/stream/status, through journal rediscovery after the
-//! process hosting the campaign goes away, and through a shard worker
-//! stopped gracefully mid-campaign. The journal tailer behind the
-//! stream endpoint must ignore torn final lines and converge to the
-//! exact merged result.
+//! **byte-identical** to the serial runner (`run_campaign_runner_with_jobs`)
+//! on the same spec — through `POST`/stream/status, through journal
+//! rediscovery after the process hosting the campaign goes away, and
+//! through a shard worker stopped gracefully mid-campaign. The journal
+//! tailer behind the stream endpoint must ignore torn final lines and
+//! converge to the exact merged result, and a hostile request body must
+//! not take the server down.
 
 use flame::core::experiment::{ExperimentConfig, ProtocolConfig};
 use flame::core::runner::{
@@ -158,6 +159,30 @@ fn http_campaign_is_bit_identical_to_serial() {
     assert_eq!(catalog.body.trim(), flame::serve::catalog_json());
     let missing = client::get(addr, "/campaigns/ffffffffffffffff").expect("GET unknown");
     assert_eq!(missing.status, 404);
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// A request body nested 10 000 levels deep (20 KB, far under the body
+/// cap) is a 400, not a stack overflow that aborts the server with every
+/// campaign in flight: the next request is served.
+#[test]
+fn deeply_nested_body_is_rejected_and_server_survives() {
+    let data_dir = tmp_dir("nesting");
+    let server = TestServer::start(data_dir.clone());
+    let addr = &server.addr;
+
+    let body = "[".repeat(10_000) + &"]".repeat(10_000);
+    let post = client::post(addr, "/campaigns", &body).expect("POST /campaigns");
+    assert_eq!(
+        post.status, 400,
+        "deep nesting must be refused: {}",
+        post.body
+    );
+    let catalog = client::get(addr, "/catalog").expect("GET /catalog after the deep body");
+    assert_eq!(catalog.status, 200);
+    assert_eq!(catalog.body.trim(), flame::serve::catalog_json());
 
     server.stop();
     let _ = std::fs::remove_dir_all(&data_dir);

@@ -14,20 +14,22 @@
 //!    checkpoint at or before its first strike must be bit-identical to
 //!    the same run simulated from scratch: identical protocol counters,
 //!    identical stats, identical final memory. Checked across the full
-//!    34-workload × 11-scheme taxonomy, and end-to-end through the
-//!    campaign runner (identical outcome histograms and records modulo
-//!    fork telemetry).
+//!    34-workload × 11-scheme taxonomy — one cell of it also with tracing
+//!    on, forked and not — and end-to-end through the campaign runner
+//!    (identical outcome histograms and records modulo fork telemetry).
 
 use flame::core::experiment::{
-    prepare_scheme, run_scheme, run_with_protocol_capturing, run_with_protocol_forked,
-    ExperimentConfig, ProtocolConfig, WorkloadSpec,
+    prepare_scheme, run_scheme, run_with_protocol, ExperimentConfig, FaultProtocolResult,
+    ProtocolConfig, RunOptions, WorkloadSpec,
 };
 use flame::core::runner::{
     run_campaign_runner_with_jobs, CampaignSpec, RetryPolicy, RunRecord, SelfFault,
 };
 use flame::core::scheme::Scheme;
 use flame::sensors::fault::StrikeGenerator;
+use flame::sim::gpu::Snapshot;
 use flame::sim::rng::Rng64;
+use flame::trace::Event;
 use flame::workloads::fuzz;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -174,30 +176,82 @@ fn forked_run_skips_input_seeding() {
     let snap = gpu.snapshot();
 
     let proto = ProtocolConfig::default();
+    let run = |fork_from| {
+        let opts = RunOptions {
+            fork_from,
+            ..RunOptions::default()
+        };
+        run_with_protocol(&w, scheme, &cfg, &[], &proto, &opts)
+    };
     seeded.store(0, Ordering::Relaxed);
-    let (forked, fmem, tele) =
-        run_with_protocol_forked(&w, scheme, &cfg, &[], &proto, Some(&snap)).expect("forked run");
+    let forked = run(Some(&snap)).expect("forked run");
     assert_eq!(seeded.load(Ordering::Relaxed), 0, "the forked run seeded");
-    let (scratch, smem) =
-        run_with_protocol_capturing(&w, scheme, &cfg, &[], &proto).expect("scratch run");
+    let scratch = run(None).expect("scratch run");
     assert_eq!(
         seeded.load(Ordering::Relaxed),
         1,
         "the scratch run seeds once"
     );
 
-    assert_eq!(tele.fork_cycle, cp);
+    assert_eq!(forked.fork.fork_cycle, cp);
     assert_eq!(forked.run.stats, scratch.run.stats, "stats");
-    assert_eq!(fmem.first_difference(&smem), None, "final memory image");
+    assert_eq!(
+        forked.image.first_difference(&scratch.image),
+        None,
+        "final memory image"
+    );
 }
+
+/// Asserts two protocol runs of one cell agree on everything they
+/// simulated: every protocol counter, the final stats, the output flag,
+/// the outcome and the final memory image.
+fn assert_same_run(cell: &str, a: &FaultProtocolResult, b: &FaultProtocolResult) {
+    assert_eq!(a.run.stats, b.run.stats, "{cell}: stats");
+    assert_eq!(a.run.output_ok, b.run.output_ok, "{cell}: output");
+    assert_eq!(a.injected, b.injected, "{cell}: injected");
+    assert_eq!(a.corrupted, b.corrupted, "{cell}: corrupted");
+    assert_eq!(a.pc_corruptions, b.pc_corruptions, "{cell}: pc corruptions");
+    assert_eq!(
+        a.recovery_corruptions, b.recovery_corruptions,
+        "{cell}: recovery corruptions"
+    );
+    assert_eq!(a.detections, b.detections, "{cell}: detections");
+    assert_eq!(a.undetected, b.undetected, "{cell}: undetected");
+    assert_eq!(a.recoveries, b.recoveries, "{cell}: recoveries");
+    assert_eq!(a.nested_detections, b.nested_detections, "{cell}: nested");
+    assert_eq!(a.cta_relaunches, b.cta_relaunches, "{cell}: cta relaunches");
+    assert_eq!(
+        a.kernel_relaunches, b.kernel_relaunches,
+        "{cell}: kernel relaunches"
+    );
+    assert_eq!(a.watchdog_fired, b.watchdog_fired, "{cell}: watchdog");
+    assert_eq!(a.timed_out, b.timed_out, "{cell}: timeout");
+    assert_eq!(
+        flame::core::classify(a),
+        flame::core::classify(b),
+        "{cell}: outcome"
+    );
+    assert_eq!(
+        a.image.first_difference(&b.image),
+        None,
+        "{cell}: final memory image"
+    );
+}
+
+/// The cell that also runs with tracing on: BP under Flame, the
+/// reference late-strike campaign's cell.
+const TRACED_CELL: (&str, Scheme) = ("BP", Scheme::SensorRenaming);
 
 /// Forked fault runs are bit-identical to from-scratch runs across the
 /// entire workload × scheme taxonomy: every protocol counter, the final
-/// stats, the output flag, and the final memory image.
+/// stats, the output flag, and the final memory image. In
+/// [`TRACED_CELL`] the traced scratch and traced forked runs must match
+/// too, and the traced fork's timeline must start at its restore.
 #[test]
 fn forked_runs_bit_identical_across_taxonomy() {
     let cfg = ExperimentConfig::default();
     let proto = ProtocolConfig::default();
+    let mut traced_cells = 0;
     for w in flame::workloads::all() {
         for scheme in Scheme::all() {
             let clean = run_scheme(&w, scheme, &cfg)
@@ -224,61 +278,54 @@ fn forked_runs_bit_identical_across_taxonomy() {
             assert!(running, "{} {scheme:?}: finished before midpoint", w.abbr);
             let snap = gpu.snapshot_delta(&base);
 
-            let (forked, fmem, tele) =
-                run_with_protocol_forked(&w, scheme, &cfg, &strikes, &proto, Some(&snap))
-                    .unwrap_or_else(|e| panic!("{} {scheme:?}: forked run failed: {e:?}", w.abbr));
-            let (scratch, smem) = run_with_protocol_capturing(&w, scheme, &cfg, &strikes, &proto)
-                .unwrap_or_else(|e| panic!("{} {scheme:?}: scratch run failed: {e:?}", w.abbr));
-
             let cell = format!("{} x {scheme:?}", w.abbr);
-            assert_eq!(tele.fork_cycle, cp, "{cell}: fork telemetry");
-            assert_eq!(forked.run.stats, scratch.run.stats, "{cell}: stats");
-            assert_eq!(
-                forked.run.output_ok, scratch.run.output_ok,
-                "{cell}: output"
+            let run = |trace: Option<usize>, fork_from: Option<&Snapshot>| {
+                let opts = RunOptions { trace, fork_from };
+                let forked = fork_from.is_some();
+                run_with_protocol(&w, scheme, &cfg, &strikes, &proto, &opts).unwrap_or_else(|e| {
+                    panic!("{cell} (trace {trace:?}, forked {forked}): run failed: {e:?}")
+                })
+            };
+            let forked = run(None, Some(&snap));
+            let scratch = run(None, None);
+
+            assert_eq!(forked.fork.fork_cycle, cp, "{cell}: fork telemetry");
+            assert_same_run(&cell, &forked, &scratch);
+
+            if (w.abbr, scheme) != TRACED_CELL {
+                continue;
+            }
+            traced_cells += 1;
+            assert!(
+                forked.injected > 0,
+                "{cell}: no strike landed after the fork"
             );
-            assert_eq!(forked.injected, scratch.injected, "{cell}: injected");
-            assert_eq!(forked.corrupted, scratch.corrupted, "{cell}: corrupted");
+            let traced_scratch = run(Some(1 << 12), None);
+            let traced_forked = run(Some(1 << 12), Some(&snap));
+            assert_same_run(&format!("{cell} traced"), &traced_scratch, &scratch);
+            assert_same_run(&format!("{cell} traced forked"), &traced_forked, &scratch);
+            assert_eq!(traced_forked.fork.fork_cycle, cp, "{cell}: traced fork");
+
+            // The forked timeline opens with exactly one restore, at the
+            // checkpoint, and every strike lands after it.
+            let trace = traced_forked.trace.as_ref().expect("tracing was enabled");
+            let is_restore = |e: &Event| matches!(e, Event::SnapshotRestore { .. });
+            assert_eq!(trace.filtered(is_restore).count(), 1, "{cell}: restores");
+            let at = trace.events.iter().position(|e| is_restore(&e.ev)).unwrap();
             assert_eq!(
-                forked.pc_corruptions, scratch.pc_corruptions,
-                "{cell}: pc corruptions"
+                trace.events[at].ev,
+                Event::SnapshotRestore { cycle: cp },
+                "{cell}: restore cycle"
             );
-            assert_eq!(
-                forked.recovery_corruptions, scratch.recovery_corruptions,
-                "{cell}: recovery corruptions"
-            );
-            assert_eq!(forked.detections, scratch.detections, "{cell}: detections");
-            assert_eq!(forked.undetected, scratch.undetected, "{cell}: undetected");
-            assert_eq!(forked.recoveries, scratch.recoveries, "{cell}: recoveries");
-            assert_eq!(
-                forked.nested_detections, scratch.nested_detections,
-                "{cell}: nested"
-            );
-            assert_eq!(
-                forked.cta_relaunches, scratch.cta_relaunches,
-                "{cell}: cta relaunches"
-            );
-            assert_eq!(
-                forked.kernel_relaunches, scratch.kernel_relaunches,
-                "{cell}: kernel relaunches"
-            );
-            assert_eq!(
-                forked.watchdog_fired, scratch.watchdog_fired,
-                "{cell}: watchdog"
-            );
-            assert_eq!(forked.timed_out, scratch.timed_out, "{cell}: timeout");
-            assert_eq!(
-                flame::core::classify(&forked),
-                flame::core::classify(&scratch),
-                "{cell}: outcome"
-            );
-            assert_eq!(
-                fmem.first_difference(&smem),
-                None,
-                "{cell}: final memory image"
+            assert!(
+                !trace.events[..at]
+                    .iter()
+                    .any(|e| matches!(e.ev, Event::FaultStrike { .. })),
+                "{cell}: a strike precedes the restore"
             );
         }
     }
+    assert_eq!(traced_cells, 1, "the traced cell was not visited");
 }
 
 /// End-to-end through the campaign runner: a forked campaign produces

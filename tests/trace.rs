@@ -9,7 +9,8 @@
 //! order).
 
 use flame::core::experiment::{
-    run_scheme, run_scheme_traced, ExperimentConfig, ProtocolConfig, RunResult,
+    run_scheme, run_with_protocol, ExperimentConfig, ProtocolConfig, RunOptions, RunResult,
+    WorkloadSpec,
 };
 use flame::core::runner::{trace_one_seed, CampaignSpec, RetryPolicy, SelfFault};
 use flame::core::scheme::Scheme;
@@ -24,6 +25,29 @@ fn with_fast_forward(cfg: &ExperimentConfig, on: bool) -> ExperimentConfig {
     let mut cfg = cfg.clone();
     cfg.gpu.fast_forward = on;
     cfg
+}
+
+/// A fault-free run of `spec` under `scheme`, traced into rings of
+/// `capacity` events per SM. It goes through the protocol driver with no
+/// strikes — the one entry point that records a timeline.
+fn run_traced(
+    spec: &WorkloadSpec,
+    scheme: Scheme,
+    cfg: &ExperimentConfig,
+    capacity: usize,
+) -> (RunResult, SimTrace) {
+    let opts = RunOptions {
+        trace: Some(capacity),
+        ..RunOptions::default()
+    };
+    let r = run_with_protocol(spec, scheme, cfg, &[], &ProtocolConfig::default(), &opts)
+        .unwrap_or_else(|e| panic!("{}/{scheme:?} traced: {e}", spec.abbr));
+    assert!(
+        !r.timed_out && !r.watchdog_fired,
+        "{}/{scheme:?}: fault-free traced run hung",
+        spec.abbr
+    );
+    (r.run, r.trace.expect("tracing was enabled"))
 }
 
 /// Asserts the trace's streaming stall matrix sums exactly to the run's
@@ -48,7 +72,10 @@ fn assert_stalls_match(label: &str, trace: &SimTrace, stats: &SimStats) {
 
 /// Tentpole invariant 1: enabling the tracer changes *nothing* the
 /// simulator reports, for every scheme in the taxonomy — and the trace's
-/// stall attribution explains the stats exactly.
+/// stall attribution explains the stats exactly. The traced side runs
+/// the protocol driver with no strikes, so this also pins that a
+/// fault-free protocol run reports exactly `run_scheme`'s stats: the
+/// event clock's stats do not depend on where a step is bounded.
 #[test]
 fn tracing_is_invisible_across_the_taxonomy() {
     let cfg = ExperimentConfig::default();
@@ -57,8 +84,7 @@ fn tracing_is_invisible_across_the_taxonomy() {
         for scheme in Scheme::all() {
             let plain: RunResult =
                 run_scheme(&spec, scheme, &cfg).unwrap_or_else(|e| panic!("{w}/{scheme:?}: {e}"));
-            let (traced, trace) = run_scheme_traced(&spec, scheme, &cfg, 1 << 14)
-                .unwrap_or_else(|e| panic!("{w}/{scheme:?} traced: {e}"));
+            let (traced, trace) = run_traced(&spec, scheme, &cfg, 1 << 14);
             let diff = plain.stats.diff(&traced.stats);
             assert!(diff.is_empty(), "{w}/{scheme:?}: tracing changed {diff:?}");
             assert_eq!(plain.output_ok, traced.output_ok);
@@ -89,11 +115,9 @@ fn fast_forward_never_drops_or_duplicates_trace_events() {
             Scheme::DuplicationRenaming,
         ] {
             let (fast_run, fast) =
-                run_scheme_traced(&spec, scheme, &with_fast_forward(&cfg, true), capacity)
-                    .expect("fast run");
+                run_traced(&spec, scheme, &with_fast_forward(&cfg, true), capacity);
             let (slow_run, slow) =
-                run_scheme_traced(&spec, scheme, &with_fast_forward(&cfg, false), capacity)
-                    .expect("slow run");
+                run_traced(&spec, scheme, &with_fast_forward(&cfg, false), capacity);
             let diff = fast_run.stats.diff(&slow_run.stats);
             assert!(diff.is_empty(), "{w}/{scheme:?}: clock changed {diff:?}");
             assert_eq!(fast.dropped, 0, "{w}/{scheme:?}: fast ring overflowed");
@@ -120,8 +144,7 @@ fn chrome_export_is_valid_and_regions_match_boundaries() {
         wcdl: 1000,
         ..ExperimentConfig::default()
     };
-    let (run, trace) =
-        run_scheme_traced(&spec, Scheme::SensorRenaming, &cfg, 1 << 16).expect("traced run");
+    let (run, trace) = run_traced(&spec, Scheme::SensorRenaming, &cfg, 1 << 16);
     let json = chrome_trace_json(&trace);
     validate_json(&json).unwrap_or_else(|e| panic!("chrome JSON invalid: {e}"));
     assert_eq!(
@@ -160,8 +183,7 @@ fn descheduled_warps_overlap_other_warps_issue() {
         wcdl: 1000,
         ..ExperimentConfig::default()
     };
-    let (run, trace) =
-        run_scheme_traced(&spec, Scheme::SensorRenaming, &cfg, 1 << 16).expect("traced run");
+    let (run, trace) = run_traced(&spec, Scheme::SensorRenaming, &cfg, 1 << 16);
     assert!(run.stats.resilience.deschedules > 0, "nothing descheduled");
     assert!(
         trace.deschedule_overlaps_issue(),
@@ -194,8 +216,9 @@ fn campaign_seed_replay_shows_fault_arcs() {
         retry: RetryPolicy::default(),
         self_fault: SelfFault::default(),
     };
-    let (r, trace) =
+    let r =
         trace_one_seed(&spec, &campaign, campaign.base_seed, 1 << 16).expect("traced seed replay");
+    let trace = r.trace.as_ref().expect("tracing was enabled");
     assert!(r.injected > 0, "no strike landed inside the horizon");
     let strikes = trace
         .filtered(|e| matches!(e, Event::FaultStrike { .. }))
@@ -230,8 +253,7 @@ fn tiny_ring_drops_events_but_aggregates_stay_exact() {
         wcdl: 1000,
         ..ExperimentConfig::default()
     };
-    let (run, trace) =
-        run_scheme_traced(&spec, Scheme::SensorRenaming, &cfg, 64).expect("traced run");
+    let (run, trace) = run_traced(&spec, Scheme::SensorRenaming, &cfg, 64);
     assert!(trace.dropped > 0, "a 64-event ring should have overflowed");
     assert_stalls_match("tiny ring", &trace, &run.stats);
     assert_eq!(
