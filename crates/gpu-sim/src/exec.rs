@@ -1,11 +1,17 @@
-//! Functional (per-lane) evaluation of ALU opcodes.
+//! Functional evaluation of ALU opcodes, one lane or a whole warp at once.
 //!
 //! Integer opcodes operate on values as `i64` (wrapping); floating-point
 //! opcodes operate on the low 32 bits as `f32`. Division by zero yields
 //! zero — GPU kernels must not abort the simulator.
+//!
+//! Each opcode's semantics is written once, as a scalar closure in
+//! `dispatch`. [`eval`] runs that closure on one lane's operands (the
+//! form `flame-oracle` executes); [`eval_warp`] matches the opcode once
+//! and runs the same closure over all 32 lanes of whole register rows.
 
 use crate::isa::{Cmp, Opcode};
 use crate::regfile::Value;
+use crate::warp::WARP_SIZE;
 
 #[inline]
 fn f(v: Value) -> f32 {
@@ -17,6 +23,117 @@ fn fb(v: f32) -> Value {
     Value::from(v.to_bits())
 }
 
+#[inline]
+fn i(v: Value) -> i64 {
+    v as i64
+}
+
+/// Where [`dispatch`] applies an opcode's scalar semantics: to one
+/// operand triple or to every lane of three operand rows.
+trait Apply {
+    type Out;
+    fn apply(self, op: impl Fn(Value, Value, Value) -> Value) -> Self::Out;
+}
+
+/// One lane's operands.
+struct Lane([Value; 3]);
+
+impl Apply for Lane {
+    type Out = Value;
+    #[inline(always)]
+    fn apply(self, op: impl Fn(Value, Value, Value) -> Value) -> Value {
+        op(self.0[0], self.0[1], self.0[2])
+    }
+}
+
+/// Three operand rows, one value per lane.
+struct Rows<'a>([&'a [Value; WARP_SIZE]; 3]);
+
+impl Apply for Rows<'_> {
+    type Out = [Value; WARP_SIZE];
+    #[inline(always)]
+    fn apply(self, op: impl Fn(Value, Value, Value) -> Value) -> [Value; WARP_SIZE] {
+        let [a, b, c] = self.0;
+        let mut out = [0; WARP_SIZE];
+        for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
+            *o = op(x, y, z);
+        }
+        out
+    }
+}
+
+/// The one definition of every computational opcode: matches `op` and
+/// hands its scalar semantics to `at`.
+#[inline(always)]
+fn dispatch<A: Apply>(op: Opcode, at: A) -> A::Out {
+    match op {
+        Opcode::IAdd => at.apply(|a, b, _| i(a).wrapping_add(i(b)) as Value),
+        Opcode::ISub => at.apply(|a, b, _| i(a).wrapping_sub(i(b)) as Value),
+        Opcode::IMul => at.apply(|a, b, _| i(a).wrapping_mul(i(b)) as Value),
+        Opcode::IMad => at.apply(|a, b, c| i(a).wrapping_mul(i(b)).wrapping_add(i(c)) as Value),
+        Opcode::IDiv => at.apply(|a, b, _| {
+            if b == 0 {
+                0
+            } else {
+                i(a).wrapping_div(i(b)) as Value
+            }
+        }),
+        Opcode::IRem => at.apply(|a, b, _| {
+            if b == 0 {
+                0
+            } else {
+                i(a).wrapping_rem(i(b)) as Value
+            }
+        }),
+        Opcode::IMin => at.apply(|a, b, _| i(a).min(i(b)) as Value),
+        Opcode::IMax => at.apply(|a, b, _| i(a).max(i(b)) as Value),
+        Opcode::And => at.apply(|a, b, _| a & b),
+        Opcode::Or => at.apply(|a, b, _| a | b),
+        Opcode::Xor => at.apply(|a, b, _| a ^ b),
+        Opcode::Shl => at.apply(|a, b, _| a << (b & 63)),
+        Opcode::Shr => at.apply(|a, b, _| a >> (b & 63)),
+        Opcode::FAdd => at.apply(|a, b, _| fb(f(a) + f(b))),
+        Opcode::FSub => at.apply(|a, b, _| fb(f(a) - f(b))),
+        Opcode::FMul => at.apply(|a, b, _| fb(f(a) * f(b))),
+        Opcode::FFma => at.apply(|a, b, c| fb(f(a).mul_add(f(b), f(c)))),
+        Opcode::FDiv => at.apply(|a, b, _| {
+            let d = f(b);
+            fb(if d == 0.0 { 0.0 } else { f(a) / d })
+        }),
+        // Negative and NaN operands clamp to +0.0 rather than produce NaN.
+        Opcode::FSqrt => at.apply(|a, _, _| {
+            let x = f(a);
+            fb(if x > 0.0 { x.sqrt() } else { 0.0 })
+        }),
+        Opcode::FExp => at.apply(|a, _, _| fb(f(a).exp())),
+        // IEEE minNum/maxNum, written out: `f32::min`/`max` leave the
+        // sign of a zero result open, and scalar and vector code pick
+        // different ones. A NaN operand is dropped; on a tie (±0.0
+        // included) the first operand wins.
+        Opcode::FMin => at.apply(|a, b, _| {
+            let (x, y) = (f(a), f(b));
+            fb(if y < x || x.is_nan() { y } else { x })
+        }),
+        Opcode::FMax => at.apply(|a, b, _| {
+            let (x, y) = (f(a), f(b));
+            fb(if y > x || x.is_nan() { y } else { x })
+        }),
+        Opcode::I2F => at.apply(|a, _, _| fb(i(a) as f32)),
+        Opcode::F2I => at.apply(|a, _, _| (f(a) as i64) as Value),
+        Opcode::Mov => at.apply(|a, _, _| a),
+        Opcode::Sel => at.apply(|a, b, c| if a != 0 { b } else { c }),
+        Opcode::SetP(Cmp::Eq) => at.apply(|a, b, _| Value::from(i(a) == i(b))),
+        Opcode::SetP(Cmp::Ne) => at.apply(|a, b, _| Value::from(i(a) != i(b))),
+        Opcode::SetP(Cmp::Lt) => at.apply(|a, b, _| Value::from(i(a) < i(b))),
+        Opcode::SetP(Cmp::Le) => at.apply(|a, b, _| Value::from(i(a) <= i(b))),
+        Opcode::SetP(Cmp::Gt) => at.apply(|a, b, _| Value::from(i(a) > i(b))),
+        Opcode::SetP(Cmp::Ge) => at.apply(|a, b, _| Value::from(i(a) >= i(b))),
+        Opcode::SetP(Cmp::FLt) => at.apply(|a, b, _| Value::from(f(a) < f(b))),
+        Opcode::SetP(Cmp::FGt) => at.apply(|a, b, _| Value::from(f(a) > f(b))),
+        other => panic!("eval called on non-computational opcode {other}"),
+    }
+}
+
 /// Evaluates a computational opcode on up to three source values.
 ///
 /// # Panics
@@ -24,72 +141,21 @@ fn fb(v: f32) -> Value {
 /// Panics if `op` is not a computational opcode (memory, control and
 /// pseudo-instructions are executed by the pipeline, not here).
 pub fn eval(op: Opcode, s: [Value; 3]) -> Value {
-    let (a, b, c) = (s[0] as i64, s[1] as i64, s[2] as i64);
-    match op {
-        Opcode::IAdd => a.wrapping_add(b) as Value,
-        Opcode::ISub => a.wrapping_sub(b) as Value,
-        Opcode::IMul => a.wrapping_mul(b) as Value,
-        Opcode::IMad => a.wrapping_mul(b).wrapping_add(c) as Value,
-        Opcode::IDiv => {
-            if b == 0 {
-                0
-            } else {
-                a.wrapping_div(b) as Value
-            }
-        }
-        Opcode::IRem => {
-            if b == 0 {
-                0
-            } else {
-                a.wrapping_rem(b) as Value
-            }
-        }
-        Opcode::IMin => a.min(b) as Value,
-        Opcode::IMax => a.max(b) as Value,
-        Opcode::And => s[0] & s[1],
-        Opcode::Or => s[0] | s[1],
-        Opcode::Xor => s[0] ^ s[1],
-        Opcode::Shl => s[0] << (s[1] & 63),
-        Opcode::Shr => s[0] >> (s[1] & 63),
-        Opcode::FAdd => fb(f(s[0]) + f(s[1])),
-        Opcode::FSub => fb(f(s[0]) - f(s[1])),
-        Opcode::FMul => fb(f(s[0]) * f(s[1])),
-        Opcode::FFma => fb(f(s[0]).mul_add(f(s[1]), f(s[2]))),
-        Opcode::FDiv => {
-            let d = f(s[1]);
-            fb(if d == 0.0 { 0.0 } else { f(s[0]) / d })
-        }
-        Opcode::FSqrt => fb(f(s[0]).max(0.0).sqrt()),
-        Opcode::FExp => fb(f(s[0]).exp()),
-        Opcode::FMin => fb(f(s[0]).min(f(s[1]))),
-        Opcode::FMax => fb(f(s[0]).max(f(s[1]))),
-        Opcode::I2F => fb(a as f32),
-        Opcode::F2I => (f(s[0]) as i64) as Value,
-        Opcode::Mov => s[0],
-        Opcode::Sel => {
-            if s[0] != 0 {
-                s[1]
-            } else {
-                s[2]
-            }
-        }
-        Opcode::SetP(cmp) => {
-            let r = match cmp {
-                Cmp::Eq => a == b,
-                Cmp::Ne => a != b,
-                Cmp::Lt => a < b,
-                Cmp::Le => a <= b,
-                Cmp::Gt => a > b,
-                Cmp::Ge => a >= b,
-                Cmp::FLt => f(s[0]) < f(s[1]),
-                Cmp::FGt => f(s[0]) > f(s[1]),
-            };
-            Value::from(r)
-        }
-        other => panic!("eval called on non-computational opcode {other}"),
-    }
+    dispatch(op, Lane(s))
 }
 
+/// Evaluates a computational opcode on every lane of three source rows
+/// (`s[k][lane]` is lane `lane`'s `k`-th operand), returning one result
+/// per lane. Inactive lanes are computed too — no opcode can trap — and
+/// the caller stores only the active ones. Lane for lane the same as
+/// [`eval`].
+///
+/// # Panics
+///
+/// Panics if `op` is not a computational opcode.
+pub fn eval_warp(op: Opcode, s: [&[Value; WARP_SIZE]; 3]) -> [Value; WARP_SIZE] {
+    dispatch(op, Rows(s))
+}
 /// Applies an atomic read-modify-write, returning `(old, new)`.
 pub fn eval_atom(
     op: crate::isa::AtomOp,
@@ -214,6 +280,17 @@ mod tests {
     }
 
     #[test]
+    fn signed_zero_results_are_pinned() {
+        // Ties keep the first operand; sqrt clamps -0.0 to +0.0.
+        let (z, nz) = (fb(0.0), fb(-0.0));
+        assert_eq!(eval(Opcode::FMin, [nz, z, 0]), nz);
+        assert_eq!(eval(Opcode::FMin, [z, nz, 0]), z);
+        assert_eq!(eval(Opcode::FMax, [nz, z, 0]), nz);
+        assert_eq!(eval(Opcode::FMax, [z, nz, 0]), z);
+        assert_eq!(eval(Opcode::FSqrt, [nz, 0, 0]), z);
+    }
+
+    #[test]
     fn division_edge_cases_stay_finite() {
         // 0/0 hits the divide-by-zero guard before it can produce NaN.
         assert_eq!(ef(Opcode::FDiv, 0.0, 0.0), 0.0);
@@ -259,6 +336,104 @@ mod tests {
         assert_eq!(eval_atom(AtomOp::Exch, 5, 3, 0), (5, 3));
         assert_eq!(eval_atom(AtomOp::Cas, 5, 5, 9), (5, 9));
         assert_eq!(eval_atom(AtomOp::Cas, 5, 4, 9), (5, 5));
+    }
+
+    #[test]
+    fn eval_warp_matches_per_lane_eval() {
+        use crate::isa::Reg;
+        use crate::regfile::WarpRegFile;
+        let cmps = [
+            Cmp::Eq,
+            Cmp::Ne,
+            Cmp::Lt,
+            Cmp::Le,
+            Cmp::Gt,
+            Cmp::Ge,
+            Cmp::FLt,
+            Cmp::FGt,
+        ];
+        let ops: Vec<Opcode> = [
+            Opcode::IAdd,
+            Opcode::ISub,
+            Opcode::IMul,
+            Opcode::IMad,
+            Opcode::IDiv,
+            Opcode::IRem,
+            Opcode::IMin,
+            Opcode::IMax,
+            Opcode::And,
+            Opcode::Or,
+            Opcode::Xor,
+            Opcode::Shl,
+            Opcode::Shr,
+            Opcode::FAdd,
+            Opcode::FSub,
+            Opcode::FMul,
+            Opcode::FFma,
+            Opcode::FDiv,
+            Opcode::FSqrt,
+            Opcode::FExp,
+            Opcode::FMin,
+            Opcode::FMax,
+            Opcode::I2F,
+            Opcode::F2I,
+            Opcode::Mov,
+            Opcode::Sel,
+        ]
+        .into_iter()
+        .chain(cmps.map(Opcode::SetP))
+        .collect();
+        assert_eq!(ops.len(), 34);
+        assert!(ops.iter().all(|op| op.is_compute()));
+        // Every ordered pair of edge operands meets in some lane: i64::MIN
+        // over -1, division by zero, NaN, infinities, signed zero and
+        // shift counts of 64 and more.
+        let edges: [Value; 12] = [
+            0,
+            1,
+            (-1i64) as Value,
+            i64::MIN as Value,
+            i64::MAX as Value,
+            64,
+            70,
+            fb(f32::NAN),
+            fb(f32::INFINITY),
+            fb(-0.0),
+            fb(1.5),
+            fb(-2.25),
+        ];
+        let triples: Vec<[Value; 3]> = (0..edges.len())
+            .flat_map(|i| (0..edges.len()).map(move |j| (i, j)))
+            .map(|(i, j)| [edges[i], edges[j], edges[(i + 5 * j) % edges.len()]])
+            .collect();
+        let sentinel: [Value; WARP_SIZE] = std::array::from_fn(|l| 0xDEAD_0000 + l as Value);
+        for op in ops {
+            for batch in triples.chunks(WARP_SIZE) {
+                let row = |k: usize| -> [Value; WARP_SIZE] {
+                    std::array::from_fn(|l| batch[l % batch.len()][k])
+                };
+                let (a, b, c) = (row(0), row(1), row(2));
+                let out = eval_warp(op, [&a, &b, &c]);
+                for mask in [u32::MAX, 0x5555_5555, 0x8000_0001, 0] {
+                    let mut regs = WarpRegFile::new(1);
+                    regs.write_masked(Reg(0), u32::MAX, &sentinel);
+                    regs.write_masked(Reg(0), mask, &out);
+                    for lane in 0..WARP_SIZE {
+                        let want = if mask & (1 << lane) != 0 {
+                            eval(op, [a[lane], b[lane], c[lane]])
+                        } else {
+                            sentinel[lane]
+                        };
+                        assert_eq!(
+                            regs.read(Reg(0), lane),
+                            want,
+                            "{op} lane {lane} mask {mask:#x} operands {:?}",
+                            [a[lane], b[lane], c[lane]]
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -351,46 +351,54 @@ impl SharedMemory {
 /// addresses: the maximum number of *distinct* addresses mapping to one
 /// bank (accesses to the same address broadcast and do not conflict).
 /// A degree of `d` serializes the access into `d` passes.
+///
+/// Runs on every shared access, so it sorts a stack copy instead of
+/// allocating: keyed bank-major, each bank's distinct words form one run.
+///
+/// # Panics
+///
+/// Panics if given more than [`WARP_SIZE`] addresses (one per lane).
 pub fn bank_conflict_degree(addrs: &[u64]) -> u64 {
-    let mut per_bank: [Vec<u64>; SHARED_BANKS as usize] = Default::default();
-    for &a in addrs {
+    let mut keys = [0u64; WARP_SIZE];
+    let keys = &mut keys[..addrs.len()];
+    for (k, &a) in keys.iter_mut().zip(addrs) {
         let word = a / WORD_BYTES;
-        let bank = (word % SHARED_BANKS) as usize;
-        if !per_bank[bank].contains(&word) {
-            per_bank[bank].push(word);
-        }
+        // Bank in the top bits, the word's other bits below: equal keys
+        // are equal words, and a bank's keys sort next to each other.
+        *k = ((word % SHARED_BANKS) << 58) | (word / SHARED_BANKS);
     }
-    per_bank
-        .iter()
-        .map(|v| v.len() as u64)
-        .max()
-        .unwrap_or(0)
-        .max(1)
+    keys.sort_unstable();
+    let (mut degree, mut run) = (1, 0);
+    let mut prev: Option<u64> = None;
+    for &k in keys.iter() {
+        match prev {
+            Some(p) if p == k => continue,
+            Some(p) if p >> 58 == k >> 58 => run += 1,
+            _ => run = 1,
+        }
+        degree = degree.max(run);
+        prev = Some(k);
+    }
+    degree
 }
 
 /// Coalesces the active lanes' global addresses into 128-byte segments,
 /// writing the distinct segment base addresses into `out` (each becomes
 /// one memory transaction). `out` is cleared first, so a caller can keep
 /// one buffer alive across cycles and never reallocate on the hot path.
+/// Lanes usually address ascending memory, so the sort is skipped when
+/// the segments already are in order.
 pub fn coalesce_into(addrs: &[u64], out: &mut Vec<u64>) {
     out.clear();
     out.extend(addrs.iter().map(|a| (a / LINE_BYTES) * LINE_BYTES));
-    out.sort_unstable();
+    if !out.is_sorted() {
+        out.sort_unstable();
+    }
     out.dedup();
-}
-
-/// Coalesces the active lanes' global addresses into 128-byte segments,
-/// returning the distinct segment base addresses (each becomes one memory
-/// transaction).
-pub fn coalesce(addrs: &[u64]) -> Vec<u64> {
-    let mut segs = Vec::with_capacity(addrs.len());
-    coalesce_into(addrs, &mut segs);
-    segs
 }
 
 /// Collects the byte addresses of the active lanes for a memory
 /// instruction (`base[lane] + offset`) into `out`, clearing it first.
-/// The buffer-reuse twin of [`lane_addresses`].
 pub fn lane_addresses_into(
     out: &mut Vec<u64>,
     mask: u32,
@@ -403,14 +411,6 @@ pub fn lane_addresses_into(
             .filter(|&l| mask & (1 << l) != 0)
             .map(|l| base(l).wrapping_add(offset as u64)),
     );
-}
-
-/// Collects the byte addresses of the active lanes for a memory
-/// instruction: `base[lane] + offset`.
-pub fn lane_addresses(mask: u32, base: impl Fn(usize) -> u64, offset: i64) -> Vec<u64> {
-    let mut addrs = Vec::with_capacity(WARP_SIZE);
-    lane_addresses_into(&mut addrs, mask, base, offset);
-    addrs
 }
 
 /// MSHR-style tracker of in-flight memory transactions for one SM.
@@ -677,24 +677,46 @@ mod tests {
         let bcast = vec![64u64; 32];
         assert_eq!(bank_conflict_degree(&bcast), 1);
         assert_eq!(bank_conflict_degree(&[]), 1);
+        // A repeated word inside a conflicting bank counts once.
+        assert_eq!(bank_conflict_degree(&[0, 256, 0, 256]), 2);
+        // Bytes of one word are one address; descending lanes and a
+        // second conflicting bank leave the maximum alone.
+        assert_eq!(bank_conflict_degree(&[7, 0, 3]), 1);
+        assert_eq!(bank_conflict_degree(&[8 + 512, 8 + 256, 8, 512, 256]), 3);
+        // Words far apart in memory still share bank 0.
+        assert_eq!(bank_conflict_degree(&[0, 1 << 40, 1 << 62]), 3);
     }
 
     #[test]
     fn coalescing_merges_within_segment() {
+        let mut segs = Vec::new();
         // 32 consecutive words = 256 bytes = 2 segments.
         let unit: Vec<u64> = (0..32u64).map(|i| i * 8).collect();
-        assert_eq!(coalesce(&unit).len(), 2);
+        coalesce_into(&unit, &mut segs);
+        assert_eq!(segs, vec![0, 128]);
         // Strided by 128: every lane its own segment.
         let strided: Vec<u64> = (0..32u64).map(|i| i * 128).collect();
-        assert_eq!(coalesce(&strided).len(), 32);
+        coalesce_into(&strided, &mut segs);
+        assert_eq!(segs.len(), 32);
         // Same address: one segment.
-        assert_eq!(coalesce(&[8, 8, 8]).len(), 1);
+        coalesce_into(&[8, 8, 8], &mut segs);
+        assert_eq!(segs, vec![0]);
+        // Unsorted lanes take the sorting path.
+        coalesce_into(&[300, 8, 8], &mut segs);
+        assert_eq!(segs, vec![0, 256]);
+        // Descending lanes: ascending, distinct segments out.
+        let descending: Vec<u64> = (0..32u64).rev().map(|i| i * 64).collect();
+        coalesce_into(&descending, &mut segs);
+        assert_eq!(segs, (0..16u64).map(|i| i * 128).collect::<Vec<_>>());
     }
 
     #[test]
     fn lane_addresses_respect_mask_and_offset() {
-        let addrs = lane_addresses(0b101, |l| l as u64 * 100, 8);
+        let mut addrs = Vec::new();
+        lane_addresses_into(&mut addrs, 0b101, |l| l as u64 * 100, 8);
         assert_eq!(addrs, vec![8, 208]);
+        lane_addresses_into(&mut addrs, 0, |l| l as u64, 0);
+        assert!(addrs.is_empty());
     }
 
     #[test]

@@ -141,9 +141,13 @@ impl Scheduler {
                         self.active.push(c.slot);
                     }
                 }
-                let mut act: Vec<usize> = self.active.clone();
-                act.sort_unstable();
-                *act.iter().find(|&&s| s > self.rr_after).unwrap_or(&act[0])
+                // Round-robin in slot order over the active set: the
+                // smallest active slot above `rr_after`, else the smallest.
+                let rr_after = self.rr_after;
+                let above = self.active.iter().copied().filter(|&s| s > rr_after).min();
+                above
+                    .or_else(|| self.active.iter().copied().min())
+                    .expect("an eligible warp joined the active set")
             }
         };
         self.last = Some(chosen);

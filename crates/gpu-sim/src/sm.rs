@@ -3,7 +3,7 @@
 //! resilience attachment hooks.
 
 use crate::config::GpuConfig;
-use crate::exec::{eval, eval_atom};
+use crate::exec::{eval_atom, eval_warp};
 use crate::isa::{AtomOp, MemSpace, Opcode, Operand, Reg, Special};
 use crate::memory::{
     bank_conflict_degree, coalesce_into, lane_addresses_into, Cache, CacheOutcome, GlobalMemory,
@@ -14,7 +14,7 @@ use crate::regfile::{Value, WarpRegFile};
 use crate::resilience::{BoundaryAction, SmAttachment};
 use crate::scheduler::{Candidate, Scheduler, SchedulerKind};
 use crate::stats::SimStats;
-use crate::uop::UopKernel;
+use crate::uop::{IssueGate, UopKernel};
 use crate::warp::{RecoveryPoint, Warp, WarpState, WARP_SIZE};
 use flame_trace::{Event as TraceEvent, TraceBuffer, Tracer};
 
@@ -79,7 +79,7 @@ struct CtaState {
 struct AtomicLogEntry {
     pc: u32,
     mask: u32,
-    old: Vec<Value>,
+    old: [Value; WARP_SIZE],
 }
 
 /// One global-memory operation issued this cycle whose shared-state
@@ -185,6 +185,14 @@ struct Slot {
     /// Replay position after a rollback (log entries before it are
     /// replayed rather than re-applied).
     replay_cursor: usize,
+    /// Issue gate of the instruction at the warp's pc, computed by the
+    /// first scan that reaches the warp there. Cleared wherever the pc
+    /// or the pending writes change: at issue, when `apply_global`
+    /// completes a load, on rollback, CTA relaunch and PC corruption (a
+    /// boundary advance happens only while the gate is clear). The load
+    /// clear guards the rule rather than a live path: a load completes
+    /// in its issue cycle's drain, before the warp's next scan.
+    gate: Option<IssueGate>,
 }
 
 /// Per-cause counts of warps blocked from issuing this cycle (for stall
@@ -233,6 +241,37 @@ impl StallCause {
     }
 }
 
+/// The 32 lane values of operand `o`: a register's row in place, or an
+/// immediate or special register expanded into `buf`.
+#[inline]
+fn operand_row<'a>(
+    regs: &'a WarpRegFile,
+    o: Operand,
+    special: &impl Fn(Special, usize) -> Value,
+    buf: &'a mut [Value; WARP_SIZE],
+) -> &'a [Value; WARP_SIZE] {
+    match o {
+        Operand::Reg(r) => regs.row(r),
+        Operand::Imm(v) => {
+            *buf = [v as Value; WARP_SIZE];
+            buf
+        }
+        Operand::Special(sp) => {
+            for (lane, v) in buf.iter_mut().enumerate() {
+                *v = special(sp, lane);
+            }
+            buf
+        }
+    }
+}
+
+/// The lanes set in `mask`, ascending: the order in which
+/// `lane_addresses_into` lists their addresses.
+#[inline]
+fn lanes(mask: u32) -> impl Iterator<Item = usize> {
+    (0..WARP_SIZE).filter(move |&l| mask & (1 << l) != 0)
+}
+
 /// A streaming multiprocessor.
 pub struct Sm {
     id: usize,
@@ -263,6 +302,10 @@ pub struct Sm {
     /// Resident-CTA count maintained by launch/retire, making
     /// [`Sm::busy`] O(1) (it is polled every cycle per SM).
     resident_ctas: usize,
+    /// Empty warp slots, maintained by launch/retire: with
+    /// `resident_ctas` it makes [`Sm::can_accept`] O(1) (it is polled
+    /// every cycle per SM until the grid drains).
+    free_slots: usize,
     /// Scratch for the eligibility scan, reused across cycles.
     eligible_buf: Vec<Candidate>,
     /// Scratch for active-lane byte addresses of a memory instruction.
@@ -307,6 +350,7 @@ pub struct SmSnapshot {
     attachment: Box<dyn SmAttachment + Send + Sync>,
     stats: SimStats,
     resident_ctas: usize,
+    free_slots: usize,
 }
 
 impl std::fmt::Debug for SmSnapshot {
@@ -344,6 +388,7 @@ impl Sm {
             wake_buf: Vec::new(),
             latency: cfg.latency,
             resident_ctas: 0,
+            free_slots: cfg.max_warps_per_sm,
             eligible_buf: Vec::with_capacity(cfg.max_warps_per_sm),
             addr_buf: Vec::with_capacity(WARP_SIZE),
             seg_buf: Vec::with_capacity(WARP_SIZE),
@@ -386,6 +431,7 @@ impl Sm {
             attachment: self.attachment.snapshot_box()?,
             stats: self.stats,
             resident_ctas: self.resident_ctas,
+            free_slots: self.free_slots,
         })
     }
 
@@ -427,6 +473,7 @@ impl Sm {
             .expect("snapshot attachment must remain snapshotable");
         self.stats = snap.stats;
         self.resident_ctas = snap.resident_ctas;
+        self.free_slots = snap.free_slots;
         // Deferred work never crosses a cycle, let alone a snapshot.
         debug_assert!(self.pending.ops.is_empty());
         self.pending.clear();
@@ -449,9 +496,15 @@ impl Sm {
 
     /// Whether a new CTA (of `warps` warps) can be installed.
     pub fn can_accept(&self, warps: u32) -> bool {
-        let free_cta = self.ctas.iter().any(Option::is_none);
-        let free_slots = self.slots.iter().filter(|s| s.is_none()).count();
-        free_cta && free_slots >= warps as usize
+        debug_assert_eq!(
+            self.free_slots,
+            self.slots.iter().filter(|s| s.is_none()).count()
+        );
+        debug_assert_eq!(
+            self.ctas.len() - self.resident_ctas,
+            self.ctas.iter().filter(|c| c.is_none()).count()
+        );
+        self.resident_ctas < self.ctas.len() && self.free_slots >= warps as usize
     }
 
     /// Warp slots currently holding a live (non-finished) warp. Lazy —
@@ -516,9 +569,11 @@ impl Sm {
                 last_write: None,
                 atomic_log: Vec::new(),
                 replay_cursor: 0,
+                gate: None,
             });
             warp_slots.push(slot);
         }
+        self.free_slots -= warp_slots.len();
         self.ctas[cta_slot] = Some(CtaState {
             coords: dims.cta_coords(cta_linear),
             live_warps: warps as usize,
@@ -660,10 +715,18 @@ impl Sm {
     /// anywhere, or `None` if it is fully quiescent. The event sources,
     /// exhaustively: a memory transaction retires (frees an MSHR), the
     /// resilience attachment wakes a warp (RBQ pop), a blocked scheduler's
-    /// stall expires, or a pending register write completes (unblocks a
-    /// scoreboarded warp). Everything else — dispatch, barriers, boundary
-    /// processing, scheduler policy state — only changes on an issue, and
-    /// an issue anywhere disables the skip for that step.
+    /// stall expires, or a Ready warp's issue gate opens (its scoreboard
+    /// registers are all written). Everything else — dispatch, barriers,
+    /// boundary processing, scheduler policy state — only changes on an
+    /// issue, and an issue anywhere disables the skip for that step.
+    ///
+    /// Only Ready warps contribute a register event, and only through
+    /// their gate: a warp at a barrier or in the RBQ wakes on an issue or
+    /// an RBQ pop, never on a register write, and the full tick after
+    /// that wake computes its gate. Every Ready warp that the last tick
+    /// scanned holds a gate (unless its stack is empty); one the scan did
+    /// not reach belongs to a blocked scheduler, whose unblock is an
+    /// event of its own.
     pub(crate) fn next_event(&self, now: u64) -> Option<u64> {
         let port = self.port.next_completion();
         let attachment = self.attachment.next_event(now);
@@ -677,8 +740,10 @@ impl Sm {
             .slots
             .iter()
             .flatten()
-            .filter(|s| s.warp.state != WarpState::Finished)
-            .filter_map(|s| s.regs.next_pending(now))
+            .filter(|s| s.warp.state == WarpState::Ready)
+            .filter_map(|s| s.gate)
+            .map(|g| g.ready_at)
+            .filter(|&r| r > now && r != u64::MAX)
             .min();
         [port, attachment, sched, regs].into_iter().flatten().min()
     }
@@ -740,85 +805,21 @@ impl Sm {
     /// eligible or blocked. Eligible candidates land in
     /// `self.eligible_buf` (reused scratch); blocked warps are tallied by
     /// cause. Runs every cycle per scheduler, so it never allocates.
+    ///
+    /// A Ready warp's first scan at a pc consumes the boundaries there and
+    /// caches the issue gate of the instruction it stops at; later scans
+    /// at the same pc read the gate alone.
     fn scan(&mut self, sched: usize, now: u64, kernel: &UopKernel) -> (BlockTally, usize) {
         let nsched = self.schedulers.len();
         self.eligible_buf.clear();
         let mut tally = BlockTally::default();
         let mut live = 0usize;
         for slot in (sched..self.slots.len()).step_by(nsched) {
-            // Region boundaries are consumed here, before issue: the
-            // scheduler recognizes them and (under Flame) swaps the warp
-            // out, exactly like a long-latency operation would.
-            while let Some(s) = self.slots[slot].as_mut() {
-                if s.warp.state != WarpState::Ready {
-                    break;
-                }
-                let Some(pc) = s.warp.stack.pc() else { break };
-                if !kernel.is_boundary(pc) {
-                    break;
-                }
-                s.warp.stack.advance(pc + 1);
-                let resume = s.warp.recovery_point();
-                self.stats.resilience.boundaries += 1;
-                self.tracer.emit(
-                    now,
-                    TraceEvent::RegionEnter {
-                        slot: slot as u32,
-                        pc: pc + 1,
-                    },
-                );
-                match self.attachment.on_boundary(now, slot, resume, &s.regs) {
-                    BoundaryAction::Continue => {
-                        // The recovery point advanced past the region:
-                        // its atomics are committed.
-                        s.atomic_log.clear();
-                        s.replay_cursor = 0;
-                        self.tracer
-                            .emit(now, TraceEvent::RegionCommit { slot: slot as u32 });
-                    }
-                    BoundaryAction::Deschedule => {
-                        s.warp.state = WarpState::InRbq;
-                        self.stats.resilience.deschedules += 1;
-                        if self.tracer.on() {
-                            let depth = self.attachment.queue_depth() as u32;
-                            self.tracer.emit(
-                                now,
-                                TraceEvent::RbqEnqueue {
-                                    slot: slot as u32,
-                                    depth,
-                                },
-                            );
-                        }
-                    }
-                    BoundaryAction::BlockScheduler(n) => {
-                        self.sched_blocked_until[sched] = now + u64::from(n);
-                        s.atomic_log.clear();
-                        s.replay_cursor = 0;
-                        if self.tracer.on() {
-                            self.tracer.emit(
-                                now,
-                                TraceEvent::SchedBlock {
-                                    sched: sched as u32,
-                                    until: now + u64::from(n),
-                                },
-                            );
-                            self.tracer
-                                .emit(now, TraceEvent::RegionCommit { slot: slot as u32 });
-                        }
-                    }
-                }
-                if self.sched_blocked_until[sched] > now {
-                    break;
-                }
-            }
-            if self.sched_blocked_until[sched] > now {
-                // Naive verification blocked the whole scheduler.
-                break;
-            }
             let Some(s) = self.slots[slot].as_ref() else {
                 continue;
             };
-            match s.warp.state {
+            let age = s.warp.launch_cycle;
+            let cached = match s.warp.state {
                 WarpState::Finished => continue,
                 WarpState::AtBarrier => {
                     live += 1;
@@ -830,28 +831,126 @@ impl Sm {
                     tally.rbq += 1;
                     continue;
                 }
-                WarpState::Ready => {}
-            }
-            live += 1;
-            let Some(pc) = s.warp.stack.pc() else {
-                continue;
+                WarpState::Ready => s.gate,
             };
+            let gate = if let Some(gate) = cached {
+                // Neither the pc nor a pending write changed since the
+                // gate was computed: no SIMT-stack, boundary or
+                // scoreboard probe. Debug builds recompute it.
+                debug_assert_eq!(
+                    Some(gate),
+                    s.warp.stack.pc().map(|pc| kernel.issue_gate(pc, &s.regs)),
+                    "stale issue gate in slot {slot}"
+                );
+                gate
+            } else {
+                if !self.consume_boundaries(sched, slot, now, kernel) {
+                    // Naive verification blocked the whole scheduler.
+                    break;
+                }
+                let s = self.slots[slot].as_mut().expect("scanned slot is live");
+                if s.warp.state == WarpState::InRbq {
+                    live += 1;
+                    tally.rbq += 1;
+                    continue;
+                }
+                let Some(pc) = s.warp.stack.pc() else {
+                    live += 1;
+                    continue;
+                };
+                let gate = kernel.issue_gate(pc, &s.regs);
+                s.gate = Some(gate);
+                gate
+            };
+            live += 1;
             // Structural hazard: global memory ops need an MSHR.
-            if kernel.needs_mshr(pc) && self.port.free() == 0 {
+            if gate.needs_mshr && self.port.free() == 0 {
                 tally.mshr_full += 1;
                 continue;
             }
             // Scoreboard: all read and written registers must be ready.
-            if !kernel.scoreboard_ready(pc, &s.regs, now) {
+            if gate.ready_at > now {
                 tally.scoreboard += 1;
                 continue;
             }
-            self.eligible_buf.push(Candidate {
-                slot,
-                age: s.warp.launch_cycle,
-            });
+            self.eligible_buf.push(Candidate { slot, age });
         }
         (tally, live)
+    }
+
+    /// Consumes the region boundaries at the pc of the Ready warp in
+    /// `slot`, before issue: the scheduler recognizes them and (under
+    /// Flame) swaps the warp out, exactly like a long-latency operation
+    /// would. Stops at the first other instruction, or when the warp is
+    /// descheduled. Returns `false` if a boundary blocked the scheduler.
+    fn consume_boundaries(
+        &mut self,
+        sched: usize,
+        slot: usize,
+        now: u64,
+        kernel: &UopKernel,
+    ) -> bool {
+        let s = self.slots[slot].as_mut().expect("scanned slot is live");
+        while s.warp.state == WarpState::Ready {
+            let Some(pc) = s.warp.stack.pc() else { break };
+            if !kernel.is_boundary(pc) {
+                break;
+            }
+            s.warp.stack.advance(pc + 1);
+            let resume = s.warp.recovery_point();
+            self.stats.resilience.boundaries += 1;
+            self.tracer.emit(
+                now,
+                TraceEvent::RegionEnter {
+                    slot: slot as u32,
+                    pc: pc + 1,
+                },
+            );
+            match self.attachment.on_boundary(now, slot, resume, &s.regs) {
+                BoundaryAction::Continue => {
+                    // The recovery point advanced past the region: its
+                    // atomics are committed.
+                    s.atomic_log.clear();
+                    s.replay_cursor = 0;
+                    self.tracer
+                        .emit(now, TraceEvent::RegionCommit { slot: slot as u32 });
+                }
+                BoundaryAction::Deschedule => {
+                    s.warp.state = WarpState::InRbq;
+                    self.stats.resilience.deschedules += 1;
+                    if self.tracer.on() {
+                        let depth = self.attachment.queue_depth() as u32;
+                        self.tracer.emit(
+                            now,
+                            TraceEvent::RbqEnqueue {
+                                slot: slot as u32,
+                                depth,
+                            },
+                        );
+                    }
+                }
+                BoundaryAction::BlockScheduler(n) => {
+                    self.sched_blocked_until[sched] = now + u64::from(n);
+                    s.atomic_log.clear();
+                    s.replay_cursor = 0;
+                    if self.tracer.on() {
+                        self.tracer.emit(
+                            now,
+                            TraceEvent::SchedBlock {
+                                sched: sched as u32,
+                                until: now + u64::from(n),
+                            },
+                        );
+                        self.tracer
+                            .emit(now, TraceEvent::RegionCommit { slot: slot as u32 });
+                    }
+                }
+            }
+            if self.sched_blocked_until[sched] > now {
+                return false;
+            }
+        }
+        true
     }
 
     /// Issues and functionally executes one instruction from `slot`.
@@ -861,6 +960,9 @@ impl Sm {
     #[allow(clippy::too_many_lines)]
     fn issue(&mut self, slot: usize, now: u64, kernel: &UopKernel, dims: &LaunchDims) {
         let s = self.slots[slot].as_mut().expect("issued slot is live");
+        // The pc moves and pending writes change: the next scan computes
+        // the gate of whatever instruction the warp stands at then.
+        s.gate = None;
         let pc = s.warp.stack.pc().expect("issued warp has a pc");
         let u = kernel.uop(pc);
         let active = s.warp.stack.active_mask();
@@ -889,30 +991,18 @@ impl Sm {
                 Special::LaneId => lane as u64,
             }
         };
-        let read_op = |regs: &WarpRegFile, o: Operand, lane: usize| -> Value {
-            match o {
-                Operand::Reg(r) => regs.read(r, lane),
-                Operand::Imm(v) => v as Value,
-                Operand::Special(sp) => special(sp, lane),
+
+        // Guard predicate: the active lanes whose predicate matches. A
+        // branch's guard picks the lanes that take it; any other op runs
+        // on its guard's lanes alone.
+        let guard = match u.pred {
+            None => active,
+            Some((p, sense)) => {
+                let set = s.regs.nonzero_lanes(p);
+                active & if sense { set } else { !set }
             }
         };
-
-        // Guard predicate.
-        let mut mask = active;
-        if let Some((p, sense)) = u.pred {
-            if u.op != Opcode::Bra {
-                let mut m = 0u32;
-                for lane in 0..WARP_SIZE {
-                    if active & (1 << lane) != 0 {
-                        let v = s.regs.read(p, lane) != 0;
-                        if v == sense {
-                            m |= 1 << lane;
-                        }
-                    }
-                }
-                mask = m;
-            }
-        }
+        let mask = if u.op == Opcode::Bra { active } else { guard };
 
         self.stats.instructions += 1;
         self.stats.thread_instructions += u64::from(active.count_ones());
@@ -926,21 +1016,7 @@ impl Sm {
 
         match u.op {
             Opcode::Bra => {
-                let target = u.target_pc;
-                let reconv = u.reconv_pc;
-                let taken = match u.pred {
-                    None => active,
-                    Some((p, sense)) => {
-                        let mut t = 0u32;
-                        for lane in 0..WARP_SIZE {
-                            if active & (1 << lane) != 0 && (s.regs.read(p, lane) != 0) == sense {
-                                t |= 1 << lane;
-                            }
-                        }
-                        t
-                    }
-                };
-                s.warp.stack.branch(taken, target, pc + 1, reconv);
+                s.warp.stack.branch(guard, u.target_pc, pc + 1, u.reconv_pc);
             }
             Opcode::Exit => {
                 s.warp.stack.exit_lanes(mask);
@@ -976,13 +1052,9 @@ impl Sm {
                 }
             }
             Opcode::Ld(space) => {
-                let base = u.srcs[0];
-                lane_addresses_into(
-                    &mut self.addr_buf,
-                    mask,
-                    |l| read_op(&s.regs, base, l),
-                    u.offset,
-                );
+                let mut b0 = [0; WARP_SIZE];
+                let base = operand_row(&s.regs, u.srcs[0], &special, &mut b0);
+                lane_addresses_into(&mut self.addr_buf, mask, |l| base[l], u.offset);
                 let dst = u.dst.expect("load has a destination");
                 match space {
                     MemSpace::Global => {
@@ -1006,11 +1078,7 @@ impl Sm {
                         self.pending.segs.extend_from_slice(&self.seg_buf);
                         let lane0 = self.pending.lanes.len();
                         let addr0 = self.pending.addrs.len();
-                        for lane in 0..WARP_SIZE {
-                            if mask & (1 << lane) != 0 {
-                                self.pending.lanes.push(lane);
-                            }
-                        }
+                        self.pending.lanes.extend(lanes(mask));
                         self.pending.addrs.extend_from_slice(&self.addr_buf);
                         self.pending.ops.push(PendingOp::Load {
                             slot,
@@ -1029,26 +1097,16 @@ impl Sm {
                         let degree = bank_conflict_degree(&self.addr_buf);
                         self.stats.mem.shared_accesses += 1;
                         self.stats.mem.bank_conflicts += degree - 1;
-                        for lane in 0..WARP_SIZE {
-                            if mask & (1 << lane) != 0 {
-                                let addr =
-                                    read_op(&s.regs, base, lane).wrapping_add(u.offset as u64);
-                                let v = cta.shared.read(addr);
-                                s.regs.write(dst, lane, v);
-                            }
+                        for (lane, &addr) in lanes(mask).zip(&self.addr_buf) {
+                            s.regs.write(dst, lane, cta.shared.read(addr));
                         }
                         s.regs
                             .set_pending(dst, now + self.latency.shared + degree - 1);
                     }
                     MemSpace::Local => {
-                        for lane in 0..WARP_SIZE {
-                            if mask & (1 << lane) != 0 {
-                                let addr =
-                                    read_op(&s.regs, base, lane).wrapping_add(u.offset as u64);
-                                let w = (addr / WORD_BYTES) as usize % s.local_words;
-                                let v = s.local[lane * s.local_words + w];
-                                s.regs.write(dst, lane, v);
-                            }
+                        for (lane, &addr) in lanes(mask).zip(&self.addr_buf) {
+                            let w = (addr / WORD_BYTES) as usize % s.local_words;
+                            s.regs.write(dst, lane, s.local[lane * s.local_words + w]);
                         }
                         s.regs.set_pending(dst, now + self.latency.l1_hit);
                     }
@@ -1056,14 +1114,10 @@ impl Sm {
                 s.warp.stack.advance(pc + 1);
             }
             Opcode::St(space) => {
-                let base = u.srcs[0];
-                let val_op = u.srcs[1];
-                lane_addresses_into(
-                    &mut self.addr_buf,
-                    mask,
-                    |l| read_op(&s.regs, base, l),
-                    u.offset,
-                );
+                let [mut b0, mut b1] = [[0; WARP_SIZE]; 2];
+                let base = operand_row(&s.regs, u.srcs[0], &special, &mut b0);
+                let vals = operand_row(&s.regs, u.srcs[1], &special, &mut b1);
+                lane_addresses_into(&mut self.addr_buf, mask, |l| base[l], u.offset);
                 match space {
                     MemSpace::Global => {
                         coalesce_into(&self.addr_buf, &mut self.seg_buf);
@@ -1090,11 +1144,7 @@ impl Sm {
                         let addr0 = self.pending.addrs.len();
                         self.pending.addrs.extend_from_slice(&self.addr_buf);
                         let val0 = self.pending.vals.len();
-                        for lane in 0..WARP_SIZE {
-                            if mask & (1 << lane) != 0 {
-                                self.pending.vals.push(read_op(&s.regs, val_op, lane));
-                            }
-                        }
+                        self.pending.vals.extend(lanes(mask).map(|l| vals[l]));
                         self.pending.ops.push(PendingOp::Store {
                             seg0,
                             nseg: self.seg_buf.len(),
@@ -1107,37 +1157,23 @@ impl Sm {
                         let degree = bank_conflict_degree(&self.addr_buf);
                         self.stats.mem.shared_accesses += 1;
                         self.stats.mem.bank_conflicts += degree - 1;
-                        for lane in 0..WARP_SIZE {
-                            if mask & (1 << lane) != 0 {
-                                let addr =
-                                    read_op(&s.regs, base, lane).wrapping_add(u.offset as u64);
-                                let v = read_op(&s.regs, val_op, lane);
-                                cta.shared.write(addr, v);
-                            }
+                        for (lane, &addr) in lanes(mask).zip(&self.addr_buf) {
+                            cta.shared.write(addr, vals[lane]);
                         }
                     }
                     MemSpace::Local => {
-                        for lane in 0..WARP_SIZE {
-                            if mask & (1 << lane) != 0 {
-                                let addr =
-                                    read_op(&s.regs, base, lane).wrapping_add(u.offset as u64);
-                                let v = read_op(&s.regs, val_op, lane);
-                                let w = (addr / WORD_BYTES) as usize % s.local_words;
-                                s.local[lane * s.local_words + w] = v;
-                            }
+                        for (lane, &addr) in lanes(mask).zip(&self.addr_buf) {
+                            let w = (addr / WORD_BYTES) as usize % s.local_words;
+                            s.local[lane * s.local_words + w] = vals[lane];
                         }
                     }
                 }
                 s.warp.stack.advance(pc + 1);
             }
             Opcode::Atom(space, aop) => {
-                let base = u.srcs[0];
-                lane_addresses_into(
-                    &mut self.addr_buf,
-                    mask,
-                    |l| read_op(&s.regs, base, l),
-                    u.offset,
-                );
+                let [mut b0, mut b1, mut b2] = [[0; WARP_SIZE]; 3];
+                let base = operand_row(&s.regs, u.srcs[0], &special, &mut b0);
+                lane_addresses_into(&mut self.addr_buf, mask, |l| base[l], u.offset);
                 // Serialization: the maximum number of lanes contending on
                 // one address. Quadratic over ≤32 lanes beats the old
                 // clone-and-sort: no allocation on the issue path. The
@@ -1180,11 +1216,7 @@ impl Sm {
                     let e = &s.atomic_log[s.replay_cursor];
                     if e.pc == pc && e.mask == mask {
                         if let Some(d) = u.dst {
-                            for lane in 0..WARP_SIZE {
-                                if mask & (1 << lane) != 0 {
-                                    s.regs.write(d, lane, e.old[lane]);
-                                }
-                            }
+                            s.regs.write_masked(d, mask, &e.old);
                         }
                         s.replay_cursor += 1;
                         true
@@ -1200,6 +1232,10 @@ impl Sm {
                     false
                 };
                 if !replayed {
+                    // Copied out: the result writeback below may target
+                    // an operand register.
+                    let operand = *operand_row(&s.regs, u.srcs[1], &special, &mut b1);
+                    let operand2 = *operand_row(&s.regs, u.srcs[2], &special, &mut b2);
                     if space == MemSpace::Global {
                         // Fresh global RMW: the memory reads/writes, the
                         // log entry and the result writeback defer to
@@ -1209,13 +1245,9 @@ impl Sm {
                         let addr0 = self.pending.addrs.len();
                         let val0 = self.pending.vals.len();
                         let val20 = self.pending.vals2.len();
-                        for lane in 0..WARP_SIZE {
-                            if mask & (1 << lane) != 0 {
-                                self.pending.lanes.push(lane);
-                                self.pending.vals.push(read_op(&s.regs, u.srcs[1], lane));
-                                self.pending.vals2.push(read_op(&s.regs, u.srcs[2], lane));
-                            }
-                        }
+                        self.pending.lanes.extend(lanes(mask));
+                        self.pending.vals.extend(lanes(mask).map(|l| operand[l]));
+                        self.pending.vals2.extend(lanes(mask).map(|l| operand2[l]));
                         self.pending.addrs.extend_from_slice(&self.addr_buf);
                         self.pending.ops.push(PendingOp::Atom {
                             slot,
@@ -1235,32 +1267,26 @@ impl Sm {
                         let mut entry = AtomicLogEntry {
                             pc,
                             mask,
-                            old: vec![0; WARP_SIZE],
+                            old: [0; WARP_SIZE],
                         };
-                        for lane in 0..WARP_SIZE {
-                            if mask & (1 << lane) != 0 {
-                                let addr =
-                                    read_op(&s.regs, base, lane).wrapping_add(u.offset as u64);
-                                let operand = read_op(&s.regs, u.srcs[1], lane);
-                                let operand2 = read_op(&s.regs, u.srcs[2], lane);
-                                let old = if space == MemSpace::Shared {
-                                    cta.shared.read(addr)
-                                } else {
-                                    let w = (addr / WORD_BYTES) as usize % s.local_words;
-                                    s.local[lane * s.local_words + w]
-                                };
-                                let (old, new) = eval_atom(aop, old, operand, operand2);
-                                if space == MemSpace::Shared {
-                                    cta.shared.write(addr, new);
-                                } else {
-                                    let w = (addr / WORD_BYTES) as usize % s.local_words;
-                                    s.local[lane * s.local_words + w] = new;
-                                }
-                                entry.old[lane] = old;
-                                if let Some(d) = u.dst {
-                                    s.regs.write(d, lane, old);
-                                }
+                        for (lane, &addr) in lanes(mask).zip(&self.addr_buf) {
+                            let w = (addr / WORD_BYTES) as usize % s.local_words;
+                            let word = lane * s.local_words + w;
+                            let old = if space == MemSpace::Shared {
+                                cta.shared.read(addr)
+                            } else {
+                                s.local[word]
+                            };
+                            let (old, new) = eval_atom(aop, old, operand[lane], operand2[lane]);
+                            if space == MemSpace::Shared {
+                                cta.shared.write(addr, new);
+                            } else {
+                                s.local[word] = new;
                             }
+                            entry.old[lane] = old;
+                        }
+                        if let Some(d) = u.dst {
+                            s.regs.write_masked(d, mask, &entry.old);
                         }
                         s.atomic_log.push(entry);
                         s.replay_cursor = s.atomic_log.len();
@@ -1278,21 +1304,22 @@ impl Sm {
                 unreachable!("region boundaries are consumed by the scheduler scan")
             }
             _ => {
-                // Computational opcode. Unused source slots are padded with
-                // `Imm(0)` at lowering time, matching the zero-initialised
-                // operand array the evaluator has always seen.
+                // Computational opcode, evaluated across the warp: one
+                // opcode match, whole source rows, one masked store.
+                // Unused source slots are padded with `Imm(0)` at lowering
+                // time, matching the zero-initialised operand array the
+                // evaluator has always seen.
                 let dst = u.dst.expect("compute op has a destination");
-                for lane in 0..WARP_SIZE {
-                    if mask & (1 << lane) != 0 {
-                        let srcs = [
-                            read_op(&s.regs, u.srcs[0], lane),
-                            read_op(&s.regs, u.srcs[1], lane),
-                            read_op(&s.regs, u.srcs[2], lane),
-                        ];
-                        let v = eval(u.op, srcs);
-                        s.regs.write(dst, lane, v);
-                    }
-                }
+                let [mut b0, mut b1, mut b2] = [[0; WARP_SIZE]; 3];
+                let out = eval_warp(
+                    u.op,
+                    [
+                        operand_row(&s.regs, u.srcs[0], &special, &mut b0),
+                        operand_row(&s.regs, u.srcs[1], &special, &mut b1),
+                        operand_row(&s.regs, u.srcs[2], &special, &mut b2),
+                    ],
+                );
+                s.regs.write_masked(dst, mask, &out);
                 s.regs.set_pending(dst, now + u.lat);
                 s.warp.stack.advance(pc + 1);
             }
@@ -1368,6 +1395,7 @@ impl Sm {
                         s.regs.write(dst, lane, v);
                     }
                     s.regs.complete(dst, finish);
+                    s.gate = None;
                 }
                 PendingOp::Store {
                     seg0,
@@ -1403,7 +1431,7 @@ impl Sm {
                     let mut entry = AtomicLogEntry {
                         pc,
                         mask,
-                        old: vec![0; WARP_SIZE],
+                        old: [0; WARP_SIZE],
                     };
                     for i in 0..n {
                         let lane = p.lanes[lane0 + i];
@@ -1436,8 +1464,7 @@ impl Sm {
         cta.phase += 1;
         cta.arrivals = 0;
         let phase = cta.phase;
-        let slots = cta.warp_slots.clone();
-        for slot in slots {
+        for &slot in &cta.warp_slots {
             if let Some(s) = self.slots[slot].as_mut() {
                 if s.warp.state == WarpState::AtBarrier {
                     s.warp.state = WarpState::Ready;
@@ -1449,9 +1476,10 @@ impl Sm {
 
     fn retire_cta(&mut self, cta_slot: usize, now: u64) {
         let cta = self.ctas[cta_slot].take().expect("CTA resident");
-        for slot in cta.warp_slots {
+        for &slot in &cta.warp_slots {
             self.slots[slot] = None;
         }
+        self.free_slots += cta.warp_slots.len();
         self.resident_ctas -= 1;
         self.stats.ctas += 1;
         self.tracer.emit(
@@ -1517,6 +1545,7 @@ impl Sm {
                 }
                 s.warp.rollback(&point);
                 s.regs.flush_pending();
+                s.gate = None;
                 // Re-execution replays already-applied atomics from the log.
                 s.replay_cursor = 0;
                 // Checkpointing-based recovery: restore the region's
@@ -1551,7 +1580,10 @@ impl Sm {
     pub fn corrupt_pc(&mut self, slot: usize, xor: u32, code_len: u32) -> Option<u32> {
         self.frozen_until = 0;
         match self.slots.get_mut(slot).and_then(Option::as_mut) {
-            Some(s) if s.warp.state == WarpState::Ready => s.warp.stack.corrupt_pc(xor, code_len),
+            Some(s) if s.warp.state == WarpState::Ready => {
+                s.gate = None;
+                s.warp.stack.corrupt_pc(xor, code_len)
+            }
             _ => None,
         }
     }
@@ -1599,6 +1631,7 @@ impl Sm {
             };
             s.warp.rollback(&s.entry);
             s.regs.flush_pending();
+            s.gate = None;
             s.last_write = None;
             s.atomic_log.clear();
             s.replay_cursor = 0;

@@ -118,14 +118,24 @@ impl MicroOp {
             nsb,
         }
     }
+}
 
-    /// Whether every scoreboard register is ready at `now`.
-    #[inline]
-    pub fn scoreboard_ready(&self, regs: &WarpRegFile, now: u64) -> bool {
-        self.sb[..self.nsb as usize]
-            .iter()
-            .all(|&r| regs.is_ready(r, now))
-    }
+/// What the eligibility scan checks before a warp may issue the micro-op
+/// at `pc`: the structural hazard and the scoreboard, reduced to one flag
+/// and one cycle. A warp slot caches its gate until the warp's pc or
+/// pending writes change, so a stalled warp costs the scan two compares
+/// per cycle and the event-driven clock one cycle per warp.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct IssueGate {
+    /// The PC the gate was computed for.
+    pub(crate) pc: u32,
+    /// Whether the op needs a free MSHR to issue (global-space memory).
+    pub(crate) needs_mshr: bool,
+    /// First cycle at which every scoreboard register (reads, predicate,
+    /// destination) is ready: the op passes the scoreboard at `now` iff
+    /// `ready_at <= now`. `u64::MAX` while one of them waits on a load in
+    /// flight, whose completion changes the pending writes.
+    pub(crate) ready_at: u64,
 }
 
 /// The pre-decoded micro-op cache: one [`MicroOp`] per PC, built once at
@@ -169,16 +179,20 @@ impl UopKernel {
         self.uops[pc as usize].op == Opcode::RegionBoundary
     }
 
-    /// Whether the instruction at `pc` needs a free MSHR to issue.
+    /// The issue gate of the instruction at `pc` for a warp with
+    /// register file `regs`.
     #[inline]
-    pub fn needs_mshr(&self, pc: u32) -> bool {
-        self.uops[pc as usize].needs_mshr
-    }
-
-    /// Whether the instruction at `pc` passes the scoreboard at `now`.
-    #[inline]
-    pub fn scoreboard_ready(&self, pc: u32, regs: &WarpRegFile, now: u64) -> bool {
-        self.uops[pc as usize].scoreboard_ready(regs, now)
+    pub(crate) fn issue_gate(&self, pc: u32, regs: &WarpRegFile) -> IssueGate {
+        let u = &self.uops[pc as usize];
+        IssueGate {
+            pc,
+            needs_mshr: u.needs_mshr,
+            ready_at: u.sb[..u.nsb as usize]
+                .iter()
+                .map(|&r| regs.ready_at(r))
+                .max()
+                .unwrap_or(0),
+        }
     }
 }
 
@@ -228,12 +242,20 @@ mod tests {
         let cache = UopKernel::build(&k, &LatencyConfig::default());
         assert_eq!(cache.len(), k.len());
         assert!(!cache.is_empty());
-        let regs = WarpRegFile::new(k.regs_per_thread);
+        // Distinct pending writes per register, so each gate's cycle
+        // names the register it waits on; one in-flight load.
+        let mut regs = WarpRegFile::new(k.regs_per_thread);
+        for r in 0..k.regs_per_thread as u16 {
+            regs.set_pending(Reg(r), 100 + u64::from(r));
+        }
+        regs.set_pending(Reg(1), u64::MAX);
         for pc in 0..k.len() as u32 {
             let inst = k.inst(pc);
             assert_eq!(cache.is_boundary(pc), inst.op == Opcode::RegionBoundary);
+            let gate = cache.issue_gate(pc, &regs);
+            assert_eq!(gate.pc, pc);
             assert_eq!(
-                cache.needs_mshr(pc),
+                gate.needs_mshr,
                 matches!(
                     inst.op,
                     Opcode::Ld(MemSpace::Global)
@@ -242,12 +264,17 @@ mod tests {
                 ),
                 "pc {pc}"
             );
-            assert_eq!(
-                cache.scoreboard_ready(pc, &regs, 0),
-                inst.reads()
-                    .chain(inst.writes())
-                    .all(|r| regs.is_ready(r, 0))
-            );
+            // The gate opens exactly when every register the instruction
+            // touches is ready.
+            for now in [0, 100, 101, 102, 103, 104, 1 << 40] {
+                assert_eq!(
+                    gate.ready_at <= now,
+                    inst.reads()
+                        .chain(inst.writes())
+                        .all(|r| regs.ready_at(r) <= now),
+                    "pc {pc} at {now}"
+                );
+            }
             assert_eq!(cache.uop(pc).op, inst.op);
         }
     }

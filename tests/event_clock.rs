@@ -131,4 +131,56 @@ fn fault_injection_unchanged_by_fast_forward() {
             "{scheme:?}: output verdict"
         );
     }
+
+    // Control-flow and recovery-hardware strikes on a barrier workload:
+    // PC corruption, region rollback and CTA relaunch, with warps parked
+    // at barriers, must land on the same cycles whether or not the clock
+    // skips.
+    let spec = by_abbr("LUD").expect("known workload");
+    let scheme = Scheme::SensorRenaming;
+    let horizon = run_cell("LUD", scheme, &cfg).stats.cycles;
+    let strike = |cycle: u64, sm: usize, target: StrikeTarget, bit: u8| Strike {
+        cycle,
+        sm,
+        lane: 3,
+        bit,
+        target,
+        detection_latency: cfg.wcdl,
+        detected: true,
+    };
+    let strikes = [
+        strike(horizon / 5, 0, StrikeTarget::ControlFlow, 1),
+        strike(horizon / 4, 1, StrikeTarget::ControlFlow, 4),
+        strike(horizon / 2, 0, StrikeTarget::RecoveryHw, 5),
+        strike(horizon / 2 + 7, 1, StrikeTarget::ControlFlow, 2),
+    ];
+    let run = |fast_forward| {
+        let cfg = with_fast_forward(&cfg, fast_forward);
+        let proto = ProtocolConfig::default();
+        run_with_protocol(
+            &spec,
+            scheme,
+            &cfg,
+            &strikes,
+            &proto,
+            &RunOptions::default(),
+        )
+        .expect("protocol run")
+    };
+    let (fast, slow) = (run(true), run(false));
+    assert!(fast.pc_corruptions >= 2, "control-flow strikes missed");
+    assert_eq!(fast.recovery_corruptions, 1, "recovery strike missed");
+    assert!(fast.recoveries >= 2, "no region rollback");
+    assert!(fast.cta_relaunches >= 1, "no CTA relaunch");
+    let diff = fast.run.stats.diff(&slow.run.stats);
+    assert!(diff.is_empty(), "fast-forward changed {diff:?}");
+    assert_eq!(fast.pc_corruptions, slow.pc_corruptions);
+    assert_eq!(fast.recovery_corruptions, slow.recovery_corruptions);
+    assert_eq!(fast.detections, slow.detections);
+    assert_eq!(fast.recoveries, slow.recoveries);
+    assert_eq!(fast.cta_relaunches, slow.cta_relaunches);
+    assert_eq!(fast.kernel_relaunches, slow.kernel_relaunches);
+    assert_eq!(fast.due, slow.due);
+    assert_eq!(fast.run.output_ok, slow.run.output_ok);
+    assert!(fast.image == slow.image, "final memory differs");
 }
