@@ -2,7 +2,8 @@
 //!
 //! Integer opcodes operate on values as `i64` (wrapping); floating-point
 //! opcodes operate on the low 32 bits as `f32`. Division by zero yields
-//! zero — GPU kernels must not abort the simulator.
+//! zero — GPU kernels must not abort the simulator. Every NaN result is
+//! the one quiet NaN `f32::NAN`.
 //!
 //! Each opcode's semantics is written once, as a scalar closure in
 //! `dispatch`. [`eval`] runs that closure on one lane's operands (the
@@ -18,8 +19,14 @@ fn f(v: Value) -> f32 {
     f32::from_bits(v as u32)
 }
 
+/// A float result as a register value. A NaN becomes `f32::NAN`: which
+/// payload an op on two NaNs returns is left to codegen (commutative ops
+/// follow the operand order the compiler chose), so without this the
+/// simulator and `flame-oracle`, which inline `dispatch` in different
+/// contexts, could disagree in the bits.
 #[inline]
 fn fb(v: f32) -> Value {
+    let v = if v.is_nan() { f32::NAN } else { v };
     Value::from(v.to_bits())
 }
 
@@ -288,6 +295,44 @@ mod tests {
         assert_eq!(eval(Opcode::FMax, [nz, z, 0]), nz);
         assert_eq!(eval(Opcode::FMax, [z, nz, 0]), z);
         assert_eq!(eval(Opcode::FSqrt, [nz, 0, 0]), z);
+    }
+
+    #[test]
+    fn nan_results_are_canonical_in_either_operand_order() {
+        // Two quiet NaNs with distinct payloads, in both orders and in
+        // every operand position, through the scalar and the warp path.
+        let (p, q) = (0x7fc0_0001, 0x7fc0_0002);
+        let one = fb(1.0);
+        let canonical = Value::from(f32::NAN.to_bits());
+        let float_ops = [
+            Opcode::FAdd,
+            Opcode::FSub,
+            Opcode::FMul,
+            Opcode::FFma,
+            Opcode::FDiv,
+            Opcode::FSqrt,
+            Opcode::FExp,
+            Opcode::FMin,
+            Opcode::FMax,
+        ];
+        for op in float_ops {
+            for c in [p, q, one] {
+                let [pq, qp] = [[p, q, c], [q, p, c]].map(|s| {
+                    let lane = eval(op, s);
+                    let rows = s.map(|v| [v; WARP_SIZE]);
+                    let warp = eval_warp(op, [&rows[0], &rows[1], &rows[2]]);
+                    assert!(warp.iter().all(|&v| v == lane), "{op} {s:x?}: warp path");
+                    assert!(
+                        lane == canonical || !f(lane).is_nan(),
+                        "{op} {s:x?} gave NaN payload {lane:#x}"
+                    );
+                    lane
+                });
+                assert_eq!(pq, qp, "{op}: operand order changed the result");
+            }
+        }
+        assert_eq!(eval(Opcode::FAdd, [p, q, 0]), canonical);
+        assert_eq!(eval(Opcode::FSub, [p, one, 0]), canonical);
     }
 
     #[test]

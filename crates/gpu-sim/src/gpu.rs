@@ -7,7 +7,7 @@ use crate::memory::{Cache, GlobalMemory};
 use crate::program::FlatKernel;
 use crate::resilience::{NullAttachment, SmAttachment};
 use crate::scheduler::SchedulerKind;
-use crate::sm::{LaunchDims, Sm, SmSnapshot};
+use crate::sm::{LaunchDims, Sm, SmSnapshot, MAX_WARP_SLOTS};
 use crate::stats::SimStats;
 use crate::uop::UopKernel;
 use crate::warp::WARP_SIZE;
@@ -29,6 +29,14 @@ pub enum LaunchError {
     CtaTooLarge,
     /// The grid is empty.
     EmptyGrid,
+    /// The configuration has more warp slots per SM than the SM's slot
+    /// masks hold.
+    TooManyWarpSlots {
+        /// Slots per SM the configuration asks for.
+        slots: usize,
+        /// Most slots per SM the simulator supports.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for LaunchError {
@@ -42,6 +50,9 @@ impl fmt::Display for LaunchError {
             }
             LaunchError::CtaTooLarge => write!(f, "CTA does not fit on an SM"),
             LaunchError::EmptyGrid => write!(f, "launch grid is empty"),
+            LaunchError::TooManyWarpSlots { slots, limit } => {
+                write!(f, "{slots} warp slots per SM, limit is {limit}")
+            }
         }
     }
 }
@@ -119,6 +130,12 @@ impl Gpu {
         sched: SchedulerKind,
         mut attach: impl FnMut(usize) -> Box<dyn SmAttachment>,
     ) -> Result<Gpu, LaunchError> {
+        if config.max_warps_per_sm > MAX_WARP_SLOTS {
+            return Err(LaunchError::TooManyWarpSlots {
+                slots: config.max_warps_per_sm,
+                limit: MAX_WARP_SLOTS,
+            });
+        }
         if dims.num_ctas() == 0 || dims.threads_per_cta() == 0 {
             return Err(LaunchError::EmptyGrid);
         }
@@ -862,6 +879,29 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, LaunchError::EmptyGrid);
+
+        // One slot past the mask width is refused before any SM exists;
+        // the widest shipped configuration fills it exactly.
+        let wide = GpuConfig {
+            max_warps_per_sm: MAX_WARP_SLOTS + 1,
+            ..GpuConfig::gv100()
+        };
+        let err = Gpu::launch(
+            wide,
+            incr_kernel(),
+            LaunchDims::linear(1, 64),
+            SchedulerKind::Gto,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            LaunchError::TooManyWarpSlots {
+                slots: 65,
+                limit: 64
+            }
+        );
+        assert_eq!(err.to_string(), "65 warp slots per SM, limit is 64");
+        assert_eq!(GpuConfig::gv100().max_warps_per_sm, MAX_WARP_SLOTS);
     }
 
     #[test]

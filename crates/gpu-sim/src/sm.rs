@@ -12,8 +12,8 @@ use crate::memory::{
 use crate::program::FlatKernel;
 use crate::regfile::{Value, WarpRegFile};
 use crate::resilience::{BoundaryAction, SmAttachment};
-use crate::scheduler::{Candidate, Scheduler, SchedulerKind};
-use crate::stats::SimStats;
+use crate::scheduler::{Scheduler, SchedulerKind};
+use crate::stats::{SimStats, StallStats};
 use crate::uop::{IssueGate, UopKernel};
 use crate::warp::{RecoveryPoint, Warp, WarpState, WARP_SIZE};
 use flame_trace::{Event as TraceEvent, TraceBuffer, Tracer};
@@ -185,31 +185,79 @@ struct Slot {
     /// Replay position after a rollback (log entries before it are
     /// replayed rather than re-applied).
     replay_cursor: usize,
-    /// Issue gate of the instruction at the warp's pc, computed by the
-    /// first scan that reaches the warp there. Cleared wherever the pc
-    /// or the pending writes change: at issue, when `apply_global`
-    /// completes a load, on rollback, CTA relaunch and PC corruption (a
-    /// boundary advance happens only while the gate is clear). The load
-    /// clear guards the rule rather than a live path: a load completes
-    /// in its issue cycle's drain, before the warp's next scan.
-    gate: Option<IssueGate>,
 }
 
-/// Per-cause counts of warps blocked from issuing this cycle (for stall
-/// stats). A plain tally instead of a `Vec<BlockCause>`: the scan runs
-/// every cycle per scheduler, so it must not allocate.
-#[derive(Debug, Clone, Copy, Default)]
-struct BlockTally {
-    scoreboard: u32,
-    mshr_full: u32,
-    barrier: u32,
-    rbq: u32,
+/// Most warp slots an SM can have: one bit of a `u64` slot mask each.
+pub(crate) const MAX_WARP_SLOTS: usize = u64::BITS as usize;
+
+/// The SM's warp slots by scheduling state, one bit per slot, kept in
+/// step with `Warp::state` by [`SlotMasks::set_state`]. `ready`,
+/// `barrier` and `rbq` hold the slots in that state (a finished warp or
+/// an empty slot is in none of them); `gated`, a subset of `ready`, holds
+/// the slots whose entry in `Sm::gates` is current.
+///
+/// A gate is computed by the first tick that reaches a Ready warp at its
+/// pc, and dropped wherever the pc or the pending writes change: at
+/// issue, when `apply_global` completes a load, on any state change
+/// (rollback and CTA relaunch included) and on PC corruption. Boundaries
+/// are consumed only while the gate is absent. The load drop guards the
+/// rule rather than a live path: a load completes in its issue cycle's
+/// drain, before the warp's next tick.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct SlotMasks {
+    ready: u64,
+    gated: u64,
+    barrier: u64,
+    rbq: u64,
+}
+
+impl SlotMasks {
+    /// Moves the warp in `slot` to `state`. Every change of a warp's
+    /// state goes through here, so the masks never drift from it.
+    fn set_state(&mut self, slot: usize, warp: &mut Warp, state: WarpState) {
+        warp.state = state;
+        self.place(slot, Some(state));
+    }
+
+    /// Puts `slot` in the mask of `state` alone (`None`: an empty slot),
+    /// dropping its gate.
+    fn place(&mut self, slot: usize, state: Option<WarpState>) {
+        let bit = 1 << slot;
+        self.ready &= !bit;
+        self.gated &= !bit;
+        self.barrier &= !bit;
+        self.rbq &= !bit;
+        match state {
+            Some(WarpState::Ready) => self.ready |= bit,
+            Some(WarpState::AtBarrier) => self.barrier |= bit,
+            Some(WarpState::InRbq) => self.rbq |= bit,
+            Some(WarpState::Finished) | None => {}
+        }
+    }
+
+    /// Slots holding a live (non-finished) warp.
+    fn live(&self) -> u64 {
+        self.ready | self.barrier | self.rbq
+    }
+}
+
+/// The slots set in `mask`, ascending.
+#[inline]
+fn slots_in(mask: u64) -> impl Iterator<Item = usize> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let slot = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            slot
+        })
+    })
 }
 
 /// What one scheduler did in its most recent tick. Remembered so the
 /// event-driven clock can credit skipped idle cycles to the same stall
 /// counter the per-cycle loop would have incremented: while no warp
-/// issues anywhere and no event fires, the scan is a pure function of
+/// issues anywhere and no event fires, the selection is a pure function of
 /// frozen state, so its attribution repeats verbatim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum StallCause {
@@ -226,6 +274,20 @@ enum StallCause {
 }
 
 impl StallCause {
+    /// Adds `cycles` to this cause's stall counter.
+    fn credit(self, stalls: &mut StallStats, cycles: u64) {
+        let counter = match self {
+            StallCause::Issued => unreachable!("an issuing tick is no stall"),
+            StallCause::NoWarp => &mut stalls.no_warp,
+            StallCause::Scoreboard => &mut stalls.scoreboard,
+            StallCause::MshrFull => &mut stalls.mshr_full,
+            StallCause::Barrier => &mut stalls.barrier,
+            StallCause::RbqWait => &mut stalls.rbq_wait,
+            StallCause::SchedBlocked => &mut stalls.sched_blocked,
+        };
+        *counter += cycles;
+    }
+
     /// The tracer-facing cause, `None` for an issuing tick (which is
     /// never a stall).
     fn trace(self) -> Option<flame_trace::StallCause> {
@@ -306,8 +368,17 @@ pub struct Sm {
     /// `resident_ctas` it makes [`Sm::can_accept`] O(1) (it is polled
     /// every cycle per SM until the grid drains).
     free_slots: usize,
-    /// Scratch for the eligibility scan, reused across cycles.
-    eligible_buf: Vec<Candidate>,
+    /// The warp slots by scheduling state.
+    masks: SlotMasks,
+    /// Issue gate of the instruction at each slot's pc, valid where
+    /// `masks.gated` is set.
+    gates: Vec<IssueGate>,
+    /// The slots each scheduler owns (slot *s* belongs to scheduler
+    /// `s % schedulers_per_sm`). A launch-time constant.
+    partitions: Vec<u64>,
+    /// Each scheduler's occupied slots, oldest first by (launch cycle,
+    /// slot): the order GTO and OLD pick in.
+    by_age: Vec<Vec<u8>>,
     /// Scratch for active-lane byte addresses of a memory instruction.
     addr_buf: Vec<u64>,
     /// Scratch for coalesced 128-byte segment bases.
@@ -351,6 +422,9 @@ pub struct SmSnapshot {
     stats: SimStats,
     resident_ctas: usize,
     free_slots: usize,
+    masks: SlotMasks,
+    gates: Vec<IssueGate>,
+    by_age: Vec<Vec<u8>>,
 }
 
 impl std::fmt::Debug for SmSnapshot {
@@ -370,6 +444,11 @@ impl Sm {
         max_resident_ctas: usize,
         attachment: Box<dyn SmAttachment>,
     ) -> Sm {
+        let (nslots, nsched) = (cfg.max_warps_per_sm, cfg.schedulers_per_sm);
+        assert!(
+            nslots <= MAX_WARP_SLOTS,
+            "{nslots} warp slots exceed the {MAX_WARP_SLOTS}-bit slot masks"
+        );
         Sm {
             id,
             slots: (0..cfg.max_warps_per_sm).map(|_| None).collect(),
@@ -389,7 +468,19 @@ impl Sm {
             latency: cfg.latency,
             resident_ctas: 0,
             free_slots: cfg.max_warps_per_sm,
-            eligible_buf: Vec::with_capacity(cfg.max_warps_per_sm),
+            masks: SlotMasks::default(),
+            gates: vec![
+                IssueGate {
+                    pc: 0,
+                    needs_mshr: false,
+                    ready_at: 0,
+                };
+                nslots
+            ],
+            partitions: (0..nsched)
+                .map(|k| (k..nslots).step_by(nsched).fold(0, |m, s| m | 1 << s))
+                .collect(),
+            by_age: vec![Vec::new(); nsched],
             addr_buf: Vec::with_capacity(WARP_SIZE),
             seg_buf: Vec::with_capacity(WARP_SIZE),
             pending: PendingGlobal::default(),
@@ -432,6 +523,9 @@ impl Sm {
             stats: self.stats,
             resident_ctas: self.resident_ctas,
             free_slots: self.free_slots,
+            masks: self.masks,
+            gates: self.gates.clone(),
+            by_age: self.by_age.clone(),
         })
     }
 
@@ -474,6 +568,9 @@ impl Sm {
         self.stats = snap.stats;
         self.resident_ctas = snap.resident_ctas;
         self.free_slots = snap.free_slots;
+        self.masks = snap.masks;
+        self.gates.clone_from(&snap.gates);
+        self.by_age.clone_from(&snap.by_age);
         // Deferred work never crosses a cycle, let alone a snapshot.
         debug_assert!(self.pending.ops.is_empty());
         self.pending.clear();
@@ -510,14 +607,7 @@ impl Sm {
     /// Warp slots currently holding a live (non-finished) warp. Lazy —
     /// callers on the fault-injection hot path iterate without allocating.
     pub fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| {
-                s.as_ref()
-                    .is_some_and(|s| s.warp.state != WarpState::Finished)
-            })
-            .map(|(i, _)| i)
+        slots_in(self.masks.live())
     }
 
     /// Installs a CTA, creating its warps.
@@ -560,6 +650,11 @@ impl Sm {
             let warp = Warp::new(0, mask, cta_slot, w as usize, now);
             let entry = warp.recovery_point();
             self.attachment.on_warp_launch(slot, entry.clone());
+            self.masks.place(slot, Some(warp.state));
+            // Launch cycles never decrease, and one cycle's launches take
+            // the lowest free slots in turn, so appending keeps the age
+            // order (checked on every tick in debug builds).
+            self.by_age[slot % self.schedulers.len()].push(slot as u8);
             self.slots[slot] = Some(Slot {
                 warp,
                 regs: WarpRegFile::new(kernel.regs_per_thread),
@@ -569,7 +664,6 @@ impl Sm {
                 last_write: None,
                 atomic_log: Vec::new(),
                 replay_cursor: 0,
-                gate: None,
             });
             warp_slots.push(slot);
         }
@@ -603,12 +697,14 @@ impl Sm {
     pub fn tick(&mut self, now: u64, kernel: &UopKernel, dims: &LaunchDims) -> bool {
         if now < self.frozen_until {
             // Frozen window: the port retires nothing, the attachment
-            // wakes nobody, every scan repeats itself and every empty
+            // wakes nobody, every selection repeats itself and every empty
             // pick is idempotent — the whole tick collapses to the
             // cached per-scheduler stall attribution.
             self.credit_idle_cycles(now, 1);
             return false;
         }
+        #[cfg(debug_assertions)]
+        self.check_masks(kernel);
         let mut issued_any = false;
         self.port.tick(now);
         // Wake warps whose region verification completed.
@@ -618,7 +714,7 @@ impl Sm {
         for (i, &slot) in wake.iter().enumerate() {
             if let Some(s) = self.slots[slot].as_mut() {
                 if s.warp.state == WarpState::InRbq {
-                    s.warp.state = WarpState::Ready;
+                    self.masks.set_state(slot, &mut s.warp, WarpState::Ready);
                     self.stats.resilience.verifications += 1;
                     // Everything before the new recovery point is verified:
                     // the logged atomics can never be replayed again.
@@ -658,37 +754,16 @@ impl Sm {
                 );
                 continue;
             }
-            let (tally, live) = self.scan(sched, now, kernel);
-            // Move the scratch out so the scheduler (a disjoint field the
-            // borrow checker cannot see past the method call) can read it;
-            // moved back right after, keeping its capacity.
-            let eligible = std::mem::take(&mut self.eligible_buf);
-            let picked = self.schedulers[sched].pick(&eligible);
-            self.eligible_buf = eligible;
+            let (eligible, scope) = self.select(sched, now, kernel);
+            let picked = self.schedulers[sched].pick(eligible, &self.by_age[sched]);
             let cause = if let Some(slot) = picked {
                 self.issue(slot, now, kernel, dims);
                 issued_any = true;
                 StallCause::Issued
-            } else if live == 0 {
-                self.stats.stalls.no_warp += 1;
-                StallCause::NoWarp
             } else {
-                // Attribute the stall to the dominant blocking cause.
-                let (rbq, bar, mshr, sb) =
-                    (tally.rbq, tally.barrier, tally.mshr_full, tally.scoreboard);
-                if rbq >= bar && rbq >= mshr && rbq >= sb {
-                    self.stats.stalls.rbq_wait += 1;
-                    StallCause::RbqWait
-                } else if bar >= mshr && bar >= sb {
-                    self.stats.stalls.barrier += 1;
-                    StallCause::Barrier
-                } else if mshr >= sb {
-                    self.stats.stalls.mshr_full += 1;
-                    StallCause::MshrFull
-                } else {
-                    self.stats.stalls.scoreboard += 1;
-                    StallCause::Scoreboard
-                }
+                let cause = self.stall_cause(scope);
+                cause.credit(&mut self.stats.stalls, 1);
+                cause
             };
             self.last_stall[sched] = cause;
             if let Some(tc) = cause.trace() {
@@ -724,9 +799,9 @@ impl Sm {
     /// their gate: a warp at a barrier or in the RBQ wakes on an issue or
     /// an RBQ pop, never on a register write, and the full tick after
     /// that wake computes its gate. Every Ready warp that the last tick
-    /// scanned holds a gate (unless its stack is empty); one the scan did
-    /// not reach belongs to a blocked scheduler, whose unblock is an
-    /// event of its own.
+    /// reached holds a gate (unless its stack is empty); one it did not
+    /// reach belongs to a blocked scheduler, whose unblock is an event of
+    /// its own.
     pub(crate) fn next_event(&self, now: u64) -> Option<u64> {
         let port = self.port.next_completion();
         let attachment = self.attachment.next_event(now);
@@ -736,13 +811,8 @@ impl Sm {
             .copied()
             .filter(|&b| b > now)
             .min();
-        let regs = self
-            .slots
-            .iter()
-            .flatten()
-            .filter(|s| s.warp.state == WarpState::Ready)
-            .filter_map(|s| s.gate)
-            .map(|g| g.ready_at)
+        let regs = slots_in(self.masks.gated)
+            .map(|slot| self.gates[slot].ready_at)
             .filter(|&r| r > now && r != u64::MAX)
             .min();
         [port, attachment, sched, regs].into_iter().flatten().min()
@@ -762,11 +832,11 @@ impl Sm {
     /// Credits `skipped` cycles' worth of stall attribution in bulk, as if
     /// [`Sm::tick`] had run for each of them. Valid only for a window in
     /// which nothing issued GPU-wide (`now` is the cycle last ticked) and
-    /// no event of [`Sm::next_event`] fires: the per-scheduler scan is
+    /// no event of [`Sm::next_event`] fires: the per-scheduler selection is
     /// then a pure function of frozen state and repeats its last
     /// attribution verbatim — except that a scheduler blocked *during*
     /// the last tick takes the `sched_blocked` early-out on every
-    /// subsequent cycle, regardless of what its scan concluded.
+    /// subsequent cycle, regardless of what its selection concluded.
     pub(crate) fn credit_idle_cycles(&mut self, now: u64, skipped: u64) {
         for sched in 0..self.schedulers.len() {
             let cause = if self.sched_blocked_until[sched] > now {
@@ -774,17 +844,7 @@ impl Sm {
             } else {
                 self.last_stall[sched]
             };
-            match cause {
-                StallCause::Issued => {
-                    unreachable!("idle cycles credited after an issuing tick")
-                }
-                StallCause::NoWarp => self.stats.stalls.no_warp += skipped,
-                StallCause::Scoreboard => self.stats.stalls.scoreboard += skipped,
-                StallCause::MshrFull => self.stats.stalls.mshr_full += skipped,
-                StallCause::Barrier => self.stats.stalls.barrier += skipped,
-                StallCause::RbqWait => self.stats.stalls.rbq_wait += skipped,
-                StallCause::SchedBlocked => self.stats.stalls.sched_blocked += skipped,
-            }
+            cause.credit(&mut self.stats.stalls, skipped);
             if let Some(tc) = cause.trace() {
                 // One bulk event stands in for `skipped` per-cycle ones:
                 // per-cause sums stay exact under the event-driven clock.
@@ -800,82 +860,121 @@ impl Sm {
         }
     }
 
-    /// Scans this scheduler's slots: processes region boundaries (a
-    /// zero-cost scheduler event), and classifies each live warp as
-    /// eligible or blocked. Eligible candidates land in
-    /// `self.eligible_buf` (reused scratch); blocked warps are tallied by
-    /// cause. Runs every cycle per scheduler, so it never allocates.
-    ///
-    /// A Ready warp's first scan at a pc consumes the boundaries there and
-    /// caches the issue gate of the instruction it stops at; later scans
-    /// at the same pc read the gate alone.
-    fn scan(&mut self, sched: usize, now: u64, kernel: &UopKernel) -> (BlockTally, usize) {
-        let nsched = self.schedulers.len();
-        self.eligible_buf.clear();
-        let mut tally = BlockTally::default();
-        let mut live = 0usize;
-        for slot in (sched..self.slots.len()).step_by(nsched) {
-            let Some(s) = self.slots[slot].as_ref() else {
-                continue;
-            };
-            let age = s.warp.launch_cycle;
-            let cached = match s.warp.state {
-                WarpState::Finished => continue,
-                WarpState::AtBarrier => {
-                    live += 1;
-                    tally.barrier += 1;
-                    continue;
-                }
-                WarpState::InRbq => {
-                    live += 1;
-                    tally.rbq += 1;
-                    continue;
-                }
-                WarpState::Ready => s.gate,
-            };
-            let gate = if let Some(gate) = cached {
-                // Neither the pc nor a pending write changed since the
-                // gate was computed: no SIMT-stack, boundary or
-                // scoreboard probe. Debug builds recompute it.
-                debug_assert_eq!(
-                    Some(gate),
-                    s.warp.stack.pc().map(|pc| kernel.issue_gate(pc, &s.regs)),
-                    "stale issue gate in slot {slot}"
-                );
-                gate
-            } else {
-                if !self.consume_boundaries(sched, slot, now, kernel) {
-                    // Naive verification blocked the whole scheduler.
-                    break;
-                }
-                let s = self.slots[slot].as_mut().expect("scanned slot is live");
-                if s.warp.state == WarpState::InRbq {
-                    live += 1;
-                    tally.rbq += 1;
-                    continue;
-                }
-                let Some(pc) = s.warp.stack.pc() else {
-                    live += 1;
-                    continue;
-                };
-                let gate = kernel.issue_gate(pc, &s.regs);
-                s.gate = Some(gate);
-                gate
-            };
-            live += 1;
-            // Structural hazard: global memory ops need an MSHR.
-            if gate.needs_mshr && self.port.free() == 0 {
-                tally.mshr_full += 1;
-                continue;
+    /// Chooses what scheduler `sched` may issue from this cycle, without
+    /// walking its slots. First it consumes the region boundaries (a
+    /// zero-cost scheduler event) and computes the issue gate of each of
+    /// its Ready warps that has none, in ascending slot order; a boundary
+    /// that blocks the scheduler takes its own slot and every slot above
+    /// out of this cycle. Then it returns the eligible slots, those whose
+    /// gate passes the scoreboard and finds an MSHR if it needs one, with
+    /// the scope the cycle covered: all slots, or those below the block.
+    fn select(&mut self, sched: usize, now: u64, kernel: &UopKernel) -> (u64, u64) {
+        let part = self.partitions[sched];
+        let mut scope = part;
+        for slot in slots_in(self.masks.ready & !self.masks.gated & part) {
+            if !self.consume_boundaries(sched, slot, now, kernel) {
+                // Naive verification blocked the whole scheduler.
+                scope &= (1 << slot) - 1;
+                break;
             }
-            // Scoreboard: all read and written registers must be ready.
-            if gate.ready_at > now {
-                tally.scoreboard += 1;
-                continue;
+            let s = self.slots[slot].as_ref().expect("ready slot is occupied");
+            if s.warp.state == WarpState::Ready {
+                if let Some(pc) = s.warp.stack.pc() {
+                    self.gates[slot] = kernel.issue_gate(pc, &s.regs);
+                    self.masks.gated |= 1 << slot;
+                }
             }
-            self.eligible_buf.push(Candidate { slot, age });
         }
-        (tally, live)
+        let mshr_free = self.port.free() > 0;
+        let eligible = slots_in(self.masks.gated & scope)
+            .filter(|&slot| {
+                let g = &self.gates[slot];
+                g.ready_at <= now && (mshr_free || !g.needs_mshr)
+            })
+            .fold(0, |m, slot| m | 1 << slot);
+        (eligible, scope)
+    }
+
+    /// Why a scheduler whose [`Sm::select`] found nothing eligible in
+    /// `scope` stalls: no live warp there, else the dominant blocking
+    /// cause among its live warps, ties going to the RBQ, then the
+    /// barrier, then the MSHRs. A gated warp that did not make the
+    /// eligible set waits on an MSHR when it needs one and none is free,
+    /// and on the scoreboard otherwise.
+    fn stall_cause(&self, scope: u64) -> StallCause {
+        if self.masks.live() & scope == 0 {
+            return StallCause::NoWarp;
+        }
+        let rbq = (self.masks.rbq & scope).count_ones();
+        let bar = (self.masks.barrier & scope).count_ones();
+        let gated = self.masks.gated & scope;
+        let mshr = if self.port.free() == 0 {
+            slots_in(gated)
+                .filter(|&slot| self.gates[slot].needs_mshr)
+                .count() as u32
+        } else {
+            0
+        };
+        let sb = gated.count_ones() - mshr;
+        if rbq >= bar && rbq >= mshr && rbq >= sb {
+            StallCause::RbqWait
+        } else if bar >= mshr && bar >= sb {
+            StallCause::Barrier
+        } else if mshr >= sb {
+            StallCause::MshrFull
+        } else {
+            StallCause::Scoreboard
+        }
+    }
+
+    /// Debug builds check, on every full tick, that the slot masks match
+    /// the warps' states, that every cached gate equals a recomputation,
+    /// and that each scheduler's age order lists exactly its occupied
+    /// slots.
+    #[cfg(debug_assertions)]
+    fn check_masks(&self, kernel: &UopKernel) {
+        let mut want = SlotMasks::default();
+        for (slot, s) in self.slots.iter().enumerate() {
+            want.place(slot, s.as_ref().map(|s| s.warp.state));
+        }
+        want.gated = self.masks.gated;
+        assert_eq!(self.masks, want, "slot masks drifted from the warp states");
+        assert_eq!(
+            self.masks.gated & !self.masks.ready,
+            0,
+            "gate on a warp that is not Ready"
+        );
+        for slot in slots_in(self.masks.gated) {
+            let s = self.slots[slot].as_ref().expect("gated slot is occupied");
+            assert_eq!(
+                Some(self.gates[slot]),
+                s.warp.stack.pc().map(|pc| kernel.issue_gate(pc, &s.regs)),
+                "stale issue gate in slot {slot}"
+            );
+        }
+        let age = |s: u8| {
+            let slot = usize::from(s);
+            let w = &self.slots[slot]
+                .as_ref()
+                .expect("listed slot is occupied")
+                .warp;
+            (w.launch_cycle, slot)
+        };
+        for (sched, order) in self.by_age.iter().enumerate() {
+            let occupied = slots_in(self.partitions[sched])
+                .filter(|&slot| self.slots[slot].is_some())
+                .fold(0u64, |m, slot| m | 1 << slot);
+            let listed = order.iter().fold(0u64, |m, &s| m | 1 << s);
+            assert_eq!(
+                (listed, order.len()),
+                (occupied, occupied.count_ones() as usize),
+                "scheduler {sched} age order lists other slots than it owns"
+            );
+            assert!(
+                order.windows(2).all(|w| age(w[0]) < age(w[1])),
+                "scheduler {sched} age order is not by (launch cycle, slot)"
+            );
+        }
     }
 
     /// Consumes the region boundaries at the pc of the Ready warp in
@@ -890,7 +989,7 @@ impl Sm {
         now: u64,
         kernel: &UopKernel,
     ) -> bool {
-        let s = self.slots[slot].as_mut().expect("scanned slot is live");
+        let s = self.slots[slot].as_mut().expect("ready slot is occupied");
         while s.warp.state == WarpState::Ready {
             let Some(pc) = s.warp.stack.pc() else { break };
             if !kernel.is_boundary(pc) {
@@ -916,7 +1015,7 @@ impl Sm {
                         .emit(now, TraceEvent::RegionCommit { slot: slot as u32 });
                 }
                 BoundaryAction::Deschedule => {
-                    s.warp.state = WarpState::InRbq;
+                    self.masks.set_state(slot, &mut s.warp, WarpState::InRbq);
                     self.stats.resilience.deschedules += 1;
                     if self.tracer.on() {
                         let depth = self.attachment.queue_depth() as u32;
@@ -960,9 +1059,9 @@ impl Sm {
     #[allow(clippy::too_many_lines)]
     fn issue(&mut self, slot: usize, now: u64, kernel: &UopKernel, dims: &LaunchDims) {
         let s = self.slots[slot].as_mut().expect("issued slot is live");
-        // The pc moves and pending writes change: the next scan computes
+        // The pc moves and pending writes change: the next tick computes
         // the gate of whatever instruction the warp stands at then.
-        s.gate = None;
+        self.masks.gated &= !(1 << slot);
         let pc = s.warp.stack.pc().expect("issued warp has a pc");
         let u = kernel.uop(pc);
         let active = s.warp.stack.active_mask();
@@ -1023,7 +1122,7 @@ impl Sm {
                 if !s.warp.stack.finished() {
                     // Some lanes continue on other stack entries.
                 } else {
-                    s.warp.state = WarpState::Finished;
+                    self.masks.set_state(slot, &mut s.warp, WarpState::Finished);
                     self.attachment.on_warp_exit(slot);
                     cta.live_warps -= 1;
                     let cta_slot = s.warp.cta_slot;
@@ -1047,7 +1146,8 @@ impl Sm {
                     s.warp.barrier_phase += 1;
                 } else {
                     cta.arrivals += 1;
-                    s.warp.state = WarpState::AtBarrier;
+                    self.masks
+                        .set_state(slot, &mut s.warp, WarpState::AtBarrier);
                     self.release_barrier_if_complete(cta_slot);
                 }
             }
@@ -1301,7 +1401,7 @@ impl Sm {
                 s.warp.stack.advance(pc + 1);
             }
             Opcode::RegionBoundary => {
-                unreachable!("region boundaries are consumed by the scheduler scan")
+                unreachable!("region boundaries are consumed by the scheduler")
             }
             _ => {
                 // Computational opcode, evaluated across the warp: one
@@ -1395,7 +1495,7 @@ impl Sm {
                         s.regs.write(dst, lane, v);
                     }
                     s.regs.complete(dst, finish);
-                    s.gate = None;
+                    self.masks.gated &= !(1 << slot);
                 }
                 PendingOp::Store {
                     seg0,
@@ -1467,7 +1567,7 @@ impl Sm {
         for &slot in &cta.warp_slots {
             if let Some(s) = self.slots[slot].as_mut() {
                 if s.warp.state == WarpState::AtBarrier {
-                    s.warp.state = WarpState::Ready;
+                    self.masks.set_state(slot, &mut s.warp, WarpState::Ready);
                     s.warp.barrier_phase = phase;
                 }
             }
@@ -1476,8 +1576,11 @@ impl Sm {
 
     fn retire_cta(&mut self, cta_slot: usize, now: u64) {
         let cta = self.ctas[cta_slot].take().expect("CTA resident");
+        let nsched = self.schedulers.len();
         for &slot in &cta.warp_slots {
             self.slots[slot] = None;
+            self.masks.place(slot, None);
+            self.by_age[slot % nsched].retain(|&s| usize::from(s) != slot);
         }
         self.free_slots += cta.warp_slots.len();
         self.resident_ctas -= 1;
@@ -1544,8 +1647,10 @@ impl Sm {
                     continue;
                 }
                 s.warp.rollback(&point);
+                // Ready, or Finished if the point is past the warp's exit.
+                let state = s.warp.state;
+                self.masks.set_state(slot, &mut s.warp, state);
                 s.regs.flush_pending();
-                s.gate = None;
                 // Re-execution replays already-applied atomics from the log.
                 s.replay_cursor = 0;
                 // Checkpointing-based recovery: restore the region's
@@ -1581,7 +1686,7 @@ impl Sm {
         self.frozen_until = 0;
         match self.slots.get_mut(slot).and_then(Option::as_mut) {
             Some(s) if s.warp.state == WarpState::Ready => {
-                s.gate = None;
+                self.masks.gated &= !(1 << slot);
                 s.warp.stack.corrupt_pc(xor, code_len)
             }
             _ => None,
@@ -1630,8 +1735,9 @@ impl Sm {
                 continue;
             };
             s.warp.rollback(&s.entry);
+            let state = s.warp.state;
+            self.masks.set_state(slot, &mut s.warp, state);
             s.regs.flush_pending();
-            s.gate = None;
             s.last_write = None;
             s.atomic_log.clear();
             s.replay_cursor = 0;

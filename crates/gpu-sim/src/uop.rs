@@ -120,11 +120,11 @@ impl MicroOp {
     }
 }
 
-/// What the eligibility scan checks before a warp may issue the micro-op
-/// at `pc`: the structural hazard and the scoreboard, reduced to one flag
-/// and one cycle. A warp slot caches its gate until the warp's pc or
-/// pending writes change, so a stalled warp costs the scan two compares
-/// per cycle and the event-driven clock one cycle per warp.
+/// What a scheduler checks before a warp may issue the micro-op at `pc`:
+/// the structural hazard and the scoreboard, reduced to one flag and one
+/// cycle. The SM keeps a Ready warp's gate until the warp's pc or pending
+/// writes change, so a stalled warp costs its scheduler two compares per
+/// cycle and the event-driven clock one cycle per warp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct IssueGate {
     /// The PC the gate was computed for.
