@@ -34,7 +34,8 @@
 use flame_bench::BenchEnv;
 use flame_core::experiment::{run_scheme, ExperimentConfig, ProtocolConfig, WorkloadSpec};
 use flame_core::runner::{
-    run_campaign_runner_with_jobs, CampaignSpec, CampaignSummary, RetryPolicy, SelfFault,
+    clean_baseline, run_campaign_runner_with_jobs, CampaignSpec, CampaignSummary, RetryPolicy,
+    SelfFault,
 };
 use flame_core::scheme::Scheme;
 use flame_core::shard::{merge_shards, run_shard_worker, run_sharded_campaign, ShardOptions};
@@ -549,7 +550,6 @@ fn shard_worker_main(
     let opts = ShardOptions {
         worker_id: worker_id.to_string(),
         lease_ttl: ttl,
-        heartbeat: ttl / 4,
         crash_after: std::env::var("FLAME_SHARD_CRASH_AFTER")
             .ok()
             .and_then(|v| v.parse().ok()),
@@ -666,7 +666,6 @@ fn crash_drill(env: &BenchEnv, shards: usize, kill_after: usize, ttl_ms: u64) {
     let opts = ShardOptions {
         worker_id: "drill-resume".to_string(),
         lease_ttl: ttl,
-        heartbeat: ttl / 4,
         ..ShardOptions::new(shards)
     };
     let merged = run_sharded_campaign(&w, &spec, dir, &opts, 2).expect("resume failed");
@@ -701,13 +700,15 @@ fn crash_drill(env: &BenchEnv, shards: usize, kill_after: usize, ttl_ms: u64) {
     );
 }
 
-/// Re-merges an existing drill directory without running anything —
-/// handy when inspecting a failed drill's artifacts.
+/// Re-merges an existing drill directory without running any seed —
+/// handy when inspecting a failed drill's artifacts. The report's
+/// clean-run cycles come from one baseline simulation.
 fn merge_only(env: &BenchEnv, shards: usize) {
     let w = smoke_workload();
     let spec = drill_spec(env, &w);
-    let (summary, missing) =
-        merge_shards(&w, &spec, std::path::Path::new(DRILL_DIR), shards).expect("merge failed");
+    let dir = std::path::Path::new(DRILL_DIR);
+    let clean = clean_baseline(&w, &spec).cycles;
+    let (summary, missing) = merge_shards(w.name, &spec, dir, shards, clean).expect("merge failed");
     println!("{}", summary.render());
     if !missing.is_empty() {
         println!("missing {} seeds: {missing:?}", missing.len());

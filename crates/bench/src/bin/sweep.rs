@@ -1,6 +1,7 @@
 //! Parameterized single-cell experiment: run one workload under one
 //! scheme on one configuration and print the details.
 //!
+//! ```text
 //! Usage: sweep [WORKLOAD] [SCHEME] [WCDL] [SCHED] [GPU]
 //!   WORKLOAD  Table-I abbreviation (default LUD)
 //!   SCHEME    flame|sensor-ckpt|renaming|ckpt|dup-ren|dup-ckpt|
@@ -8,6 +9,7 @@
 //!   WCDL      cycles (default 20)
 //!   SCHED     gto|old|lrr|2level (default gto)
 //!   GPU       gtx480|titanx|gv100|rtx2060 (default gtx480)
+//! ```
 
 use flame_core::experiment::ExperimentConfig;
 use flame_core::matrix::{run_matrix_with_jobs, MatrixCell};

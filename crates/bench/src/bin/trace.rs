@@ -29,7 +29,7 @@ use flame_core::experiment::{
 };
 use flame_core::scheme::Scheme;
 use flame_sensors::fault::{Strike, StrikeGenerator};
-use flame_trace::{chrome_trace_json, region_csv, stall_table, validate_json, Event, SimTrace};
+use flame_trace::{chrome_trace_json, region_csv, stall_table, Event, JsonValue, SimTrace};
 use gpu_sim::config::GpuConfig;
 use gpu_sim::scheduler::SchedulerKind;
 use gpu_sim::stats::SimStats;
@@ -158,7 +158,7 @@ fn validate(trace: &SimTrace, stats: &SimStats, label: &str) -> String {
         ));
     }
     let json = chrome_trace_json(trace);
-    if let Err(e) = validate_json(&json) {
+    if let Err(e) = JsonValue::parse(&json) {
         fail(&format!("{label}: chrome trace JSON invalid: {e}"));
     }
     json

@@ -21,11 +21,13 @@
 //! * [`matrix`] — the parallel experiment-matrix engine fanning
 //!   independent `(workload, scheme, config)` cells across scoped worker
 //!   threads, with per-matrix baseline memoization;
-//! * [`runner`] — the resumable multi-seed campaign runner (JSONL
-//!   journal, per-seed retry/backoff and poison-seed quarantine);
-//! * [`shard`] — the crash-tolerant sharded campaign supervisor:
-//!   lease-claimed seed shards, stale-lease reclamation with epoch
-//!   fencing, and deterministic merge back into one summary;
+//! * [`runner`] — the campaign engine: one seed loop with a JSONL
+//!   journal, resume, per-seed retry/backoff and poison-seed
+//!   quarantine, run serially over the whole seed range;
+//! * [`shard`] — the crash-tolerant sharded campaign supervisor: the
+//!   same seed loop over lease-claimed seed shards, stale-lease
+//!   reclamation with epoch fencing, and a deterministic merge of the
+//!   shard journals back into one summary;
 //! * [`report`] — hardware-cost and region-size reporting (§VI-A, §IV).
 //!
 //! ```
@@ -80,16 +82,16 @@ pub use experiment::{
 };
 pub use matrix::{run_matrix_with_jobs, CellResult, MatrixCell};
 pub use rbq::Rbq;
-pub use report::{json_f64, OutcomeStat, SummaryJson};
+pub use report::{OutcomeStat, SummaryJson};
 pub use rpt::Rpt;
 pub use runner::{
-    campaign_clean_cycles, run_campaign_runner_with_jobs, run_one_seed, run_one_seed_retrying,
-    strikes_for_seed, trace_one_seed, wilson_interval, CampaignSpec, CampaignSummary, RetryPolicy,
-    RunRecord, RunnerError, SelfFault,
+    clean_baseline, run_campaign_runner_with_jobs, run_one_seed, run_one_seed_retrying,
+    strikes_for_seed, trace_one_seed, wilson_interval, Baseline, CampaignSpec, CampaignSummary,
+    RetryPolicy, RunRecord, RunnerError, SelfFault,
 };
 pub use runtime::{FlameUnit, VerificationMode};
 pub use scheme::Scheme;
 pub use shard::{
-    merge_shard_records, merge_shards, run_shard_worker, run_sharded_campaign, MergedRecords,
-    ShardClaim, ShardOptions, ShardPlan, WorkerReport,
+    merge_shards, run_shard_worker, run_sharded_campaign, ShardClaim, ShardOptions, ShardPlan,
+    WorkerReport,
 };

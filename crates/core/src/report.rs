@@ -3,8 +3,9 @@
 //! text renderer and the campaign server's JSON responses.
 
 use crate::campaign::Outcome;
-use crate::runner::{wilson_interval, CampaignSummary, RunRecord};
+use crate::runner::{outcome_counts, wilson_interval, CampaignSummary, RunRecord};
 use flame_sensors::mesh::{sensors_for_wcdl, SensorMesh};
+use flame_trace::json::json_f64;
 use gpu_sim::config::GpuConfig;
 use gpu_sim::stats::SimStats;
 use std::fmt::Write as _;
@@ -128,11 +129,12 @@ impl SummaryJson {
     /// point the server's stream tailer uses.
     pub fn from_records(records: &[RunRecord], clean_cycles: u64) -> SummaryJson {
         let n = records.len();
-        let outcomes = Outcome::ALL.map(|o| {
-            let count = records.iter().filter(|r| r.outcome == o).count();
+        let counts = outcome_counts(records);
+        let outcomes = std::array::from_fn(|i| {
+            let count = counts[i];
             let (ci_lo, ci_hi) = wilson_interval(count, n, 1.96);
             OutcomeStat {
-                outcome: o,
+                outcome: Outcome::ALL[i],
                 count,
                 rate: if n == 0 { 0.0 } else { count as f64 / n as f64 },
                 ci_lo,
@@ -285,23 +287,10 @@ impl SummaryJson {
     }
 }
 
-/// Formats a float for JSON: shortest round-trip decimal, with
-/// non-finite values (which raw `{:?}` would print as invalid JSON
-/// tokens like `NaN`) mapped to `null`.
-pub fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        let s = format!("{x:?}");
-        // Debug always prints a `.0` or exponent for f64, both valid
-        // JSON number syntax.
-        s
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flame_trace::json::JsonValue;
 
     #[test]
     fn gtx480_cost_matches_paper_section6a() {
@@ -354,17 +343,7 @@ mod tests {
         .enumerate()
         .map(|(i, &o)| rec(i as u64, o))
         .collect();
-        let mut counts = [0usize; 5];
-        for r in &records {
-            counts[Outcome::ALL.iter().position(|&o| o == r.outcome).unwrap()] += 1;
-        }
-        let summary = CampaignSummary {
-            header: "h".into(),
-            records: records.clone(),
-            counts,
-            clean_cycles: 1000,
-            ran_now: 0,
-        };
+        let summary = CampaignSummary::new("h".into(), records.clone(), 1000, 0);
         let j = SummaryJson::from_summary(&summary);
         // The text renderer and the structured summary are one code
         // path now; render() must keep its historical bytes.
@@ -377,7 +356,7 @@ mod tests {
         assert_eq!(j.surviving_runs, 3);
         // JSON path is syntactically valid and carries the histogram.
         let json = j.to_json();
-        flame_trace::validate_json(&json).expect("summary JSON must validate");
+        JsonValue::parse(&json).expect("summary JSON must parse");
         assert!(json.contains("\"outcome\":\"masked\",\"count\":2"));
         assert!(json.contains("\"outcome\":\"sdc\",\"count\":1"));
         // Equal summaries serialize byte-identically.
@@ -396,7 +375,7 @@ mod tests {
         }
         assert_eq!(empty.mean_slowdown, None);
         let json = empty.to_json();
-        flame_trace::validate_json(&json).expect("empty-campaign JSON must validate");
+        JsonValue::parse(&json).expect("empty-campaign JSON must parse");
         assert!(json.contains("\"mean_slowdown\":null"));
         assert!(!json.contains("NaN") && !json.contains("inf"));
 
@@ -408,7 +387,7 @@ mod tests {
         assert!(m.ci_lo >= 0.0 && m.ci_lo <= m.ci_hi && m.ci_hi <= 1.0);
         assert!(m.ci_lo.is_finite() && m.ci_hi.is_finite());
         assert_eq!(one.mean_slowdown, None, "no clean baseline, no slowdown");
-        flame_trace::validate_json(&one.to_json()).expect("one-run JSON must validate");
+        JsonValue::parse(&one.to_json()).expect("one-run JSON must parse");
     }
 
     #[test]

@@ -1,13 +1,18 @@
-//! The resumable multi-seed fault-campaign runner.
+//! The campaign engine: one seed loop behind every fault campaign.
 //!
 //! A statistical fault campaign is hundreds of independent seeded runs of
 //! one `(workload, scheme, config)` triple, each classified into the
-//! [`Outcome`] taxonomy. This module fans the seeds across
-//! `std::thread::scope` workers pulling from an [`AtomicUsize`] work
-//! index (the matrix engine's self-scheduling pattern), isolates each run
-//! behind `catch_unwind` so one diseased seed cannot kill the campaign,
-//! and journals every finished run to a JSONL checkpoint file so a killed
-//! campaign resumes where it stopped.
+//! [`Outcome`] taxonomy. One seed loop (`run_seeds`) runs them: it fans
+//! seeds across `std::thread::scope` workers pulling from an
+//! [`AtomicUsize`] work index (the matrix engine's self-scheduling
+//! pattern), isolates each run behind `catch_unwind` so one diseased seed
+//! cannot kill the campaign, forks every seed from one clean baseline's
+//! checkpoints, and appends every finished run to a JSONL journal,
+//! fsynced, before it counts. A serial campaign
+//! ([`run_campaign_runner_with_jobs`]) is that loop over the whole seed
+//! range and one journal, with no lease; a shard worker
+//! ([`crate::shard::run_shard_worker`]) is the same loop over a claimed
+//! shard, with hooks that keep the lease alive.
 //!
 //! Three properties the campaign reports rely on:
 //!
@@ -16,15 +21,15 @@
 //!   byte-identical whatever the worker count, interleaving, or how many
 //!   times the campaign was killed and resumed in between.
 //! * **Truncation tolerance** — a run record only counts if its journal
-//!   line is complete; a half-written tail line (the kill arrived
-//!   mid-`write`) is discarded and that seed simply re-runs.
+//!   line is one complete JSON object; a half-written tail line (the kill
+//!   arrived mid-`write`) is discarded and that seed simply re-runs.
 //! * **Single baseline** — the fault-free run is simulated once per
 //!   campaign, not once per seed.
 //!
-//! The journal is hand-rolled JSON (the repo takes no external crates):
-//! a header line fingerprinting the spec, then one object per finished
-//! seed, in completion order. Integer fields only — floats travel as
-//! `f64::to_bits` so round-trips are exact.
+//! The journal is a header line fingerprinting the spec, then one object
+//! per finished seed, in completion order, read and written through the
+//! workspace's one JSON codec ([`flame_trace::json`]). Integer fields
+//! only — floats travel as `f64::to_bits` so round-trips are exact.
 
 use crate::campaign::{classify, Outcome};
 use crate::experiment::{
@@ -33,15 +38,16 @@ use crate::experiment::{
 };
 use crate::scheme::Scheme;
 use flame_sensors::fault::{Strike, StrikeGenerator};
+use flame_trace::json::{json_escape, JsonValue};
 use gpu_sim::gpu::Snapshot;
-use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Read as _, Seek, SeekFrom, Write as _};
+use std::io::{BufRead, BufReader, ErrorKind, Read as _, Seek, SeekFrom, Write as _};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::thread;
 use std::time::Duration;
 
@@ -183,14 +189,14 @@ impl CampaignSpec {
     pub fn fingerprint(&self, workload: &str) -> String {
         let mut s = format!(
             concat!(
-                "{{\"flame_campaign\":1,\"workload\":{:?},\"scheme\":{:?},",
+                "{{\"flame_campaign\":1,\"workload\":{},\"scheme\":{},",
                 "\"base_seed\":{},\"runs\":{},\"strikes\":{},\"horizon\":{},",
                 "\"coverage\":{},\"control\":{},\"recovery\":{},",
                 "\"wcdl\":{},\"max_cycles\":{},\"num_sms\":{},",
                 "\"nested\":{},\"cta\":{},\"kernel\":{},\"hang\":{},\"parity\":{}}}"
             ),
-            workload,
-            self.scheme.name(),
+            json_escape(workload),
+            json_escape(self.scheme.name()),
             self.base_seed,
             self.runs,
             self.strikes_per_run,
@@ -262,6 +268,11 @@ impl CampaignSpec {
             hang_window: self.effective_hang_window(),
             ..self.proto
         }
+    }
+
+    /// The campaign's seeds: `base_seed..base_seed + runs`.
+    pub(crate) fn seeds(&self) -> Range<u64> {
+        self.base_seed..self.base_seed + self.runs as u64
     }
 
     /// The absolute cycle bounds `[lo, hi)` strikes are drawn from:
@@ -365,62 +376,36 @@ impl RunRecord {
         )
     }
 
-    /// Parses a journal line. Returns `None` for anything malformed —
-    /// notably a truncated tail line from a killed campaign. The fork
-    /// telemetry keys default to zero/false when absent, so journals
-    /// written before fork acceleration still load and resume.
+    /// Parses a journal line: exactly one complete JSON object. Returns
+    /// `None` for anything else — notably a truncated tail line from a
+    /// killed campaign, or such a fragment with a complete record
+    /// appended on the same line. The telemetry keys added after the
+    /// first journals default to zero/false/one when absent, so older
+    /// journals still load and resume; when present they must be
+    /// well-formed like every other key.
     pub fn parse(line: &str) -> Option<RunRecord> {
-        let line = line.trim_end();
-        if !line.ends_with('}') {
-            return None;
-        }
+        let v = JsonValue::parse(line).ok()?;
+        let int = |key: &str| v.get(key)?.as_u64();
+        let flag = |key: &str| v.get(key)?.as_bool();
+        let int_or = |key: &str, absent: u64| v.get(key).map_or(Some(absent), JsonValue::as_u64);
+        let flag_or = |key: &str| v.get(key).map_or(Some(false), JsonValue::as_bool);
         Some(RunRecord {
-            seed: json_u64(line, "seed")?,
-            outcome: Outcome::parse(json_str(line, "outcome")?)?,
-            injected: json_u64(line, "injected")?,
-            undetected: json_u64(line, "undetected")?,
-            recoveries: json_u64(line, "recoveries")?,
-            nested: json_u64(line, "nested")?,
-            cta_relaunches: json_u64(line, "cta")?,
-            kernel_relaunches: json_u64(line, "kernel")?,
-            cycles: json_u64(line, "cycles")?,
-            crashed: json_bool(line, "crashed")?,
-            fork_cycle: json_u64(line, "fork_cycle").unwrap_or(0),
-            sim_cycles: json_u64(line, "sim_cycles").unwrap_or(0),
-            fork_hit: json_bool(line, "fork_hit").unwrap_or(false),
-            attempts: json_u64(line, "attempts").unwrap_or(1),
-            quarantined: json_bool(line, "quarantined").unwrap_or(false),
+            seed: int("seed")?,
+            outcome: Outcome::parse(v.get("outcome")?.as_str()?)?,
+            injected: int("injected")?,
+            undetected: int("undetected")?,
+            recoveries: int("recoveries")?,
+            nested: int("nested")?,
+            cta_relaunches: int("cta")?,
+            kernel_relaunches: int("kernel")?,
+            cycles: int("cycles")?,
+            crashed: flag("crashed")?,
+            fork_cycle: int_or("fork_cycle", 0)?,
+            sim_cycles: int_or("sim_cycles", 0)?,
+            fork_hit: flag_or("fork_hit")?,
+            attempts: int_or("attempts", 1)?,
+            quarantined: flag_or("quarantined")?,
         })
-    }
-}
-
-fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    Some(&line[at..])
-}
-
-pub(crate) fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let rest = json_field(line, key)?;
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-pub(crate) fn json_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let rest = json_field(line, key)?.strip_prefix('"')?;
-    rest.split('"').next()
-}
-
-fn json_bool(line: &str, key: &str) -> Option<bool> {
-    let rest = json_field(line, key)?;
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
     }
 }
 
@@ -482,7 +467,36 @@ pub struct CampaignSummary {
     pub ran_now: usize,
 }
 
+/// Outcome counts of a record set, indexed in [`Outcome::ALL`] order —
+/// the one histogram behind [`CampaignSummary::counts`] and
+/// [`crate::report::SummaryJson`].
+pub(crate) fn outcome_counts(records: &[RunRecord]) -> [usize; 5] {
+    let mut counts = [0usize; 5];
+    for r in records {
+        let i = Outcome::ALL.iter().position(|&o| o == r.outcome);
+        counts[i.expect("Outcome::ALL lists every outcome")] += 1;
+    }
+    counts
+}
+
 impl CampaignSummary {
+    /// The summary of a record set: sorted by seed, with its histogram.
+    pub(crate) fn new(
+        header: String,
+        mut records: Vec<RunRecord>,
+        clean_cycles: u64,
+        ran_now: usize,
+    ) -> CampaignSummary {
+        records.sort_by_key(|r| r.seed);
+        CampaignSummary {
+            header,
+            counts: outcome_counts(&records),
+            records,
+            clean_cycles,
+            ran_now,
+        }
+    }
+
     /// Count of one outcome.
     pub fn count(&self, o: Outcome) -> usize {
         self.counts[Outcome::ALL.iter().position(|&x| x == o).unwrap()]
@@ -691,43 +705,53 @@ fn fork_grid(spec: &CampaignSpec) -> Vec<u64> {
     grid
 }
 
-/// Simulates the fault-free baseline once, pausing at each `grid` cycle
-/// to capture a [`Snapshot`] (whose memory pages the checkpoints share
-/// with each other wherever the kernel has not written between them),
-/// then running to completion. Returns the clean cycle count —
-/// bit-identical to an unpaused run by the event clock's step-bound
-/// invariance — and the checkpoints actually reached (a grid cycle past
-/// kernel completion yields none). A launch failure or cycle-budget
-/// timeout yields `(0, [])`, matching the legacy baseline's behavior.
-pub(crate) fn clean_baseline(
-    w: &WorkloadSpec,
-    spec: &CampaignSpec,
-    grid: &[u64],
-) -> (u64, Vec<Snapshot>) {
+/// A campaign's fault-free run: what [`CampaignSummary::clean_cycles`]
+/// reports and what every seed forks from.
+#[derive(Debug, Default)]
+pub struct Baseline {
+    /// Cycles of the clean run; `0` when it fails to launch or exhausts
+    /// the cycle budget.
+    pub cycles: u64,
+    /// Clean-prefix snapshots at the fork-grid cycles the run reached.
+    pub checkpoints: Vec<Snapshot>,
+}
+
+/// Simulates the spec's fault-free run once, pausing at each cycle of the
+/// `fork_points` grid to capture a copy-on-write [`Snapshot`]. The cycle
+/// count equals an unpaused run's (the event clock's step-bound
+/// invariance); a launch failure or cycle-budget timeout yields the
+/// empty [`Baseline`]. The one baseline of every campaign path: the
+/// serial runner and the shard workers fork from it, and the server
+/// reads its cycles for a campaign it rediscovered complete.
+pub fn clean_baseline(w: &WorkloadSpec, spec: &CampaignSpec) -> Baseline {
     let Ok((mut gpu, _compile)) = crate::experiment::prepare_scheme(w, spec.scheme, &spec.cfg)
     else {
-        return (0, Vec::new());
+        return Baseline::default();
     };
-    let mut snaps = Vec::with_capacity(grid.len());
+    let max = spec.cfg.max_cycles;
+    let mut checkpoints = Vec::new();
     let mut running = gpu.running();
-    for &cp in grid {
+    for cp in fork_grid(spec) {
         while running && gpu.cycle() < cp {
-            if gpu.cycle() >= spec.cfg.max_cycles {
-                return (0, Vec::new());
+            if gpu.cycle() >= max {
+                return Baseline::default();
             }
             running = gpu.step_window(cp);
         }
         if running && gpu.cycle() == cp {
-            snaps.push(gpu.snapshot());
+            checkpoints.push(gpu.snapshot());
         }
     }
     while running {
-        if gpu.cycle() >= spec.cfg.max_cycles {
-            return (0, Vec::new());
+        if gpu.cycle() >= max {
+            return Baseline::default();
         }
-        running = gpu.step_window(spec.cfg.max_cycles);
+        running = gpu.step_window(max);
     }
-    (gpu.cycle(), snaps)
+    Baseline {
+        cycles: gpu.cycle(),
+        checkpoints,
+    }
 }
 
 /// A destination journal lines are appended to. `File` is the real
@@ -755,9 +779,9 @@ impl JournalSink for File {
 /// retry starts the record on a fresh line: a previous attempt may have
 /// landed partially, and a stray malformed fragment is harmlessly
 /// dropped at load time, whereas a merged fragment could parse as a
-/// wrong record. Callers only update their in-memory dedup state after
-/// this returns `Ok` — a crash at any point therefore at worst re-runs
-/// the seed, never loses or double-counts it.
+/// wrong record. Callers only count a record after this returns `Ok` —
+/// a crash at any point therefore at worst re-runs the seed, never
+/// loses or double-counts it.
 pub(crate) fn append_with_retry<S: JournalSink>(
     sink: &mut S,
     line: &str,
@@ -779,92 +803,177 @@ pub(crate) fn append_with_retry<S: JournalSink>(
     }
 }
 
-/// Opens (or creates) a journal for appending, writing `header` when
-/// the file is fresh and newline-terminating a truncated tail left by a
-/// kill mid-write. Freshness is judged by content, not existence: a
-/// kill between create and the header write leaves an empty file that
-/// still needs its header.
-pub(crate) fn open_journal_append(path: &Path, header: &str) -> Result<File, RunnerError> {
-    let len = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-    let mut f = OpenOptions::new().create(true).append(true).open(path)?;
-    if len == 0 {
-        writeln!(f, "{header}")?;
-    } else if last_byte(path)? != b'\n' {
-        // A kill mid-write left a truncated tail with no newline.
-        // Terminate it so the first appended record starts its own line
-        // — otherwise the two can merge into one string that still
-        // parses as a (wrong) record and poisons every later resume.
-        writeln!(f)?;
-    }
-    f.flush()?;
-    f.sync_data()?;
-    Ok(f)
-}
-
-/// Loads records from an existing journal. The header must match
-/// `expected`; malformed lines (a truncated tail) and records for seeds
-/// outside the spec are dropped.
-pub(crate) fn load_journal(path: &Path, expected: &str) -> Result<Vec<RunRecord>, RunnerError> {
-    let f = BufReader::new(File::open(path)?);
-    let mut lines = f.lines();
-    let header = match lines.next() {
-        Some(h) => h?,
-        None => return Ok(Vec::new()), // empty file: treat as fresh
-    };
-    if header.trim_end() != expected {
-        return Err(RunnerError::JournalMismatch {
-            found: header,
-            expected: expected.to_string(),
-        });
-    }
-    let mut out = Vec::new();
-    for line in lines {
-        if let Some(r) = RunRecord::parse(&line?) {
-            out.push(r);
-        }
-    }
-    Ok(out)
-}
-
-/// The fault-free baseline cycle count of a spec — one clean
-/// simulation, no checkpoints. What [`CampaignSummary::clean_cycles`]
-/// reports; public so the campaign server can compute (and cache) it
-/// once per campaign instead of re-simulating the baseline on every
-/// status poll.
-pub fn campaign_clean_cycles(w: &WorkloadSpec, spec: &CampaignSpec) -> u64 {
-    clean_baseline(w, spec, &[]).0
-}
-
-/// The clean-run cycle count and fork-point checkpoints this spec's
-/// seeds fork from: the fork grid of `fork_points`, materialized by one
-/// baseline simulation. Shared by the serial runner and every sharded
-/// worker so forked records are bit-identical wherever a seed runs.
-pub(crate) fn baseline_and_checkpoints(
-    w: &WorkloadSpec,
-    spec: &CampaignSpec,
-) -> (u64, Vec<Snapshot>) {
-    clean_baseline(w, spec, &fork_grid(spec))
-}
-
-/// The last byte of a non-empty file — used to detect a journal whose
-/// tail line was truncated mid-write and never newline-terminated.
-fn last_byte(path: &Path) -> Result<u8, RunnerError> {
-    let mut f = File::open(path)?;
-    f.seek(SeekFrom::End(-1))?;
-    let mut b = [0u8; 1];
-    f.read_exact(&mut b)?;
-    Ok(b[0])
-}
-
-/// Runs the campaign's seeds on `jobs` worker threads, journaling each
-/// finished run to `journal` (if given) and resuming from it when it
-/// already exists. The returned summary is byte-identical however the
-/// work was split between a previous (possibly killed) invocation and
-/// this one.
+/// The one journal reader (resume, the shard-claim scan, the merge and
+/// the server's tailer): the records `path` holds for `seeds`, sorted and
+/// one per seed — records are deterministic, so the first copy of a
+/// repeated seed serves. A missing or empty file reads as empty; a
+/// malformed line (a torn tail) is skipped.
 ///
 /// # Errors
 ///
-/// Journal I/O failures and header mismatches.
+/// [`RunnerError::JournalMismatch`] for a foreign header, plus I/O errors.
+pub(crate) fn read_journal(
+    path: &Path,
+    header: &str,
+    seeds: Range<u64>,
+) -> Result<Vec<RunRecord>, RunnerError> {
+    let file = match File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e.into()),
+    };
+    let mut lines = BufReader::new(file).lines();
+    let Some(found) = lines.next().transpose()? else {
+        return Ok(Vec::new());
+    };
+    if found.trim_end() != header {
+        return Err(RunnerError::JournalMismatch {
+            found,
+            expected: header.to_string(),
+        });
+    }
+    let mut records = Vec::new();
+    for line in lines {
+        if let Some(r) = RunRecord::parse(&line?).filter(|r| seeds.contains(&r.seed)) {
+            records.push(r);
+        }
+    }
+    records.sort_by_key(|r| r.seed);
+    records.dedup_by_key(|r| r.seed);
+    Ok(records)
+}
+
+/// The seeds of `seeds` that `done` (sorted by seed) lacks.
+pub(crate) fn missing_seeds(seeds: Range<u64>, done: &[RunRecord]) -> Vec<u64> {
+    seeds
+        .filter(|s| done.binary_search_by_key(s, |r| r.seed).is_err())
+        .collect()
+}
+
+/// Opens a journal to resume it: reads the records it already holds for
+/// `seeds` ([`read_journal`]), then opens it for appending, writing
+/// `header` when the file is fresh and newline-terminating a truncated
+/// tail left by a kill mid-write. Freshness is judged by content, not
+/// existence: a kill between create and the header write leaves an
+/// empty file that still needs its header.
+pub(crate) fn open_journal(
+    path: &Path,
+    header: &str,
+    seeds: Range<u64>,
+) -> Result<(Vec<RunRecord>, File), RunnerError> {
+    let done = read_journal(path, header, seeds)?;
+    let mut f = OpenOptions::new()
+        .read(true)
+        .append(true)
+        .create(true)
+        .open(path)?;
+    if f.metadata()?.len() == 0 {
+        writeln!(f, "{header}")?;
+    } else {
+        let mut last = [0u8];
+        f.seek(SeekFrom::End(-1))?;
+        f.read_exact(&mut last)?;
+        if last[0] != b'\n' {
+            // A kill mid-write left a truncated tail with no newline.
+            // Terminate it so the first appended record starts its own
+            // line — otherwise the two would share one line, and that
+            // line must not count as a record.
+            writeln!(f)?;
+        }
+    }
+    f.flush()?;
+    f.sync_data()?;
+    Ok((done, f))
+}
+
+/// Per-seed hooks of [`run_seeds`], through which a shard worker
+/// heartbeats its lease, honours a shutdown request and fires its
+/// drills; a serial campaign has none. Either returning `false` stops
+/// every worker thread after its seed in flight.
+pub(crate) trait SeedGate: Sync {
+    /// Called before each seed.
+    fn proceed(&self) -> bool;
+    /// Called after each record is journaled.
+    fn journaled(&self) -> bool;
+}
+
+/// Every seed runs inside `catch_unwind`, so a lock held across a panic is
+/// a bug in the loop itself.
+const POISONED: &str = "a seed-loop thread panicked while holding a lock";
+
+/// The one seed loop behind every campaign. Runs the `todo` seeds on
+/// `jobs` threads, each forking from the checkpoints of `baseline`
+/// (simulated here on first need), and appends every record to
+/// `journal` — fsynced, with bounded retry — before it counts. Returns
+/// the records run, in completion order.
+///
+/// # Errors
+///
+/// A journal append that still fails after the spec's retry budget
+/// stops the loop and is returned; the seeds journaled before it stay
+/// journaled.
+pub(crate) fn run_seeds(
+    w: &WorkloadSpec,
+    spec: &CampaignSpec,
+    baseline: &OnceLock<Baseline>,
+    todo: &[u64],
+    journal: Option<File>,
+    jobs: usize,
+    gate: Option<&dyn SeedGate>,
+) -> std::io::Result<Vec<RunRecord>> {
+    if todo.is_empty() {
+        return Ok(Vec::new());
+    }
+    let checkpoints = &baseline.get_or_init(|| clean_baseline(w, spec)).checkpoints;
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let sink = journal.map(Mutex::new);
+    // The records run so far, and the append error that stopped the loop.
+    let out = Mutex::new((Vec::with_capacity(todo.len()), None));
+    thread::scope(|s| {
+        for _ in 0..jobs.clamp(1, todo.len()) {
+            s.spawn(|| {
+                while let Some(&seed) = todo.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    if stop.load(Ordering::Relaxed) || gate.is_some_and(|g| !g.proceed()) {
+                        break;
+                    }
+                    let rec = run_one_seed_retrying(w, spec, seed, checkpoints);
+                    if let Some(m) = &sink {
+                        let line = rec.to_line();
+                        if let Err(e) =
+                            append_with_retry(&mut *m.lock().expect(POISONED), &line, spec.retry)
+                        {
+                            out.lock().expect(POISONED).1.get_or_insert(e);
+                            break;
+                        }
+                    }
+                    out.lock().expect(POISONED).0.push(rec);
+                    if gate.is_some_and(|g| !g.journaled()) {
+                        break;
+                    }
+                }
+                // Whatever ended this thread's loop ends every thread's.
+                stop.store(true, Ordering::Relaxed);
+            });
+        }
+    });
+    match out.into_inner().expect(POISONED) {
+        (_, Some(e)) => Err(e),
+        (fresh, None) => Ok(fresh),
+    }
+}
+
+/// Runs (or resumes) the campaign on `jobs` worker threads: the seed
+/// loop over the whole seed range and one journal, with no lease. With
+/// `journal` given, every finished run is appended to it and a journal
+/// that already exists is resumed — its header must match the spec. The
+/// returned summary is byte-identical however the work was split
+/// between a previous (possibly killed) invocation and this one.
+///
+/// # Errors
+///
+/// Journal I/O failures — including an append that still fails after
+/// the spec's retry budget — and header mismatches.
 ///
 /// # Panics
 ///
@@ -877,93 +986,20 @@ pub fn run_campaign_runner_with_jobs(
     jobs: usize,
 ) -> Result<CampaignSummary, RunnerError> {
     let header = spec.fingerprint(w.name);
-
-    // Resume: collect finished seeds from the journal (deduped — a
-    // killed-and-resumed campaign may have raced the same seed twice;
-    // records are deterministic so any copy serves).
-    let seeds = spec.base_seed..spec.base_seed + spec.runs as u64;
-    let mut records: Vec<RunRecord> = Vec::with_capacity(spec.runs);
-    let mut done = HashSet::new();
-    if let Some(path) = journal {
-        if path.exists() {
-            for r in load_journal(path, &header)? {
-                if seeds.contains(&r.seed) && done.insert(r.seed) {
-                    records.push(r);
-                }
-            }
+    let (mut records, file) = match journal {
+        Some(path) => {
+            let (done, file) = open_journal(path, &header, spec.seeds())?;
+            (done, Some(file))
         }
-    }
-
-    // (Re)write or append the journal. A fresh file gets the header; an
-    // existing one is appended in place so finished seeds survive kills.
-    let sink: Option<Mutex<File>> = match journal {
-        Some(path) => Some(Mutex::new(open_journal_append(path, &header)?)),
-        None => None,
+        None => (Vec::new(), None),
     };
-
-    let todo: Vec<u64> = seeds.filter(|s| !done.contains(s)).collect();
-    let ran_now = todo.len();
-
-    // Single fault-free baseline for the whole campaign — one prepared
-    // GPU stepped to completion, pausing at each fork-point cycle to
-    // checkpoint the clean prefix. The checkpoints are shared read-only
-    // across the workers below; `fork_points: 0` degrades every seed to
-    // the scratch path without changing results.
-    let (clean_cycles, checkpoints) = baseline_and_checkpoints(w, spec);
-
-    let next = AtomicUsize::new(0);
-    let fresh: Mutex<Vec<RunRecord>> = Mutex::new(Vec::with_capacity(todo.len()));
-    let workers = jobs.max(1).min(todo.len().max(1));
-    thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= todo.len() {
-                            break;
-                        }
-                        let rec = run_one_seed_retrying(w, spec, todo[i], &checkpoints);
-                        // Journal — fsynced, with bounded retry — before
-                        // the record enters the in-memory set: a kill
-                        // between the two at worst re-runs a seed, never
-                        // loses one. A write that still fails after the
-                        // retry budget is reported but does not abort the
-                        // campaign; the seed simply re-runs on resume.
-                        if let Some(m) = &sink {
-                            let mut f = m.lock().unwrap();
-                            if let Err(e) = append_with_retry(&mut *f, &rec.to_line(), spec.retry) {
-                                eprintln!(
-                                    "flame-campaign: journal append for seed {} failed \
-                                     after retries: {e}",
-                                    rec.seed
-                                );
-                            }
-                        }
-                        fresh.lock().unwrap().push(rec);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("campaign worker died");
-        }
-    });
-
-    records.extend(fresh.into_inner().unwrap());
-    records.sort_by_key(|r| r.seed);
-
-    let mut counts = [0usize; 5];
-    for r in &records {
-        counts[Outcome::ALL.iter().position(|&o| o == r.outcome).unwrap()] += 1;
-    }
-    Ok(CampaignSummary {
-        header,
-        records,
-        counts,
-        clean_cycles,
-        ran_now,
-    })
+    let todo = missing_seeds(spec.seeds(), &records);
+    let baseline = OnceLock::new();
+    let fresh = run_seeds(w, spec, &baseline, &todo, file, jobs, None)?;
+    let ran_now = fresh.len();
+    records.extend(fresh);
+    let clean_cycles = baseline.get_or_init(|| clean_baseline(w, spec)).cycles;
+    Ok(CampaignSummary::new(header, records, clean_cycles, ran_now))
 }
 
 #[cfg(test)]
@@ -988,6 +1024,54 @@ mod tests {
             attempts: 2,
             quarantined: false,
         }
+    }
+
+    fn spec() -> CampaignSpec {
+        CampaignSpec {
+            base_seed: 1,
+            runs: 10,
+            strikes_per_run: 3,
+            horizon: 1000,
+            strike_window: (0.0, 1.0),
+            fork_points: 8,
+            coverage: 0.9,
+            control_fraction: 0.1,
+            recovery_fraction: 0.1,
+            scheme: Scheme::SensorRenaming,
+            cfg: ExperimentConfig::default(),
+            proto: ProtocolConfig::default(),
+            watchdog: 0,
+            retry: RetryPolicy::default(),
+            self_fault: SelfFault::default(),
+        }
+    }
+
+    #[test]
+    fn a_journal_append_that_keeps_failing_stops_the_loop() {
+        let mut b = gpu_sim::builder::KernelBuilder::new("exit");
+        b.exit();
+        let w = WorkloadSpec {
+            name: "exit",
+            abbr: "EXIT",
+            suite: "test",
+            kernel: b.finish(),
+            dims: gpu_sim::sm::LaunchDims::linear(1, 32),
+            init: std::sync::Arc::new(|_| {}),
+            check: std::sync::Arc::new(|_| true),
+        };
+        let spec = CampaignSpec {
+            retry: RetryPolicy {
+                max_attempts: 2,
+                backoff_ms: 0,
+            },
+            ..spec()
+        };
+        // A read-only handle: every append fails. The loop must return
+        // the error rather than count records its journal lacks.
+        let journal = File::open(std::env::current_exe().unwrap()).unwrap();
+        let todo: Vec<u64> = spec.seeds().collect();
+        let ran = run_seeds(&w, &spec, &OnceLock::new(), &todo, Some(journal), 2, None);
+        assert!(ran.is_err(), "failed appends were swallowed: {ran:?}");
     }
 
     #[test]
@@ -1017,6 +1101,49 @@ mod tests {
     }
 
     #[test]
+    fn journal_lines_hold_exactly_one_record() {
+        let line = record().to_line();
+        let other = RunRecord {
+            seed: 43,
+            outcome: Outcome::Masked,
+            recoveries: 9,
+            cycles: 777,
+            ..record()
+        }
+        .to_line();
+        // A record cut after `"rec` by a kill, with the next record
+        // appended on the same line: neither record may be read from it.
+        let cut = line.find("\"rec").unwrap() + 4;
+        let merged = format!("{}{other}", &line[..cut]);
+        assert_eq!(RunRecord::parse(&merged), None, "{merged}");
+        // A complete record followed by trailing bytes.
+        let trailing = format!("{line} garbage}}");
+        assert_eq!(RunRecord::parse(&trailing), None, "{trailing}");
+        // A key of the wrong type is refused, not defaulted.
+        let bad = line.replace("\"attempts\":2", "\"attempts\":\"2\"");
+        assert_eq!(RunRecord::parse(&bad), None, "{bad}");
+        assert_eq!(RunRecord::parse(&format!("  {line}\n")), Some(record()));
+    }
+
+    const PINNED_DEFAULT: &str = concat!(
+        "{\"flame_campaign\":1,\"workload\":\"backprop\",\"scheme\":\"Sensor+Renaming (Flame)\",",
+        "\"base_seed\":1,\"runs\":10,\"strikes\":3,\"horizon\":1000,",
+        "\"coverage\":4606281698874543309,\"control\":4591870180066957722,",
+        "\"recovery\":4591870180066957722,\"wcdl\":20,\"max_cycles\":500000000,\"num_sms\":16,",
+        "\"nested\":8,\"cta\":4,\"kernel\":1,\"hang\":500000,\"parity\":true}"
+    );
+
+    const PINNED_DRILL: &str = concat!(
+        "{\"flame_campaign\":1,\"workload\":\"backprop\",\"scheme\":\"Sensor+Renaming (Flame)\",",
+        "\"base_seed\":1,\"runs\":10,\"strikes\":3,\"horizon\":1000,",
+        "\"coverage\":4606281698874543309,\"control\":4591870180066957722,",
+        "\"recovery\":4591870180066957722,\"wcdl\":20,\"max_cycles\":500000000,\"num_sms\":16,",
+        "\"nested\":8,\"cta\":4,\"kernel\":1,\"hang\":500000,\"parity\":true,",
+        "\"window\":[4605380978949069210,4607182418800017408],\"watchdog\":1234,",
+        "\"self_fault\":\"p3;f5:2\"}"
+    );
+
+    #[test]
     fn wilson_interval_behaves() {
         // Degenerate cases.
         assert_eq!(wilson_interval(0, 0, 1.96), (0.0, 1.0));
@@ -1040,23 +1167,7 @@ mod tests {
 
     #[test]
     fn fingerprint_distinguishes_specs() {
-        let a = CampaignSpec {
-            base_seed: 1,
-            runs: 10,
-            strikes_per_run: 3,
-            horizon: 1000,
-            strike_window: (0.0, 1.0),
-            fork_points: 8,
-            coverage: 0.9,
-            control_fraction: 0.1,
-            recovery_fraction: 0.1,
-            scheme: Scheme::SensorRenaming,
-            cfg: ExperimentConfig::default(),
-            proto: ProtocolConfig::default(),
-            watchdog: 0,
-            retry: RetryPolicy::default(),
-            self_fault: SelfFault::default(),
-        };
+        let a = spec();
         let b = CampaignSpec {
             coverage: 0.8,
             ..a.clone()
@@ -1113,6 +1224,15 @@ mod tests {
             .fingerprint("w")
             .contains("\"self_fault\":\"p3;f5:2\""));
         assert_ne!(a.fingerprint("w"), sabotaged.fingerprint("w"));
+        // Headers written by earlier versions: a journal only resumes
+        // when its header matches byte for byte.
+        assert_eq!(a.fingerprint("backprop"), PINNED_DEFAULT);
+        let drill = CampaignSpec {
+            strike_window: (0.8, 1.0),
+            watchdog: 1234,
+            ..sabotaged
+        };
+        assert_eq!(drill.fingerprint("backprop"), PINNED_DRILL);
     }
 
     #[test]
@@ -1232,21 +1352,8 @@ mod tests {
     #[test]
     fn strike_bounds_and_fork_grid_cover_the_window() {
         let base = CampaignSpec {
-            base_seed: 1,
-            runs: 10,
-            strikes_per_run: 3,
             horizon: 100_000,
-            strike_window: (0.0, 1.0),
-            fork_points: 8,
-            coverage: 0.9,
-            control_fraction: 0.1,
-            recovery_fraction: 0.1,
-            scheme: Scheme::SensorRenaming,
-            cfg: ExperimentConfig::default(),
-            proto: ProtocolConfig::default(),
-            watchdog: 0,
-            retry: RetryPolicy::default(),
-            self_fault: SelfFault::default(),
+            ..spec()
         };
         // Default window maps to the exact legacy bounds.
         assert_eq!(base.strike_bounds(), (0, 100_000));

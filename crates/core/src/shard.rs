@@ -10,15 +10,18 @@
 //!
 //! * **Shard journals** — shard `k` appends to `shard-000k.jsonl`, a
 //!   JSONL journal with the same spec-fingerprint header the serial
-//!   runner writes, so every existing loading/repair/truncation-
-//!   tolerance rule applies per shard unchanged.
+//!   runner writes. A shard worker runs the serial runner's own seed
+//!   loop ([`crate::runner`]) over its claimed range, so every
+//!   loading/repair/truncation-tolerance rule applies per shard
+//!   unchanged.
 //! * **Leases with fencing** — to work on shard `k` a worker must hold
 //!   `shard-000k.lease`. Ownership is fenced by a monotonically
 //!   increasing **epoch**: claiming epoch `e` requires atomically
 //!   creating the marker file `shard-000k.epoch-e` with `O_EXCL`, so
 //!   exactly one claimant can ever win a given epoch, however many race
 //!   for it. The lease file itself carries `{owner, epoch, beat}` and is
-//!   heartbeat-rewritten (its mtime is the liveness signal).
+//!   heartbeat-rewritten every quarter of the lease TTL (its mtime is the
+//!   liveness signal).
 //! * **Stale-lease reclamation (the campaign watchdog)** — a lease whose
 //!   mtime is older than the TTL, whose owner field is empty (released),
 //!   or whose content does not parse (corrupted) is *claimable*. A
@@ -35,7 +38,8 @@
 //!   back into one [`CampaignSummary`] that is **bit-identical** to a
 //!   single-process serial run of the same spec: same records, same
 //!   counts, same rendered report, however the work was split, killed,
-//!   reclaimed, and resumed in between.
+//!   reclaimed, and resumed in between. The merge only reads journals;
+//!   the clean baseline comes from the one the workers forked from.
 //!
 //! Workers are deliberately process-agnostic: [`run_shard_worker`] is
 //! the whole worker loop, equally usable from scoped threads (the
@@ -45,18 +49,16 @@
 
 use crate::experiment::WorkloadSpec;
 use crate::runner::{
-    append_with_retry, baseline_and_checkpoints, json_str, json_u64, load_journal,
-    open_journal_append, run_one_seed_retrying, CampaignSpec, CampaignSummary, RunRecord,
-    RunnerError,
+    clean_baseline, missing_seeds, open_journal, read_journal, run_seeds, Baseline, CampaignSpec,
+    CampaignSummary, RunnerError, SeedGate,
 };
-use gpu_sim::gpu::Snapshot;
-use std::collections::BTreeSet;
+use flame_trace::json::{json_escape, JsonValue};
 use std::fs::OpenOptions;
 use std::io::ErrorKind;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant, SystemTime};
 
@@ -113,8 +115,7 @@ fn epoch_marker(dir: &Path, k: usize, epoch: u64) -> PathBuf {
     dir.join(format!("shard-{k:04}.epoch-{epoch}"))
 }
 
-/// Contents of a lease file: one hand-rolled JSON line, like the
-/// journals.
+/// Contents of a lease file: one JSON line, like the journals.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Lease {
     /// Worker id holding (or having released, when empty) the lease.
@@ -129,20 +130,23 @@ struct Lease {
 impl Lease {
     fn to_line(&self) -> String {
         format!(
-            "{{\"flame_lease\":1,\"owner\":{:?},\"epoch\":{},\"beat\":{}}}",
-            self.owner, self.epoch, self.beat
+            "{{\"flame_lease\":1,\"owner\":{},\"epoch\":{},\"beat\":{}}}",
+            json_escape(&self.owner),
+            self.epoch,
+            self.beat
         )
     }
 
-    fn parse(line: &str) -> Option<Lease> {
-        let line = line.trim();
-        if !line.ends_with('}') || !line.contains("\"flame_lease\":1") {
+    /// Parses a lease file: exactly one complete `flame_lease` object.
+    fn parse(text: &str) -> Option<Lease> {
+        let v = JsonValue::parse(text).ok()?;
+        if v.get("flame_lease")?.as_u64()? != 1 {
             return None;
         }
         Some(Lease {
-            owner: json_str(line, "owner")?.to_string(),
-            epoch: json_u64(line, "epoch")?,
-            beat: json_u64(line, "beat")?,
+            owner: v.get("owner")?.as_str()?.to_string(),
+            epoch: v.get("epoch")?.as_u64()?,
+            beat: v.get("beat")?.as_u64()?,
         })
     }
 }
@@ -159,7 +163,7 @@ pub struct ShardClaim {
 
 /// Default lease TTL. It must comfortably exceed the slowest
 /// single-seed simulation, because workers heartbeat between seeds, not
-/// during them.
+/// during them. Workers heartbeat every quarter of the TTL.
 pub const DEFAULT_LEASE_TTL: Duration = Duration::from_secs(30);
 
 /// Options for sharded execution.
@@ -173,11 +177,9 @@ pub struct ShardOptions {
     /// A lease whose mtime is older than this is considered abandoned
     /// and becomes claimable. Must comfortably exceed the slowest
     /// single-seed simulation — workers heartbeat between seeds, not
-    /// during them. Defaults to [`DEFAULT_LEASE_TTL`].
+    /// during them, every quarter of the TTL (which also re-checks the
+    /// fence). Defaults to [`DEFAULT_LEASE_TTL`].
     pub lease_ttl: Duration,
-    /// How often a working worker refreshes its lease (and re-checks
-    /// the fence). Defaults to a quarter of the TTL.
-    pub heartbeat: Duration,
     /// Drill hook: hard-abort the **process** after this many seeds
     /// (`std::process::abort`, no unwinding, no lease release) —
     /// how the crash drills simulate a dying worker host. `None` in
@@ -203,19 +205,24 @@ pub struct ShardOptions {
 
 impl ShardOptions {
     /// Default options for `shards` shards: a process-unique worker id,
-    /// a [`DEFAULT_LEASE_TTL`] lease TTL, heartbeat at TTL/4, no drill
-    /// hooks, no shutdown/progress hooks.
+    /// a [`DEFAULT_LEASE_TTL`] lease TTL, no drill hooks, no
+    /// shutdown/progress hooks.
     pub fn new(shards: usize) -> ShardOptions {
         ShardOptions {
             shards,
             worker_id: format!("pid{}", std::process::id()),
             lease_ttl: DEFAULT_LEASE_TTL,
-            heartbeat: DEFAULT_LEASE_TTL / 4,
             crash_after: None,
             abandon_after: None,
             shutdown: None,
             progress: None,
         }
+    }
+
+    /// How often a working worker refreshes its lease: a quarter of the
+    /// TTL, so three heartbeats can go missing before the lease is stale.
+    fn heartbeat_interval(&self) -> Duration {
+        self.lease_ttl / 4
     }
 
     /// Whether the graceful-shutdown flag is set.
@@ -413,26 +420,72 @@ pub fn release(dir: &Path, claim: &ShardClaim) {
     );
 }
 
-/// The seeds of `range` already journaled in `path` (empty when the
-/// journal does not exist yet).
-///
-/// # Errors
-///
-/// [`RunnerError::JournalMismatch`] when the journal belongs to a
-/// different spec, plus I/O errors.
-fn load_done_seeds(
-    path: &Path,
-    header: &str,
-    range: Range<u64>,
-) -> Result<BTreeSet<u64>, RunnerError> {
-    if !path.exists() {
-        return Ok(BTreeSet::new());
+/// Why a shard worker's seed loop stopped before the shard was done.
+#[derive(Debug)]
+enum Halt {
+    /// The graceful-shutdown flag was set.
+    Shutdown,
+    /// A heartbeat found the lease reclaimed: the fence tripped.
+    LeaseLost,
+    /// The `abandon_after` drill fired.
+    Abandoned,
+}
+
+/// A shard worker's hold on its claim while the seed loop runs the
+/// shard: before each seed it honours the shutdown flag and, every
+/// heartbeat interval, refreshes the lease (re-checking the fence);
+/// after each journaled seed it feeds the progress hook and fires the
+/// drills. The first reason to stop is kept in `halt`.
+struct LeaseKeeper<'a> {
+    dir: &'a Path,
+    claim: ShardClaim,
+    opts: &'a ShardOptions,
+    /// Seeds this worker has journaled, across claims: the drills count
+    /// them all.
+    seeds_run: AtomicUsize,
+    last_beat: Mutex<Instant>,
+    halt: OnceLock<Halt>,
+}
+
+impl LeaseKeeper<'_> {
+    fn stop(&self, why: Halt) -> bool {
+        let _ = self.halt.set(why);
+        false
     }
-    Ok(load_journal(path, header)?
-        .into_iter()
-        .filter(|r| range.contains(&r.seed))
-        .map(|r| r.seed)
-        .collect())
+}
+
+impl SeedGate for LeaseKeeper<'_> {
+    fn proceed(&self) -> bool {
+        if self.opts.shutdown_requested() {
+            return self.stop(Halt::Shutdown);
+        }
+        let mut last_beat = self.last_beat.lock().expect("a heartbeat panicked");
+        if last_beat.elapsed() >= self.opts.heartbeat_interval() {
+            if heartbeat(self.dir, &self.claim, &self.opts.worker_id).is_err() {
+                return self.stop(Halt::LeaseLost);
+            }
+            *last_beat = Instant::now();
+        }
+        true
+    }
+
+    fn journaled(&self) -> bool {
+        let ran = self.seeds_run.fetch_add(1, Ordering::Relaxed) + 1;
+        if let Some(p) = &self.opts.progress {
+            p.fetch_add(1, Ordering::Relaxed);
+        }
+        if self.opts.crash_after.is_some_and(|n| ran >= n) {
+            // Drill: die like a kill -9 — no unwinding, no lease
+            // release, journal exactly as far as the last fsync.
+            std::process::abort();
+        }
+        if self.opts.abandon_after.is_some_and(|n| ran >= n) {
+            // Drill: silently stop, keeping the lease — the in-process
+            // analogue of a dead worker thread.
+            return self.stop(Halt::Abandoned);
+        }
+        true
+    }
 }
 
 /// The worker loop: repeatedly claim an unfinished shard, run its
@@ -443,35 +496,38 @@ fn load_done_seeds(
 /// (or go stale, in which case it reclaims and finishes them itself:
 /// this *is* the campaign-level watchdog).
 ///
-/// Per-seed robustness rides on [`run_one_seed_retrying`]: transient
-/// crashes retry with bounded backoff and poison seeds are quarantined
-/// as `Due` instead of stalling the shard. A journal append that still
-/// fails after the retry budget — or a tripped lease fence — makes the
-/// worker abandon the shard for reclamation rather than wedge.
+/// A claimed shard runs through the serial runner's own seed loop, on
+/// one thread: per-seed robustness rides on
+/// [`crate::runner::run_one_seed_retrying`] (transient crashes retry
+/// with bounded backoff, poison seeds are quarantined as `Due` instead
+/// of stalling the shard). A journal append that still fails after the
+/// retry budget — or a tripped lease fence — makes the worker abandon
+/// the shard for reclamation rather than wedge.
 ///
 /// # Errors
 ///
 /// [`RunnerError::JournalMismatch`] when a shard journal belongs to a
-/// different spec, plus unrecoverable lease-file I/O errors.
+/// different spec, plus unrecoverable journal and lease-file I/O
+/// errors.
 pub fn run_shard_worker(
     w: &WorkloadSpec,
     spec: &CampaignSpec,
     dir: &Path,
     opts: &ShardOptions,
 ) -> Result<WorkerReport, RunnerError> {
-    let baseline = OnceLock::new();
-    run_shard_worker_inner(w, spec, dir, opts, &baseline)
+    run_worker(w, spec, dir, opts, &OnceLock::new())
 }
 
 /// [`run_shard_worker`] with a caller-shared lazy baseline, so an
 /// in-process supervisor pays for the clean run and its fork-point
-/// checkpoints once, not once per worker thread.
-fn run_shard_worker_inner(
+/// checkpoints once, not once per worker thread, and takes the merged
+/// summary's clean cycles from it.
+fn run_worker(
     w: &WorkloadSpec,
     spec: &CampaignSpec,
     dir: &Path,
     opts: &ShardOptions,
-    baseline: &OnceLock<(u64, Vec<Snapshot>)>,
+    baseline: &OnceLock<Baseline>,
 ) -> Result<WorkerReport, RunnerError> {
     let header = spec.fingerprint(w.name);
     let plan = ShardPlan::new(spec.runs, opts.shards);
@@ -484,39 +540,50 @@ fn run_shard_worker_inner(
         // One scan over the shards: claim the first claimable
         // unfinished one, remember whether any work remains at all.
         let mut all_done = true;
-        let mut claimed: Option<(ShardClaim, BTreeSet<u64>)> = None;
+        let mut claimed = None;
         for k in 0..plan.count() {
             let range = plan.seed_range(spec, k);
-            let done = load_done_seeds(&journal_path(dir, k), &header, range.clone())?;
+            let done = read_journal(&journal_path(dir, k), &header, range.clone())?;
             if done.len() as u64 == range.end - range.start {
                 continue;
             }
             all_done = false;
             if let Some(c) = try_claim(dir, k, &opts.worker_id, opts.lease_ttl)? {
-                claimed = Some((c, done));
+                claimed = Some(c);
                 break;
             }
         }
         if all_done {
             return Ok(report);
         }
-        let Some((claim, done)) = claimed else {
+        let Some(claim) = claimed else {
             // Unfinished shards exist but are all healthily leased:
             // wait for their owners to finish or go stale.
-            thread::sleep(opts.heartbeat.min(Duration::from_millis(50)));
+            thread::sleep(opts.heartbeat_interval().min(Duration::from_millis(50)));
             continue;
         };
         report.shards_claimed += 1;
 
-        let (_clean, checkpoints) = baseline.get_or_init(|| baseline_and_checkpoints(w, spec));
-        let mut journal = open_journal_append(&journal_path(dir, claim.shard), &header)?;
-        let mut last_beat = Instant::now();
-        let mut abandoned = false;
-        for seed in plan.seed_range(spec, claim.shard) {
-            if done.contains(&seed) {
-                continue;
-            }
-            if opts.shutdown_requested() {
+        let range = plan.seed_range(spec, claim.shard);
+        let (done, journal) =
+            open_journal(&journal_path(dir, claim.shard), &header, range.clone())?;
+        let keeper = LeaseKeeper {
+            dir,
+            claim,
+            opts,
+            seeds_run: AtomicUsize::new(report.seeds_run),
+            last_beat: Mutex::new(Instant::now()),
+            halt: OnceLock::new(),
+        };
+        let todo = missing_seeds(range, &done);
+        let appended = run_seeds(w, spec, baseline, &todo, Some(journal), 1, Some(&keeper));
+        report.seeds_run = keeper.seeds_run.into_inner();
+        match (appended, keeper.halt.into_inner()) {
+            // The journal is unwritable even after bounded retries:
+            // abandon the shard for reclamation instead of wedging.
+            (Err(_), _) => {}
+            (Ok(_), None) => release(dir, &claim),
+            (Ok(_), Some(Halt::Shutdown)) => {
                 // Graceful shutdown: release the lease so the next
                 // claimant resumes immediately (every finished seed is
                 // already fsynced in the shard journal), then stop.
@@ -524,135 +591,51 @@ fn run_shard_worker_inner(
                 report.stopped = true;
                 return Ok(report);
             }
-            if last_beat.elapsed() >= opts.heartbeat {
-                if heartbeat(dir, &claim, &opts.worker_id).is_err() {
-                    // Fence tripped: the shard was reclaimed from us.
-                    // Stop writing immediately; the new owner re-runs
-                    // whatever we would have done (deterministically,
-                    // so even a raced duplicate merges away).
-                    report.leases_lost += 1;
-                    abandoned = true;
-                    break;
-                }
-                last_beat = Instant::now();
-            }
-            let rec = run_one_seed_retrying(w, spec, seed, checkpoints);
-            if append_with_retry(&mut journal, &rec.to_line(), spec.retry).is_err() {
-                // The journal is unwritable even after bounded retries:
-                // abandon the shard for reclamation instead of wedging.
-                abandoned = true;
-                break;
-            }
-            report.seeds_run += 1;
-            if let Some(p) = &opts.progress {
-                p.fetch_add(1, Ordering::Relaxed);
-            }
-            if opts.crash_after.is_some_and(|n| report.seeds_run >= n) {
-                // Drill: die like a kill -9 — no unwinding, no lease
-                // release, journal exactly as far as the last fsync.
-                std::process::abort();
-            }
-            if opts.abandon_after.is_some_and(|n| report.seeds_run >= n) {
-                // Drill: silently stop, keeping the lease — the
-                // in-process analogue of a dead worker thread.
-                return Ok(report);
-            }
-        }
-        if !abandoned {
-            release(dir, &claim);
+            // Fence tripped: the shard was reclaimed from us. Stop
+            // writing; the new owner re-runs whatever we would have done
+            // (deterministically, so even a raced duplicate merges away).
+            (Ok(_), Some(Halt::LeaseLost)) => report.leases_lost += 1,
+            (Ok(_), Some(Halt::Abandoned)) => return Ok(report),
         }
     }
 }
 
-/// Merges every shard journal in `dir` into one summary, deduplicating
-/// by seed (a reclaimed shard may carry a raced duplicate; records are
-/// deterministic so any copy serves). Returns the summary — with
-/// `ran_now = 0`; the supervisor accounts for fresh work — and the
-/// seeds still missing from the campaign. With no missing seeds the
-/// summary is bit-identical to a serial single-journal run of the spec:
-/// same records, same counts, same `render()` bytes.
+/// Merges every shard journal in `dir` into one summary against the
+/// given clean cycles, reading journals only — it never simulates.
+/// Returns the summary (`ran_now = 0`) and the seeds still missing. With
+/// none missing and the spec's clean cycles, the summary is
+/// bit-identical to a serial run of the spec: same records, counts and
+/// `render()` bytes. Only the workload *name* is needed (it enters the
+/// journal fingerprint), so the server's tailer polls this cheaply.
 ///
 /// # Errors
 ///
 /// [`RunnerError::JournalMismatch`] when any shard journal belongs to a
 /// different spec, plus I/O errors.
 pub fn merge_shards(
-    w: &WorkloadSpec,
-    spec: &CampaignSpec,
-    dir: &Path,
-    shards: usize,
-) -> Result<(CampaignSummary, Vec<u64>), RunnerError> {
-    let (records, counts, missing) = merge_shard_records(w.name, spec, dir, shards)?;
-    // The fork-point grid only accelerates; pausing at it cannot change
-    // the clean cycle count, so the plain baseline matches the serial
-    // runner's checkpointing one bit for bit.
-    let (clean_cycles, _) = crate::runner::clean_baseline(w, spec, &[]);
-    Ok((
-        CampaignSummary {
-            header: spec.fingerprint(w.name),
-            records,
-            counts,
-            clean_cycles,
-            ran_now: 0,
-        },
-        missing,
-    ))
-}
-
-/// What [`merge_shard_records`] folds out of the journals: the
-/// seed-sorted deduplicated records, their outcome histogram (in
-/// [`crate::campaign::Outcome::ALL`] order), and the seeds not yet
-/// journaled.
-pub type MergedRecords = (Vec<RunRecord>, [usize; 5], Vec<u64>);
-
-/// The record-merging half of [`merge_shards`]: folds the shard
-/// journals of `dir` into a seed-sorted, seed-deduplicated record set
-/// with its outcome histogram and the seeds still missing — **without**
-/// simulating the clean baseline. This is what the campaign server's
-/// stream tailer polls: re-merging journals is cheap file I/O, while
-/// the baseline is a whole simulation that would otherwise run once per
-/// poll. Only the workload *name* is needed (it enters the journal
-/// fingerprint); the records themselves come entirely from disk.
-///
-/// # Errors
-///
-/// [`RunnerError::JournalMismatch`] when any shard journal belongs to a
-/// different spec, plus I/O errors.
-pub fn merge_shard_records(
     workload: &str,
     spec: &CampaignSpec,
     dir: &Path,
     shards: usize,
-) -> Result<MergedRecords, RunnerError> {
+    clean_cycles: u64,
+) -> Result<(CampaignSummary, Vec<u64>), RunnerError> {
     let header = spec.fingerprint(workload);
     let plan = ShardPlan::new(spec.runs, shards);
-    let mut records: Vec<RunRecord> = Vec::with_capacity(spec.runs);
-    let mut seen = BTreeSet::new();
+    let mut records = Vec::with_capacity(spec.runs);
     for k in 0..plan.count() {
-        let path = journal_path(dir, k);
-        if !path.exists() {
-            continue;
-        }
-        let range = plan.seed_range(spec, k);
-        for r in load_journal(&path, &header)? {
-            if range.contains(&r.seed) && seen.insert(r.seed) {
-                records.push(r);
-            }
-        }
+        records.extend(read_journal(
+            &journal_path(dir, k),
+            &header,
+            plan.seed_range(spec, k),
+        )?);
     }
-    records.sort_by_key(|r| r.seed);
-    let missing: Vec<u64> = (0..spec.runs as u64)
-        .map(|i| spec.base_seed + i)
-        .filter(|s| !seen.contains(s))
-        .collect();
-    let mut counts = [0usize; 5];
-    for r in &records {
-        counts[crate::campaign::Outcome::ALL
-            .iter()
-            .position(|&o| o == r.outcome)
-            .unwrap()] += 1;
-    }
-    Ok((records, counts, missing))
+    // Shard ranges ascend and are disjoint: the records are in seed
+    // order already.
+    let missing = missing_seeds(spec.seeds(), &records);
+    Ok((
+        CampaignSummary::new(header, records, clean_cycles, 0),
+        missing,
+    ))
 }
 
 /// Removes the coordination files (leases, epoch markers) of a
@@ -721,7 +704,7 @@ pub fn run_sharded_campaign(
                     ..opts.clone()
                 };
                 let baseline = &baseline;
-                s.spawn(move || run_shard_worker_inner(w, spec, dir, &o, baseline))
+                s.spawn(move || run_worker(w, spec, dir, &o, baseline))
             })
             .collect();
         for h in handles {
@@ -739,16 +722,8 @@ pub fn run_sharded_campaign(
         return Err(e);
     }
 
-    let (summary, missing) = merge_shards(w, spec, dir, opts.shards)?;
-    let mut summary = summary;
-    if !missing.is_empty() && opts.shutdown_requested() {
-        // Graceful shutdown mid-campaign: the workers released their
-        // leases and stopped. Keep the coordination files — the next
-        // invocation on the same `dir` (or a reclaiming peer) resumes
-        // exactly where the journals left off.
-        return Err(RunnerError::Interrupted(missing.len()));
-    }
-    if !missing.is_empty() {
+    let (mut summary, mut missing) = merge_shards(w.name, spec, dir, opts.shards, 0)?;
+    if !missing.is_empty() && !opts.shutdown_requested() {
         // Degradation sweep: every worker is gone but seeds remain.
         // The supervisor becomes the last worker and finishes serially
         // (waiting out still-fresh leases of dead workers).
@@ -758,19 +733,25 @@ pub fn run_sharded_campaign(
             abandon_after: None,
             ..opts.clone()
         };
-        ran_now += run_shard_worker_inner(w, spec, dir, &sweep, &baseline)?.seeds_run;
-        let (swept, still_missing) = merge_shards(w, spec, dir, opts.shards)?;
-        if !still_missing.is_empty() && opts.shutdown_requested() {
-            return Err(RunnerError::Interrupted(still_missing.len()));
-        }
-        if !still_missing.is_empty() {
-            return Err(RunnerError::Io(std::io::Error::other(format!(
-                "{} seeds missing after degradation sweep",
-                still_missing.len()
-            ))));
-        }
-        summary = swept;
+        ran_now += run_worker(w, spec, dir, &sweep, &baseline)?.seeds_run;
+        (summary, missing) = merge_shards(w.name, spec, dir, opts.shards, 0)?;
     }
+    if !missing.is_empty() {
+        if opts.shutdown_requested() {
+            // Graceful shutdown mid-campaign: the workers released their
+            // leases and stopped. Keep the coordination files — the next
+            // invocation on the same `dir` (or a reclaiming peer) resumes
+            // exactly where the journals left off.
+            return Err(RunnerError::Interrupted(missing.len()));
+        }
+        return Err(RunnerError::Io(std::io::Error::other(format!(
+            "{} seeds missing after degradation sweep",
+            missing.len()
+        ))));
+    }
+    // The clean cycles come from the baseline the workers forked from;
+    // a campaign whose journals were already complete simulates it here.
+    summary.clean_cycles = baseline.get_or_init(|| clean_baseline(w, spec)).cycles;
     summary.ran_now = ran_now;
     cleanup_coordination(dir, opts.shards);
     Ok(summary)
@@ -914,6 +895,26 @@ mod tests {
         let second = try_claim(&dir, 1, "b", ttl).unwrap();
         assert!(first.is_some());
         assert!(second.is_none(), "both claimants won the same epoch");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lease_owners_round_trip_through_the_lease_file() {
+        let dir = tmp_dir("owners");
+        let ttl = Duration::from_secs(10);
+        // Worker ids come from the command line; quotes, backslashes and
+        // control characters must survive the lease file, or the owner
+        // loses its own lease at the first heartbeat.
+        for (k, owner) in ["a\"b", "a\\b", "tab\there"].into_iter().enumerate() {
+            let claim = try_claim(&dir, k, owner, ttl).unwrap().expect("claim");
+            assert_eq!(
+                read_lease(&dir, k).map(|l| l.owner),
+                Some(owner.to_string())
+            );
+            assert_eq!(heartbeat(&dir, &claim, owner), Ok(()), "owner {owner:?}");
+            assert_eq!(heartbeat(&dir, &claim, owner), Ok(()), "owner {owner:?}");
+            assert_eq!(heartbeat(&dir, &claim, "other"), Err(LeaseLost));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -692,7 +692,7 @@ impl Sm {
     ///
     /// The tick touches only per-SM state: effects on shared state (L2,
     /// device memory) are queued and must be flushed by
-    /// [`Sm::apply_global`] in the same cycle, after every SM has ticked,
+    /// `Sm::apply_global` in the same cycle, after every SM has ticked,
     /// in ascending SM order, as `Gpu::step_window` does.
     pub fn tick(&mut self, now: u64, kernel: &UopKernel, dims: &LaunchDims) -> bool {
         if now < self.frozen_until {

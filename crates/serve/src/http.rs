@@ -103,7 +103,7 @@ pub fn respond(stream: &mut TcpStream, status: u32, content_type: &str, body: &s
 
 /// Convenience: a JSON error body `{"error": "..."}`.
 pub fn respond_error(stream: &mut TcpStream, status: u32, msg: &str) {
-    let body = format!("{{\"error\":{}}}\n", crate::json::json_escape(msg));
+    let body = format!("{{\"error\":{}}}\n", flame_trace::json::json_escape(msg));
     respond(stream, status, "application/json", &body);
 }
 

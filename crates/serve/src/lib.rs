@@ -15,9 +15,10 @@
 //! incomplete ones from their shard journals — the final histogram is
 //! bit-identical to an uninterrupted serial run of the same spec.
 //!
-//! Everything is hand-rolled on `std` (HTTP/1.1 in [`http`], JSON in
-//! [`json`], signals in [`shutdown`]), keeping the workspace's
-//! no-external-dependencies constraint.
+//! Everything is hand-rolled on `std` (HTTP/1.1 in [`http`], signals in
+//! [`shutdown`]; JSON through the workspace's one codec,
+//! [`flame_trace::json`]), keeping the workspace's no-external-dependencies
+//! constraint.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -25,7 +26,6 @@
 pub mod catalog;
 pub mod client;
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod registry;
 pub mod server;
@@ -34,7 +34,7 @@ pub mod spec;
 pub mod tailer;
 
 pub use catalog::catalog_json;
-pub use json::JsonValue;
+pub use flame_trace::json::JsonValue;
 pub use metrics::Metrics;
 pub use registry::{CampaignEntry, CampaignState, Registry, RunSettings};
 pub use server::serve;

@@ -15,9 +15,8 @@ use crate::spec::{load_campaign_dir, CampaignRequest};
 use crate::tailer::JournalTailer;
 use flame_core::runner::RunnerError;
 use flame_core::shard::DEFAULT_LEASE_TTL;
-use flame_core::{
-    campaign_clean_cycles, merge_shard_records, run_sharded_campaign, ShardOptions, SummaryJson,
-};
+use flame_core::{clean_baseline, merge_shards, run_sharded_campaign, ShardOptions, SummaryJson};
+use flame_trace::json::json_escape;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -110,11 +109,13 @@ impl CampaignEntry {
     }
 
     /// Clean-baseline cycles, simulated once and cached. Only called on
-    /// paths that need the final summary — never per poll.
+    /// paths that need the final summary — never per poll — and only
+    /// simulated for a campaign rediscovered complete: one this process
+    /// ran keeps the cycles of the baseline its workers forked from.
     fn clean_cycles(&self) -> u64 {
         *self
             .clean_cycles
-            .get_or_init(|| campaign_clean_cycles(&self.request.workload, &self.request.spec))
+            .get_or_init(|| clean_baseline(&self.request.workload, &self.request.spec).cycles)
     }
 
     /// The final summary as JSON — the byte-identity anchor: the serial
@@ -130,17 +131,18 @@ impl CampaignEntry {
         if let Some(j) = self.final_json.get() {
             return Ok(j.clone());
         }
-        let (records, _counts, missing) = merge_shard_records(
+        let (merged, missing) = merge_shards(
             self.request.workload.name,
             &self.request.spec,
             &self.dir,
             self.request.shards,
+            0,
         )
         .map_err(|e| e.to_string())?;
         if !missing.is_empty() {
             return Err(format!("{} seeds still missing", missing.len()));
         }
-        let json = SummaryJson::from_records(&records, self.clean_cycles()).to_json();
+        let json = SummaryJson::from_records(&merged.records, self.clean_cycles()).to_json();
         Ok(self.final_json.get_or_init(|| json).clone())
     }
 
@@ -163,15 +165,15 @@ impl CampaignEntry {
             (_, s) => s,
         };
         let error = match &state {
-            CampaignState::Failed(e) => format!(",\"error\":{}", crate::json::json_escape(e)),
+            CampaignState::Failed(e) => format!(",\"error\":{}", json_escape(e)),
             _ => String::new(),
         };
         format!
             (
             "{{\"id\":\"{}\",\"workload\":{},\"scheme\":{},\"state\":\"{}\",\"done\":{},\"total\":{}{},\"summary\":{}}}",
             self.id,
-            crate::json::json_escape(self.request.workload.abbr),
-            crate::json::json_escape(self.request.spec.scheme.key()),
+            json_escape(self.request.workload.abbr),
+            json_escape(self.request.spec.scheme.key()),
             state.name(),
             done,
             total,
@@ -184,7 +186,7 @@ impl CampaignEntry {
 /// Operator settings the registry applies to every campaign it runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunSettings {
-    /// Shard lease TTL; workers heartbeat at a quarter of it.
+    /// Shard lease TTL; workers heartbeat every quarter of it.
     pub lease_ttl: Duration,
     /// Forward-progress watchdog horizon in cycles, replacing each
     /// submitted spec's own. It enters the campaign id like any
@@ -331,10 +333,14 @@ impl Registry {
             if campaigns.contains_key(&id) {
                 continue;
             }
-            let complete =
-                merge_shard_records(request.workload.name, &request.spec, &dir, request.shards)
-                    .map(|(_, _, missing)| missing.is_empty())
-                    .unwrap_or(false);
+            let complete = merge_shards(
+                request.workload.name,
+                &request.spec,
+                &dir,
+                request.shards,
+                0,
+            )
+            .is_ok_and(|(_, missing)| missing.is_empty());
             let state = if complete {
                 CampaignState::Complete
             } else {
@@ -400,7 +406,6 @@ impl Registry {
         let opts = ShardOptions {
             worker_id: format!("serve-{}-pid{}", entry.id, std::process::id()),
             lease_ttl: self.settings.lease_ttl,
-            heartbeat: self.settings.lease_ttl / 4,
             shutdown: Some(self.shutdown.clone()),
             progress: Some(self.metrics.seeds_run.clone()),
             ..ShardOptions::new(entry.request.shards)

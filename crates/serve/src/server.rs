@@ -124,7 +124,7 @@ fn route(
                     format!(
                         "{{\"id\":\"{}\",\"workload\":{},\"state\":\"{}\"}}",
                         e.id,
-                        crate::json::json_escape(e.request.workload.abbr),
+                        flame_trace::json::json_escape(e.request.workload.abbr),
                         e.state().name()
                     )
                 })
@@ -257,7 +257,7 @@ fn stream_campaign(
 fn final_error_line(state: &str, msg: &str) -> String {
     format!(
         "{{\"complete\":true,\"state\":\"{state}\",\"error\":{}}}",
-        crate::json::json_escape(msg)
+        flame_trace::json::json_escape(msg)
     )
 }
 

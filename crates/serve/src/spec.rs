@@ -3,10 +3,10 @@
 //! spec fingerprint, and persisting the canonical request next to the
 //! shard journals so a restarted server can rediscover and resume it.
 
-use crate::json::{json_escape, JsonValue};
 use flame_core::experiment::{ExperimentConfig, ProtocolConfig, WorkloadSpec};
 use flame_core::runner::{CampaignSpec, RetryPolicy, SelfFault};
 use flame_core::scheme::Scheme;
+use flame_trace::json::{json_escape, json_f64, JsonValue};
 use gpu_sim::config::GpuConfig;
 use gpu_sim::scheduler::SchedulerKind;
 use std::fmt::Write as _;
@@ -66,15 +66,15 @@ impl CampaignRequest {
             out,
             ",\"strikes_per_run\":{},\"coverage\":{},\"control_fraction\":{},\"recovery_fraction\":{}",
             self.spec.strikes_per_run,
-            flame_core::json_f64(self.spec.coverage),
-            flame_core::json_f64(self.spec.control_fraction),
-            flame_core::json_f64(self.spec.recovery_fraction)
+            json_f64(self.spec.coverage),
+            json_f64(self.spec.control_fraction),
+            json_f64(self.spec.recovery_fraction)
         );
         let _ = write!(
             out,
             ",\"strike_window\":[{},{}],\"fork_points\":{},\"watchdog\":{}",
-            flame_core::json_f64(self.spec.strike_window.0),
-            flame_core::json_f64(self.spec.strike_window.1),
+            json_f64(self.spec.strike_window.0),
+            json_f64(self.spec.strike_window.1),
             self.spec.fork_points,
             self.spec.watchdog
         );
@@ -289,7 +289,7 @@ mod tests {
             back.spec.fingerprint(back.workload.name),
             req.spec.fingerprint(req.workload.name)
         );
-        flame_trace::validate_json(&canon).expect("canonical body must be valid JSON");
+        JsonValue::parse(&canon).expect("canonical body must be valid JSON");
     }
 
     #[test]
@@ -341,6 +341,10 @@ mod tests {
                 "unknown gpu",
             ),
             ("not json", "invalid JSON"),
+            (
+                r#"{"workload":"Triad","scheme":"flame","runs":+1,"horizon":1}"#,
+                "invalid JSON",
+            ),
         ] {
             let err = parse_campaign_request(body).unwrap_err();
             assert!(

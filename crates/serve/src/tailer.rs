@@ -1,16 +1,15 @@
 //! Journal tailing: the incremental merge behind `GET
 //! /campaigns/{id}/stream` and the `done/total` status counters.
 //!
-//! A tailer polls [`flame_core::merge_shard_records`] over a campaign's
-//! journal directory and reports a fresh [`SummaryJson`] whenever new
-//! seeds have landed. All journal-robustness rules apply unchanged —
-//! in particular a torn final line (a worker killed mid-append) is
-//! ignored until its seed is re-run, so a partial histogram only ever
-//! counts complete records and converges to the exact
-//! [`flame_core::merge_shards`] result.
+//! A tailer polls [`flame_core::merge_shards`] over a campaign's journal
+//! directory and reports a fresh [`SummaryJson`] whenever new seeds have
+//! landed. All journal-robustness rules apply unchanged — in particular
+//! a torn final line (a worker killed mid-append) is ignored until its
+//! seed is re-run, so a partial histogram only ever counts complete
+//! records and converges to the exact merged result.
 
 use flame_core::runner::{CampaignSpec, RunnerError};
-use flame_core::{merge_shard_records, SummaryJson};
+use flame_core::{merge_shards, SummaryJson};
 use std::path::PathBuf;
 
 /// One observation of a campaign's journals.
@@ -57,9 +56,14 @@ impl JournalTailer {
     /// [`RunnerError::JournalMismatch`] when the directory's journals
     /// belong to a different spec, plus I/O errors.
     pub fn poll(&mut self, clean_cycles: u64) -> Result<Option<TailSnapshot>, RunnerError> {
-        let (records, _counts, missing) =
-            merge_shard_records(&self.workload, &self.spec, &self.dir, self.shards)?;
-        let done = records.len();
+        let (merged, missing) = merge_shards(
+            &self.workload,
+            &self.spec,
+            &self.dir,
+            self.shards,
+            clean_cycles,
+        )?;
+        let done = merged.records.len();
         if self.last_done == Some(done) {
             return Ok(None);
         }
@@ -67,7 +71,7 @@ impl JournalTailer {
         Ok(Some(TailSnapshot {
             done,
             total: done + missing.len(),
-            summary: SummaryJson::from_records(&records, clean_cycles),
+            summary: SummaryJson::from_summary(&merged),
         }))
     }
 }

@@ -1,8 +1,10 @@
-//! Exporters: Chrome-tracing/Perfetto JSON, per-region CSV, a
-//! human-readable stall table, and a dependency-free JSON validator used
-//! by the smoke tests.
+//! Exporters: Chrome-tracing/Perfetto JSON, per-region CSV and a
+//! human-readable stall table. Names in the Chrome trace are escaped
+//! through [`crate::json`], which also parses the output back in the
+//! tests and the trace smoke.
 
 use crate::event::{Event, StallCause};
+use crate::json::json_escape;
 use crate::trace::{SimTrace, HARNESS_SM};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
@@ -14,22 +16,6 @@ pub const SCHED_TID_BASE: u64 = 1000;
 /// Thread id of the per-SM instant-event track (CTA launches/drains,
 /// fault strikes/detections, rollbacks).
 pub const EVENTS_TID: u64 = 1999;
-
-fn esc(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 struct EventWriter {
     out: String,
@@ -58,11 +44,10 @@ impl EventWriter {
     #[allow(clippy::too_many_arguments)]
     fn slice(&mut self, name: &str, cat: &str, pid: u64, tid: u64, ts: u64, dur: u64, args: &str) {
         self.sep();
-        self.out.push_str("{\"ph\":\"X\",\"name\":\"");
-        esc(name, &mut self.out);
         let _ = write!(
             self.out,
-            "\",\"cat\":\"{cat}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"dur\":{}",
+            "{{\"ph\":\"X\",\"name\":{},\"cat\":\"{cat}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"dur\":{}",
+            json_escape(name),
             dur.max(1)
         );
         if !args.is_empty() {
@@ -74,11 +59,10 @@ impl EventWriter {
     /// A thread-scoped instant ("i") event.
     fn instant(&mut self, name: &str, cat: &str, pid: u64, tid: u64, ts: u64, args: &str) {
         self.sep();
-        self.out.push_str("{\"ph\":\"i\",\"s\":\"t\",\"name\":\"");
-        esc(name, &mut self.out);
         let _ = write!(
             self.out,
-            "\",\"cat\":\"{cat}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts}"
+            "{{\"ph\":\"i\",\"s\":\"t\",\"name\":{},\"cat\":\"{cat}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts}",
+            json_escape(name)
         );
         if !args.is_empty() {
             let _ = write!(self.out, ",\"args\":{{{args}}}");
@@ -93,9 +77,7 @@ impl EventWriter {
         if let Some(tid) = tid {
             let _ = write!(self.out, ",\"tid\":{tid}");
         }
-        self.out.push_str(",\"args\":{\"name\":\"");
-        esc(name, &mut self.out);
-        self.out.push_str("\"}}");
+        let _ = write!(self.out, ",\"args\":{{\"name\":{}}}}}", json_escape(name));
     }
 
     fn finish(mut self, dropped: u64, regions_dropped: u64) -> String {
@@ -432,194 +414,10 @@ pub fn stall_table(t: &SimTrace) -> String {
     out
 }
 
-struct JsonParser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn err(&self, what: &str) -> String {
-        format!("invalid JSON at byte {}: {what}", self.i)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", c as char)))
-        }
-    }
-
-    fn value(&mut self, depth: u32) -> Result<(), String> {
-        if depth > 128 {
-            return Err(self.err("nesting too deep"));
-        }
-        self.ws();
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            Some(c) => Err(self.err(&format!("unexpected {:?}", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.b[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {lit}")))
-        }
-    }
-
-    fn object(&mut self, depth: u32) -> Result<(), String> {
-        self.eat(b'{')?;
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            self.value(depth + 1)?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self, depth: u32) -> Result<(), String> {
-        self.eat(b'[')?;
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.value(depth + 1)?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.eat(b'"')?;
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.i += 1;
-                        }
-                        Some(b'u') => {
-                            self.i += 1;
-                            for _ in 0..4 {
-                                match self.peek() {
-                                    Some(c) if c.is_ascii_hexdigit() => self.i += 1,
-                                    _ => return Err(self.err("bad \\u escape")),
-                                }
-                            }
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                }
-                Some(c) if c < 0x20 => return Err(self.err("raw control char in string")),
-                Some(_) => self.i += 1,
-            }
-        }
-    }
-
-    fn digits(&mut self) -> Result<(), String> {
-        if !matches!(self.peek(), Some(b'0'..=b'9')) {
-            return Err(self.err("expected digit"));
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.i += 1;
-        }
-        Ok(())
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        if self.peek() == Some(b'0') {
-            self.i += 1;
-        } else {
-            self.digits()?;
-        }
-        if self.peek() == Some(b'.') {
-            self.i += 1;
-            self.digits()?;
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.i += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.i += 1;
-            }
-            self.digits()?;
-        }
-        Ok(())
-    }
-}
-
-/// Validate that `s` is one syntactically well-formed JSON document
-/// (hand-rolled — the workspace is dependency-free by design). Returns
-/// the byte offset of the first problem on failure.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let mut p = JsonParser {
-        b: s.as_bytes(),
-        i: 0,
-    };
-    p.value(0)?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(p.err("trailing data after document"));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::tests::Rule;
     use crate::record::TraceBuffer;
     use crate::trace::SimTrace;
 
@@ -677,7 +475,7 @@ mod tests {
     #[test]
     fn chrome_json_is_valid_and_covers_tracks() {
         let json = chrome_trace_json(&sample_trace());
-        validate_json(&json).expect("exported chrome trace must be valid JSON");
+        crate::json::JsonValue::parse(&json).expect("exported chrome trace must be valid JSON");
         for needle in [
             "\"process_name\"",
             "\"thread_name\"",
@@ -692,6 +490,17 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in chrome json");
         }
+    }
+
+    /// The Chrome-trace checks parse through the codec's `Validator` rows.
+    #[test]
+    fn validator_accepts_and_rejects() {
+        crate::json::tests::check(Rule::Validator);
+    }
+
+    #[test]
+    fn validator_depth_cap() {
+        crate::json::tests::check(Rule::ValidatorDepth);
     }
 
     #[test]
@@ -716,45 +525,5 @@ mod tests {
         assert!(table.contains("ALL"));
         assert!(table.contains("rbq occupancy"));
         assert!(table.contains("verify latency"));
-    }
-
-    #[test]
-    fn validator_accepts_and_rejects() {
-        for good in [
-            "{}",
-            "[]",
-            "null",
-            "-12.5e+3",
-            "\"a\\u00e9\\n\"",
-            "{\"a\":[1,2,{\"b\":null}],\"c\":false}",
-            "  [ 1 , 2 ]  ",
-        ] {
-            validate_json(good).unwrap_or_else(|e| panic!("rejected {good}: {e}"));
-        }
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "{\"a\" 1}",
-            "tru",
-            "01",
-            "1.",
-            "\"unterminated",
-            "\"bad\\escape\"",
-            "{} {}",
-            "[1] trailing",
-            "{'single':1}",
-        ] {
-            assert!(validate_json(bad).is_err(), "accepted bad JSON {bad:?}");
-        }
-    }
-
-    #[test]
-    fn validator_depth_cap() {
-        let deep = "[".repeat(200) + &"]".repeat(200);
-        assert!(validate_json(&deep).is_err());
-        let ok = "[".repeat(100) + &"]".repeat(100);
-        validate_json(&ok).unwrap();
     }
 }

@@ -24,7 +24,12 @@
 //! * **Export** ([`export`]) — the merged whole-GPU [`SimTrace`] renders
 //!   as Chrome-tracing/Perfetto JSON (one track per SM/scheduler/warp), a
 //!   flat CSV of per-region records and a human-readable stall-breakdown
-//!   table. A dependency-free JSON validator backs the smoke tests.
+//!   table.
+//!
+//! The crate also hosts the workspace's one JSON codec ([`json`]): the
+//! strict parser, string escaper and float writer behind the Chrome-trace
+//! exporter, the campaign journals and leases in `flame-core`, and the
+//! request bodies of `flame-serve`, all of which already depend on it.
 //!
 //! The crate is deliberately dependency-free (it sits *below* `gpu-sim`
 //! in the workspace graph so the simulator itself can emit events).
@@ -34,11 +39,13 @@
 
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod record;
 pub mod trace;
 
 pub use event::{Event, StallCause};
-pub use export::{chrome_trace_json, region_csv, stall_table, validate_json};
+pub use export::{chrome_trace_json, region_csv, stall_table};
+pub use json::JsonValue;
 pub use record::{
     Histogram, RegionRecord, StallMatrix, TraceBuffer, TraceRecord, Tracer, DEFAULT_CAPACITY,
 };

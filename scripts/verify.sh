@@ -5,8 +5,8 @@
 #
 # Runs the tier-1 check from ROADMAP.md (release build + full test
 # suite), a byte-for-byte regeneration of three full-size figures, the
-# benchmark's self-test, the end-to-end smokes, and the
-# environment, formatting and lint gates. Fails fast on the first broken
+# benchmark's self-test, the end-to-end smokes, and the environment,
+# formatting, lint and rustdoc gates. Fails fast on the first broken
 # step. Every step writes under target/ or a temp dir: the run must
 # leave the tracked files as it found them.
 
@@ -78,6 +78,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings (intra-doc links resolve)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> tracked files unchanged"
 status_after=$(git status --porcelain --untracked-files=no)

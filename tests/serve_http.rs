@@ -14,7 +14,7 @@ use flame::core::runner::{
 };
 use flame::core::scheme::Scheme;
 use flame::core::shard::{journal_path, run_shard_worker, ShardOptions};
-use flame::core::{merge_shard_records, Outcome, SummaryJson};
+use flame::core::{merge_shards, Outcome, SummaryJson};
 use flame::serve::{client, JournalTailer, Metrics, Registry, RunSettings};
 use std::io::Write;
 use std::net::TcpListener;
@@ -309,7 +309,7 @@ fn append(path: &Path, text: &str) {
 /// Satellite acceptance: the tailer sees fabricated journal appends —
 /// including a torn final line from a worker killed mid-write — counts
 /// only complete records, reports changes exactly once, and converges
-/// to the same records and summary `merge_shard_records` produces.
+/// to the same records and summary `merge_shards` produces.
 #[test]
 fn tailer_ignores_torn_lines_and_converges_to_the_merge() {
     let spec = fake_spec(6);
@@ -369,8 +369,8 @@ fn tailer_ignores_torn_lines_and_converges_to_the_merge() {
     );
     let snap = tailer.poll(77).expect("poll").expect("final poll reports");
     assert_eq!((snap.done, snap.total), (6, 6));
-    let (records, counts, missing) =
-        merge_shard_records("fakew", &spec, &dir, 2).expect("merge journals");
+    let (merged, missing) = merge_shards("fakew", &spec, &dir, 2, 0).expect("merge journals");
+    let (records, counts) = (merged.records, merged.counts);
     assert!(missing.is_empty(), "merge still missing {missing:?}");
     assert_eq!(records, recs.to_vec(), "merge records drifted");
     assert_eq!(counts, [2, 1, 1, 1, 1], "outcome histogram drifted");

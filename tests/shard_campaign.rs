@@ -99,7 +99,6 @@ fn opts(tag: &str, shards: usize, ttl_ms: u64) -> ShardOptions {
     ShardOptions {
         worker_id: format!("it-{tag}"),
         lease_ttl: ttl,
-        heartbeat: ttl / 4,
         ..ShardOptions::new(shards)
     }
 }
@@ -151,7 +150,7 @@ fn abandoned_shard_is_reclaimed_by_a_later_worker() {
     assert_eq!(rep.seeds_run, 3, "worker should die after 3 seeds");
     // The dead worker's lease is still on disk, unreleased.
     assert!(lease_path(&dir, rep.shards_claimed - 1).exists());
-    let (_, missing) = merge_shards(&w, &s, &dir, 2).unwrap();
+    let (_, missing) = merge_shards(w.name, &s, &dir, 2, serial.clean_cycles).unwrap();
     assert!(!missing.is_empty(), "campaign should be incomplete");
 
     // A second worker must wait out the stale TTL, reclaim, and finish
@@ -160,7 +159,7 @@ fn abandoned_shard_is_reclaimed_by_a_later_worker() {
     let rep2 = run_shard_worker(&w, &s, &dir, &second).unwrap();
     assert_eq!(rep.seeds_run + rep2.seeds_run, 10);
 
-    let (merged, missing) = merge_shards(&w, &s, &dir, 2).unwrap();
+    let (merged, missing) = merge_shards(w.name, &s, &dir, 2, serial.clean_cycles).unwrap();
     assert!(missing.is_empty());
     assert_eq!(merged.records, serial.records);
     assert_eq!(merged.render(), serial.render());
