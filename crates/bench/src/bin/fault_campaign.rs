@@ -8,7 +8,6 @@
 //! fault_campaign --fork-points 0  # disable fork-point acceleration
 //! fault_campaign smoke            # pinned-histogram + resume smoke test
 //! fault_campaign fork-smoke       # fork on/off histogram equality check
-//! fault_campaign bench-fork       # late-strike speedup -> target/bench-fork.json
 //! fault_campaign --shards 4 --kill-after 2
 //!                                 # crash drill: SIGKILL + abort shard
 //!                                 # workers mid-campaign, resume, diff
@@ -396,90 +395,6 @@ fn dump_divergence(forked: &CampaignSummary, scratch: &CampaignSummary) {
     }
 }
 
-/// Path the late-strike fork benchmark writes its report to: a build
-/// directory, so a run never rewrites a tracked file.
-const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/bench-fork.json");
-
-/// Times a late-strike campaign (every strike in the last 20% of the
-/// horizon — the regime fork-point acceleration targets) with forking
-/// on and off, asserts bit-identical outcomes, and writes the speedup
-/// report to [`BENCH_PATH`].
-fn bench_fork(env: &BenchEnv, runs: usize) {
-    // BP is the longest-running catalog workload (~100k clean cycles), so
-    // simulated-prefix savings dominate per-run fixed costs (GPU image
-    // allocation, kernel prepare) and the measurement reflects the fork
-    // machinery rather than constant overheads.
-    let w = flame_bench::workload_by_abbr("BP").expect("BP missing from catalog");
-    let cfg = ExperimentConfig {
-        max_cycles: 20_000_000,
-        ..ExperimentConfig::default()
-    };
-    let clean = run_scheme(&w, Scheme::SensorRenaming, &cfg).expect("clean run failed");
-    let spec = CampaignSpec {
-        strike_window: (0.8, 1.0),
-        ..spec_for(env, &cfg, clean.stats.cycles, SMOKE_COVERAGE, runs)
-    };
-    println!(
-        "bench-fork: {} runs, horizon {} cycles, strikes in [0.8, 1.0) of horizon",
-        runs, spec.horizon
-    );
-
-    let t0 = std::time::Instant::now();
-    let forked =
-        run_campaign_runner_with_jobs(&w, &spec, None, env.jobs).expect("forked campaign failed");
-    let fork_secs = t0.elapsed().as_secs_f64();
-
-    let t0 = std::time::Instant::now();
-    let scratch = run_campaign_runner_with_jobs(
-        &w,
-        &CampaignSpec {
-            fork_points: 0,
-            ..spec.clone()
-        },
-        None,
-        env.jobs,
-    )
-    .expect("scratch campaign failed");
-    let scratch_secs = t0.elapsed().as_secs_f64();
-
-    check_same_outcomes("bench-fork runs diverged", &forked, &scratch);
-    let hits = forked.records.iter().filter(|r| r.fork_hit).count();
-    let saved: u64 = forked.records.iter().map(|r| r.fork_cycle).sum();
-    let fork_sim: u64 = forked.records.iter().map(|r| r.sim_cycles).sum();
-    let scratch_sim: u64 = scratch.records.iter().map(|r| r.sim_cycles).sum();
-    let speedup = scratch_secs / fork_secs.max(1e-9);
-    let json = format!(
-        "{{\n  \"workload\": \"{}\",\n  \"runs\": {},\n  \"strikes_per_run\": {},\n  \
-         \"horizon_cycles\": {},\n  \"strike_window\": [0.8, 1.0],\n  \"fork_points\": {},\n  \
-         \"forked_runs\": {},\n  \"prefix_cycles_saved\": {},\n  \
-         \"forked_cycles_simulated\": {},\n  \"scratch_cycles_simulated\": {},\n  \
-         \"forked_wall_secs\": {:.3},\n  \"scratch_wall_secs\": {:.3},\n  \
-         \"speedup\": {:.3},\n  \"bit_identical\": true\n}}\n",
-        w.name,
-        runs,
-        spec.strikes_per_run,
-        spec.horizon,
-        spec.fork_points,
-        hits,
-        saved,
-        fork_sim,
-        scratch_sim,
-        fork_secs,
-        scratch_secs,
-        speedup
-    );
-    let path = std::path::Path::new(BENCH_PATH);
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(path, &json)
-        .unwrap_or_else(|e| fail(&format!("cannot write {BENCH_PATH}: {e}")));
-    println!("{json}");
-    println!(
-        "bench-fork ok: {speedup:.2}x wall-clock, {hits}/{runs} runs forked, report at {BENCH_PATH}"
-    );
-}
-
 /// Directory the crash drill stages its shard journals, leases, and
 /// (on failure) divergence reports in; CI uploads it as an artifact
 /// when the gate fails.
@@ -766,17 +681,6 @@ fn main() {
             fork_smoke(&env);
             return;
         }
-        Some("bench-fork") => {
-            let runs = args
-                .get(1)
-                .map(|v| {
-                    v.parse()
-                        .unwrap_or_else(|_| fail("bench-fork takes an optional run count"))
-                })
-                .unwrap_or(40);
-            bench_fork(&env, runs);
-            return;
-        }
         _ => {}
     }
     let mut runs = 100usize;
@@ -838,7 +742,7 @@ fn main() {
                     .next()
                     .unwrap_or_else(|| fail("--workload needs an abbreviation"));
                 workload = Some(
-                    flame_bench::workload_by_abbr(abbr)
+                    flame_workloads::by_abbr(abbr)
                         .unwrap_or_else(|| fail(&format!("unknown workload {abbr:?}"))),
                 );
             }

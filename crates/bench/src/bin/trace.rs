@@ -76,22 +76,22 @@ fn parse_args(args: &[String]) -> TraceArgs {
         match a.as_str() {
             "--workload" => {
                 let abbr = value("--workload");
-                workload = flame_bench::workload_by_abbr(abbr)
+                workload = flame_workloads::by_abbr(abbr)
                     .unwrap_or_else(|| fail(&format!("unknown workload {abbr:?} (see --list)")));
             }
             "--scheme" => {
                 let key = value("--scheme");
-                scheme = flame_bench::scheme_by_key(key)
+                scheme = Scheme::by_key(key)
                     .unwrap_or_else(|| fail(&format!("unknown scheme {key:?} (see --list)")));
             }
             "--gpu" => {
                 let name = value("--gpu");
-                gpu = flame_bench::gpu_by_name(name)
+                gpu = GpuConfig::by_name(name)
                     .unwrap_or_else(|| fail(&format!("unknown gpu {name:?} (see --list)")));
             }
             "--sched" => {
                 let name = value("--sched");
-                sched = flame_bench::sched_by_name(name)
+                sched = SchedulerKind::by_name(name)
                     .unwrap_or_else(|| fail(&format!("unknown scheduler {name:?} (see --list)")));
             }
             "--wcdl" => {

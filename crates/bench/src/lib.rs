@@ -15,12 +15,11 @@
 //! | `fig19`        | Figure 19 — GPU architecture sensitivity          |
 //! | `region_stats` | §IV — region sizes, false positives, §VI-A costs  |
 //! | `fig4_naive`   | Figure 4 — the naive-verification motivation      |
-//! | `perfstat`     | serial-vs-parallel engine throughput, as JSON     |
 //! | `trace`        | cycle-level event trace of any cell, Chrome JSON  |
 //!
-//! `perfstat`, `fault_campaign` and `trace` all accept `--list`, which
-//! prints the catalog of workloads, scheme keys, GPU models and
-//! scheduler policies ([`print_catalog`]).
+//! `fault_campaign` and `trace` both accept `--list`, which prints the
+//! catalog of workloads, scheme keys, GPU models and scheduler policies
+//! ([`print_catalog`]).
 //!
 //! The shared code here expresses each figure as a set of [`Series`] over
 //! a workload suite, lowers them onto the parallel matrix engine
@@ -242,9 +241,9 @@ pub fn paper_default() -> ExperimentConfig {
 
 /// Prints the experiment catalog — every workload, scheme key, GPU model
 /// and scheduler policy the binaries accept. Shared by the `--list` flag
-/// of `perfstat`, `fault_campaign` and `trace`, so the valid values of
-/// `--workload`/`--scheme`/`--gpu`/`--sched` are discoverable from any of
-/// them.
+/// of `fault_campaign` and `trace`, so the valid values of
+/// `--workload`/`--scheme`/`--gpu`/`--sched` are discoverable from
+/// either.
 pub fn print_catalog() {
     println!("workloads (--workload ABBR):");
     for w in flame_workloads::all() {
@@ -267,63 +266,40 @@ pub fn print_catalog() {
     }
 }
 
-/// Looks up a workload by its catalog abbreviation (`--workload ABBR`),
-/// case-sensitively, exactly as [`print_catalog`] lists them. The bench
-/// binaries share these four lookups so a flag accepted by one resolves
-/// identically in all of them.
-pub fn workload_by_abbr(abbr: &str) -> Option<WorkloadSpec> {
-    flame_workloads::by_abbr(abbr)
-}
-
-/// Looks up a scheme by its catalog key (`--scheme KEY`).
-pub fn scheme_by_key(key: &str) -> Option<Scheme> {
-    Scheme::by_key(key)
-}
-
-/// Looks up a GPU model by name (`--gpu NAME`), case-insensitively.
-pub fn gpu_by_name(name: &str) -> Option<gpu_sim::config::GpuConfig> {
-    gpu_sim::config::GpuConfig::paper_architectures()
-        .into_iter()
-        .find(|g| g.name.eq_ignore_ascii_case(name))
-}
-
-/// Looks up a scheduler policy by name (`--sched NAME`),
-/// case-insensitively.
-pub fn sched_by_name(name: &str) -> Option<gpu_sim::scheduler::SchedulerKind> {
-    gpu_sim::scheduler::SchedulerKind::all()
-        .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(name))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use flame_core::experiment::prepare_count;
+    use gpu_sim::config::GpuConfig;
+    use gpu_sim::scheduler::SchedulerKind;
 
     #[test]
     fn catalog_lookups_resolve_listed_entries() {
         // Every entry print_catalog() lists must resolve through the
-        // shared lookups, and garbage must not.
+        // catalog types' own lookups, and garbage must not.
         for w in flame_workloads::all() {
-            assert_eq!(workload_by_abbr(w.abbr).map(|x| x.abbr), Some(w.abbr));
+            assert_eq!(
+                flame_workloads::by_abbr(w.abbr).map(|x| x.abbr),
+                Some(w.abbr)
+            );
         }
         for s in Scheme::all() {
-            assert_eq!(scheme_by_key(s.key()), Some(s));
+            assert_eq!(Scheme::by_key(s.key()), Some(s));
         }
-        for g in gpu_sim::config::GpuConfig::paper_architectures() {
-            assert_eq!(gpu_by_name(g.name).map(|x| x.name), Some(g.name));
+        for g in GpuConfig::paper_architectures() {
+            assert_eq!(GpuConfig::by_name(g.name).map(|x| x.name), Some(g.name));
             assert_eq!(
-                gpu_by_name(&g.name.to_uppercase()).map(|x| x.name),
+                GpuConfig::by_name(&g.name.to_uppercase()).map(|x| x.name),
                 Some(g.name)
             );
         }
-        for k in gpu_sim::scheduler::SchedulerKind::all() {
-            assert_eq!(sched_by_name(k.name()), Some(k));
+        for k in SchedulerKind::all() {
+            assert_eq!(SchedulerKind::by_name(k.name()), Some(k));
         }
-        assert!(workload_by_abbr("no-such-workload").is_none());
-        assert!(scheme_by_key("no-such-scheme").is_none());
-        assert!(gpu_by_name("no-such-gpu").is_none());
-        assert!(sched_by_name("no-such-sched").is_none());
+        assert!(flame_workloads::by_abbr("no-such-workload").is_none());
+        assert!(Scheme::by_key("no-such-scheme").is_none());
+        assert!(GpuConfig::by_name("no-such-gpu").is_none());
+        assert!(SchedulerKind::by_name("no-such-sched").is_none());
     }
 
     fn env(vars: &[(&str, &str)]) -> BenchEnv {

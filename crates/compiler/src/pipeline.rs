@@ -17,7 +17,7 @@
 use crate::checkpoint::checkpoint;
 use crate::checkpoint::CheckpointSlot;
 use crate::regalloc::{allocate, AllocError};
-use crate::region::{form_regions, region_stats, regions_of, Exemptions, RegionStats};
+use crate::region::{form_regions, region_stats, Exemptions, RegionStats};
 use crate::region_opt::detect;
 use crate::renaming::rename;
 use crate::swapcodes::duplicate;
@@ -228,13 +228,6 @@ pub fn build(kernel: &Kernel, opts: &BuildOptions) -> Result<CompiledKernel, All
         stats,
         kernel: k,
     })
-}
-
-/// Average *dynamic* region size cannot be known statically; this helper
-/// reports the static mean which the paper's §IV discussion (50.23
-/// instructions average) corresponds to at the static level.
-pub fn static_region_sizes(kernel: &Kernel) -> Vec<usize> {
-    regions_of(kernel).iter().map(|r| r.insts.len()).collect()
 }
 
 #[cfg(test)]

@@ -211,6 +211,13 @@ impl GpuConfig {
         ]
     }
 
+    /// The paper architecture named `name`, case-insensitively.
+    pub fn by_name(name: &str) -> Option<GpuConfig> {
+        GpuConfig::paper_architectures()
+            .into_iter()
+            .find(|g| g.name.eq_ignore_ascii_case(name))
+    }
+
     /// Core clock period in nanoseconds.
     pub fn clock_period_ns(&self) -> f64 {
         1000.0 / f64::from(self.core_clock_mhz)

@@ -38,6 +38,13 @@ impl SchedulerKind {
         ]
     }
 
+    /// The policy named `name`, case-insensitively.
+    pub fn by_name(name: &str) -> Option<SchedulerKind> {
+        SchedulerKind::all()
+            .into_iter()
+            .find(|k| k.name().eq_ignore_ascii_case(name))
+    }
+
     /// Display name as used in the paper.
     pub fn name(self) -> &'static str {
         match self {

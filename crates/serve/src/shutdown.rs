@@ -54,11 +54,6 @@ pub fn install() -> Arc<AtomicBool> {
     flag
 }
 
-/// Whether a shutdown signal has been observed.
-pub fn requested() -> bool {
-    FLAG.get().is_some_and(|f| f.load(Ordering::SeqCst))
-}
-
 /// Sends `sig` to process `pid` (drill helper: the serve smoke gate
 /// SIGTERMs its child server to exercise the graceful path). Returns
 /// `false` on failure or on non-Unix targets.

@@ -191,9 +191,7 @@ pub fn parse_campaign_request(body: &str) -> Result<CampaignRequest, String> {
             .ok_or("field \"gpu\" must be a string")
     }) {
         let name = name?;
-        cfg.gpu = GpuConfig::paper_architectures()
-            .into_iter()
-            .find(|g| g.name.eq_ignore_ascii_case(&name))
+        cfg.gpu = GpuConfig::by_name(&name)
             .ok_or_else(|| format!("unknown gpu {name:?} (see GET /catalog)"))?;
     }
     if let Some(name) = v.get("sched").map(|s| {
@@ -202,12 +200,11 @@ pub fn parse_campaign_request(body: &str) -> Result<CampaignRequest, String> {
             .ok_or("field \"sched\" must be a string")
     }) {
         let name = name?;
-        cfg.sched = SchedulerKind::all()
-            .into_iter()
-            .find(|k| k.name().eq_ignore_ascii_case(&name))
+        cfg.sched = SchedulerKind::by_name(&name)
             .ok_or_else(|| format!("unknown scheduler {name:?} (see GET /catalog)"))?;
     }
-    cfg.wcdl = opt_u64(&v, "wcdl", u64::from(cfg.wcdl))? as u32;
+    cfg.wcdl = u32::try_from(opt_u64(&v, "wcdl", u64::from(cfg.wcdl))?)
+        .map_err(|_| format!("field \"wcdl\" must be at most {}", u32::MAX))?;
     cfg.max_cycles = opt_u64(&v, "max_cycles", cfg.max_cycles)?;
 
     let strike_window = match v.get("strike_window") {
@@ -339,6 +336,10 @@ mod tests {
             (
                 r#"{"workload":"Triad","scheme":"flame","runs":1,"horizon":1,"gpu":"Voodoo2"}"#,
                 "unknown gpu",
+            ),
+            (
+                r#"{"workload":"Triad","scheme":"flame","runs":1,"horizon":1,"wcdl":4294967316}"#,
+                "wcdl",
             ),
             ("not json", "invalid JSON"),
             (

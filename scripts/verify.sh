@@ -38,7 +38,7 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> library crates read no environment"
 if grep -rnE 'env::(var|var_os|vars|set_var|remove_var)' \
-    crates/{gpu-sim,core,trace,serve,compiler,workloads,oracle,sensors}/src; then
+    crates/{flame,gpu-sim,core,trace,serve,compiler,workloads,oracle,sensors}/src; then
     echo "verify: a library crate reads the process environment (parse it in the binary)" >&2
     exit 1
 fi

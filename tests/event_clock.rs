@@ -31,7 +31,7 @@ fn all_schemes() -> Vec<Scheme> {
     s
 }
 
-fn configs() -> [ExperimentConfig; 2] {
+fn configs() -> [ExperimentConfig; 3] {
     [
         // The paper's default platform.
         ExperimentConfig::default(),
@@ -41,6 +41,12 @@ fn configs() -> [ExperimentConfig; 2] {
             gpu: GpuConfig::rtx2060(),
             sched: SchedulerKind::Lrr,
             wcdl: 100,
+            ..ExperimentConfig::default()
+        },
+        // The sparse-sensor end of the WCDL trade-off, where deschedule
+        // and stall windows are longest.
+        ExperimentConfig {
+            wcdl: 1000,
             ..ExperimentConfig::default()
         },
     ]
@@ -70,13 +76,15 @@ fn stats_bit_identical_with_and_without_fast_forward() {
                 let diff = fast.stats.diff(&slow.stats);
                 assert!(
                     diff.is_empty(),
-                    "{w}/{scheme:?}/{}: fast-forward changed {diff:?}",
-                    cfg.gpu.name
+                    "{w}/{scheme:?}/{}/wcdl {}: fast-forward changed {diff:?}",
+                    cfg.gpu.name,
+                    cfg.wcdl
                 );
                 assert!(
                     fast.output_ok && slow.output_ok,
-                    "{w}/{scheme:?}/{}: output check failed",
-                    cfg.gpu.name
+                    "{w}/{scheme:?}/{}/wcdl {}: output check failed",
+                    cfg.gpu.name,
+                    cfg.wcdl
                 );
             }
         }
