@@ -120,8 +120,10 @@ impl fmt::Display for Outcome {
     }
 }
 
-/// Classifies a protocol run into the outcome taxonomy, trusting the
-/// workload's own output check.
+/// Classifies a protocol run into the outcome taxonomy, trusting its
+/// `output_ok`: equality with the clean run's image, or else the
+/// workload's own output check (see
+/// [`crate::experiment::RunOptions::clean_image`]).
 pub fn classify(r: &FaultProtocolResult) -> Outcome {
     ladder(r, !r.run.output_ok)
 }

@@ -33,7 +33,10 @@ pub struct WorkloadSpec {
     pub dims: LaunchDims,
     /// Seeds device memory before the launch.
     pub init: Arc<dyn Fn(&mut GlobalMemory) + Send + Sync>,
-    /// Validates device memory after the launch.
+    /// Validates device memory after the launch. Must be a pure function
+    /// of the image: campaigns skip it for an image equal to the clean
+    /// run's, which it has already accepted (see
+    /// [`RunOptions::clean_image`]).
     pub check: Arc<dyn Fn(&GlobalMemory) -> bool + Send + Sync>,
 }
 
@@ -83,7 +86,9 @@ pub struct RunResult {
     pub stats: SimStats,
     /// Compiler statistics (regions, renames, checkpoints, replicas).
     pub compile: CompileStats,
-    /// Whether the workload's output check passed.
+    /// Whether the output is correct: the final image equals
+    /// [`RunOptions::clean_image`] when one is given, or else the
+    /// workload's `check` accepts it. Either step gives the same answer.
     pub output_ok: bool,
 }
 
@@ -266,8 +271,9 @@ impl Default for ProtocolConfig {
     }
 }
 
-/// What [`run_with_protocol`] records and where it starts. The
-/// `Default` records no trace and simulates from scratch.
+/// What [`run_with_protocol`] records, where it starts and what it
+/// judges the output against. The `Default` records no trace, simulates
+/// from scratch and calls the workload's `check`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions<'a> {
     /// Enables event tracing with a ring of this many events per SM (see
@@ -296,6 +302,14 @@ pub struct RunOptions<'a> {
     /// timeline starts with a `SnapshotRestore` instant at the checkpoint
     /// cycle.
     pub fork_from: Option<&'a Snapshot>,
+    /// The final image of a clean run of the same workload, scheme and
+    /// config that the workload's `check` accepted. The verdict then
+    /// takes two steps: an image equal to it is correct, and only a
+    /// different one is passed to `check`. A check is a pure function of
+    /// the image, so `output_ok` is the same as without it; the equality
+    /// costs little for a forked run, whose image shares every page it
+    /// did not write with the clean one.
+    pub clean_image: Option<&'a GlobalMemory>,
 }
 
 /// Cost accounting of a (possibly) forked protocol run — what the
@@ -348,10 +362,11 @@ pub struct FaultProtocolResult {
     pub timed_out: bool,
     /// The escalation ladder was exhausted: detected unrecoverable error.
     pub due: bool,
-    /// The final device-memory image of the last kernel attempt: what the
-    /// workload's `check` judged, moved out of the GPU (no page copied)
-    /// so it can be held against a golden image from `flame-oracle`
-    /// (see [`crate::campaign::classify_against_golden`]).
+    /// The final device-memory image of the last kernel attempt: what
+    /// `run.output_ok` judged (equal to [`RunOptions::clean_image`], or
+    /// else accepted by the workload's `check`), moved out of the GPU (no
+    /// page copied) so it can be held against a golden image from
+    /// `flame-oracle` (see [`crate::campaign::classify_against_golden`]).
     pub image: GlobalMemory,
     /// The merged timeline when [`RunOptions::trace`] was set. After a
     /// kernel relaunch it covers the final attempt only (matching `run`),
@@ -444,8 +459,9 @@ pub fn run_with_protocol(
             continue;
         }
         let stats = gpu.stats();
-        let output_ok = (w.check)(gpu.global());
         let trace = gpu.take_trace();
+        let image = gpu.into_global();
+        let output_ok = opts.clean_image == Some(&image) || (w.check)(&image);
         return Ok(FaultProtocolResult {
             run: RunResult {
                 stats,
@@ -465,7 +481,7 @@ pub fn run_with_protocol(
             watchdog_fired: c.watchdog_fired,
             timed_out: c.timed_out,
             due: c.due,
-            image: gpu.into_global(),
+            image,
             trace,
             fork,
         });

@@ -24,7 +24,8 @@
 //!   line is one complete JSON object; a half-written tail line (the kill
 //!   arrived mid-`write`) is discarded and that seed simply re-runs.
 //! * **Single baseline** — the fault-free run is simulated once per
-//!   campaign, not once per seed.
+//!   campaign, not once per seed. Seeds fork from its checkpoints, and a
+//!   seed whose final image equals its image skips the workload's check.
 //!
 //! The journal is a header line fingerprinting the spec, then one object
 //! per finished seed, in completion order, read and written through the
@@ -40,6 +41,7 @@ use crate::scheme::Scheme;
 use flame_sensors::fault::{Strike, StrikeGenerator};
 use flame_trace::json::{json_escape, JsonValue};
 use gpu_sim::gpu::Snapshot;
+use gpu_sim::memory::GlobalMemory;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, ErrorKind, Read as _, Seek, SeekFrom, Write as _};
@@ -548,7 +550,7 @@ pub fn wilson_interval(k: usize, n: usize, z: f64) -> (f64, f64) {
 /// bit-identical to a forked run of the seed (see
 /// [`run_one_seed_retrying`]) modulo the fork telemetry fields.
 pub fn run_one_seed(w: &WorkloadSpec, spec: &CampaignSpec, seed: u64) -> RunRecord {
-    run_one_seed_attempt(w, spec, seed, &[], 1)
+    run_one_seed_attempt(w, spec, seed, &[], None, 1)
 }
 
 /// One attempt of one seed, forking from the best clean-prefix
@@ -556,14 +558,16 @@ pub fn run_one_seed(w: &WorkloadSpec, spec: &CampaignSpec, seed: u64) -> RunReco
 /// strike cycle (a strikeless seed forks from the last checkpoint). With
 /// no usable checkpoint the run falls back to scratch. Outcome and
 /// counters are bit-identical either way — only the
-/// `fork_cycle`/`sim_cycles`/`fork_hit` telemetry differs. Attempt
-/// numbers only matter to the [`SelfFault`] drill hook — a genuine
-/// simulation is identical on every attempt.
+/// `fork_cycle`/`sim_cycles`/`fork_hit` telemetry differs. The same
+/// holds with or without `clean_image` (see [`RunOptions::clean_image`]).
+/// Attempt numbers only matter to the [`SelfFault`] drill hook — a
+/// genuine simulation is identical on every attempt.
 fn run_one_seed_attempt(
     w: &WorkloadSpec,
     spec: &CampaignSpec,
     seed: u64,
     checkpoints: &[Snapshot],
+    clean_image: Option<&GlobalMemory>,
     attempt: u32,
 ) -> RunRecord {
     let proto = spec.effective_proto();
@@ -583,6 +587,7 @@ fn run_one_seed_attempt(
             .max_by_key(|c| c.cycle());
         let opts = RunOptions {
             fork_from: cp,
+            clean_image,
             ..RunOptions::default()
         };
         run_with_protocol(w, spec.scheme, &spec.cfg, &strikes, &proto, &opts)
@@ -632,18 +637,31 @@ fn run_one_seed_attempt(
 /// backoff; a seed still crashing after `max_attempts` tries is a
 /// **poison seed** and is quarantined — recorded as [`Outcome::Due`]
 /// with the `quarantined` telemetry flag so the campaign (or its shard)
-/// keeps moving instead of stalling on it. This is the entry point both
-/// the serial runner and the sharded workers use.
+/// keeps moving instead of stalling on it. The seed loop behind the
+/// serial runner and the sharded workers retries the same way, and also
+/// hands each seed its baseline's clean image.
 pub fn run_one_seed_retrying(
     w: &WorkloadSpec,
     spec: &CampaignSpec,
     seed: u64,
     checkpoints: &[Snapshot],
 ) -> RunRecord {
+    retry_seed(w, spec, seed, checkpoints, None)
+}
+
+/// [`run_one_seed_retrying`] with the output judged against
+/// `clean_image` first.
+fn retry_seed(
+    w: &WorkloadSpec,
+    spec: &CampaignSpec,
+    seed: u64,
+    checkpoints: &[Snapshot],
+    clean_image: Option<&GlobalMemory>,
+) -> RunRecord {
     let max = spec.retry.max_attempts.max(1);
     let mut attempt = 1u32;
     loop {
-        let mut rec = run_one_seed_attempt(w, spec, seed, checkpoints, attempt);
+        let mut rec = run_one_seed_attempt(w, spec, seed, checkpoints, clean_image, attempt);
         if !rec.crashed {
             return rec;
         }
@@ -706,7 +724,8 @@ fn fork_grid(spec: &CampaignSpec) -> Vec<u64> {
 }
 
 /// A campaign's fault-free run: what [`CampaignSummary::clean_cycles`]
-/// reports and what every seed forks from.
+/// reports, what every seed forks from and what its output is compared
+/// with.
 #[derive(Debug, Default)]
 pub struct Baseline {
     /// Cycles of the clean run; `0` when it fails to launch or exhausts
@@ -714,15 +733,22 @@ pub struct Baseline {
     pub cycles: u64,
     /// Clean-prefix snapshots at the fork-grid cycles the run reached.
     pub checkpoints: Vec<Snapshot>,
+    /// The clean run's final image, kept only when the workload's
+    /// `check` accepts it: the seed loop passes it as
+    /// [`RunOptions::clean_image`], so a seed that ends on it skips the
+    /// check. `None` leaves every seed to the check.
+    pub image: Option<GlobalMemory>,
 }
 
 /// Simulates the spec's fault-free run once, pausing at each cycle of the
 /// `fork_points` grid to capture a copy-on-write [`Snapshot`]. The cycle
 /// count equals an unpaused run's (the event clock's step-bound
 /// invariance); a launch failure or cycle-budget timeout yields the
-/// empty [`Baseline`]. The one baseline of every campaign path: the
-/// serial runner and the shard workers fork from it, and the server
-/// reads its cycles for a campaign it rediscovered complete.
+/// empty [`Baseline`]. The final image is kept, with no page copied,
+/// if the workload's `check` accepts it: one check per campaign. The one
+/// baseline of every campaign path: the serial runner and the shard
+/// workers fork from it, and the server reads its cycles for a campaign
+/// it rediscovered complete.
 pub fn clean_baseline(w: &WorkloadSpec, spec: &CampaignSpec) -> Baseline {
     let Ok((mut gpu, _compile)) = crate::experiment::prepare_scheme(w, spec.scheme, &spec.cfg)
     else {
@@ -748,9 +774,12 @@ pub fn clean_baseline(w: &WorkloadSpec, spec: &CampaignSpec) -> Baseline {
         }
         running = gpu.step_window(max);
     }
+    let cycles = gpu.cycle();
+    let image = gpu.into_global();
     Baseline {
-        cycles: gpu.cycle(),
+        cycles,
         checkpoints,
+        image: (w.check)(&image).then_some(image),
     }
 }
 
@@ -902,10 +931,11 @@ pub(crate) trait SeedGate: Sync {
 const POISONED: &str = "a seed-loop thread panicked while holding a lock";
 
 /// The one seed loop behind every campaign. Runs the `todo` seeds on
-/// `jobs` threads, each forking from the checkpoints of `baseline`
-/// (simulated here on first need), and appends every record to
-/// `journal` — fsynced, with bounded retry — before it counts. Returns
-/// the records run, in completion order.
+/// `jobs` threads, each forked from the checkpoints of `baseline`
+/// (simulated here on first need) and compared with its clean image
+/// before the workload's check, and appends every record to `journal` —
+/// fsynced, with bounded retry — before it counts. Returns the records
+/// run, in completion order.
 ///
 /// # Errors
 ///
@@ -924,7 +954,7 @@ pub(crate) fn run_seeds(
     if todo.is_empty() {
         return Ok(Vec::new());
     }
-    let checkpoints = &baseline.get_or_init(|| clean_baseline(w, spec)).checkpoints;
+    let base = baseline.get_or_init(|| clean_baseline(w, spec));
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     let sink = journal.map(Mutex::new);
@@ -937,7 +967,7 @@ pub(crate) fn run_seeds(
                     if stop.load(Ordering::Relaxed) || gate.is_some_and(|g| !g.proceed()) {
                         break;
                     }
-                    let rec = run_one_seed_retrying(w, spec, seed, checkpoints);
+                    let rec = retry_seed(w, spec, seed, &base.checkpoints, base.image.as_ref());
                     if let Some(m) = &sink {
                         let line = rec.to_line();
                         if let Err(e) =
@@ -1005,6 +1035,7 @@ pub fn run_campaign_runner_with_jobs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn record() -> RunRecord {
         RunRecord {
@@ -1046,19 +1077,50 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_journal_append_that_keeps_failing_stops_the_loop() {
+    /// A one-warp kernel that exits at once, judged by `check`.
+    fn exit_workload(check: Arc<dyn Fn(&GlobalMemory) -> bool + Send + Sync>) -> WorkloadSpec {
         let mut b = gpu_sim::builder::KernelBuilder::new("exit");
         b.exit();
-        let w = WorkloadSpec {
+        WorkloadSpec {
             name: "exit",
             abbr: "EXIT",
             suite: "test",
             kernel: b.finish(),
             dims: gpu_sim::sm::LaunchDims::linear(1, 32),
-            init: std::sync::Arc::new(|_| {}),
-            check: std::sync::Arc::new(|_| true),
-        };
+            init: Arc::new(|_| {}),
+            check,
+        }
+    }
+
+    #[test]
+    fn a_clean_run_that_fails_its_check_leaves_every_seed_to_the_check() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&calls);
+        let w = exit_workload(Arc::new(move |_| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            false
+        }));
+        let spec = spec();
+        let summary = run_campaign_runner_with_jobs(&w, &spec, None, 2).unwrap();
+        assert_eq!(summary.records.len(), spec.runs);
+        for r in &summary.records {
+            assert!(!r.crashed, "seed {} crashed", r.seed);
+            assert_eq!(r.outcome, Outcome::Sdc, "seed {}", r.seed);
+        }
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            spec.runs + 1,
+            "one check per seed plus the baseline's"
+        );
+        assert!(
+            clean_baseline(&w, &spec).image.is_none(),
+            "kept a clean image its check refused"
+        );
+    }
+
+    #[test]
+    fn a_journal_append_that_keeps_failing_stops_the_loop() {
+        let w = exit_workload(Arc::new(|_| true));
         let spec = CampaignSpec {
             retry: RetryPolicy {
                 max_attempts: 2,

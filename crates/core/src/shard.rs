@@ -497,7 +497,7 @@ impl SeedGate for LeaseKeeper<'_> {
 /// this *is* the campaign-level watchdog).
 ///
 /// A claimed shard runs through the serial runner's own seed loop, on
-/// one thread: per-seed robustness rides on
+/// one thread: per-seed robustness follows the retry policy of
 /// [`crate::runner::run_one_seed_retrying`] (transient crashes retry
 /// with bounded backoff, poison seeds are quarantined as `Due` instead
 /// of stalling the shard). A journal append that still fails after the

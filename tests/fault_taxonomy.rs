@@ -13,8 +13,8 @@ use flame::core::experiment::{
     ProtocolConfig, RunOptions, WorkloadSpec,
 };
 use flame::core::runner::{
-    run_campaign_runner_with_jobs, wilson_interval, CampaignSpec, RetryPolicy, RunnerError,
-    SelfFault,
+    run_campaign_runner_with_jobs, strikes_for_seed, wilson_interval, CampaignSpec, RetryPolicy,
+    RunnerError, SelfFault,
 };
 use flame::core::runtime::VerificationMode;
 use flame::core::scheme::Scheme;
@@ -24,6 +24,7 @@ use flame::sim::builder::KernelBuilder;
 use flame::sim::isa::{MemSpace, Special};
 use flame::sim::sm::LaunchDims;
 use flame::sim::stats::SimStats;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Out-of-place arithmetic kernel: input at `[0, 8·n)`, output at
@@ -463,6 +464,58 @@ fn killed_campaign_resumes_byte_identically() {
     assert_eq!(reread.ran_now, 0, "header missing from once-empty journal");
     assert_eq!(reread.render(), reference.render());
     let _ = std::fs::remove_file(&path);
+}
+
+/// A campaign judges each seed by comparing its final image with the
+/// clean run's and calls the workload's check only on a mismatch: one
+/// call for the baseline plus one per seed whose image differs, counted
+/// here by re-running every seed from scratch with no clean image.
+#[test]
+fn campaign_checks_only_images_that_differ_from_the_clean_one() {
+    let w = workload(16, 128);
+    let cfg = cfg();
+    let spec = CampaignSpec {
+        base_seed: 7,
+        runs: 16,
+        strikes_per_run: 3,
+        horizon: 700,
+        strike_window: (0.0, 1.0),
+        fork_points: 8,
+        coverage: 0.3,
+        control_fraction: 0.2,
+        recovery_fraction: 0.1,
+        scheme: Scheme::SensorRenaming,
+        cfg: cfg.clone(),
+        proto: ProtocolConfig::default(),
+        watchdog: 0,
+        retry: RetryPolicy::default(),
+        self_fault: SelfFault::default(),
+    };
+    let calls = Arc::new(AtomicUsize::new(0));
+    let (counter, check) = (Arc::clone(&calls), Arc::clone(&w.check));
+    let counted = WorkloadSpec {
+        check: Arc::new(move |m| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            check(m)
+        }),
+        ..w.clone()
+    };
+    let summary = run_campaign_runner_with_jobs(&counted, &spec, None, 2).unwrap();
+    assert_eq!(summary.records.len(), spec.runs);
+
+    let proto = spec.effective_proto();
+    let clean = run_protocol(&w, &cfg, &[], &proto).image;
+    let differ = (spec.base_seed..spec.base_seed + spec.runs as u64)
+        .filter(|&seed| {
+            run_protocol(&w, &cfg, &strikes_for_seed(&spec, seed), &proto).image != clean
+        })
+        .count();
+    assert!(
+        0 < differ && differ < spec.runs,
+        "{differ} of {} seeds differ: the campaign needs seeds of both kinds",
+        spec.runs
+    );
+    assert_eq!(calls.load(Ordering::Relaxed), 1 + differ);
 }
 
 /// Acceptance: the outcome taxonomy grounded in the architectural oracle.

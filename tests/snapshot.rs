@@ -16,14 +16,15 @@
 //!    identical stats, identical final memory. Checked across the full
 //!    34-workload × 11-scheme taxonomy — one cell of it also with tracing
 //!    on, forked and not — and end-to-end through the campaign runner
-//!    (identical outcome histograms and records modulo fork telemetry).
+//!    (identical outcome histograms and records modulo fork telemetry,
+//!    each record also equal to a scratch `run_one_seed` replay).
 
 use flame::core::experiment::{
     prepare_scheme, run_scheme, run_with_protocol, ExperimentConfig, FaultProtocolResult,
     ProtocolConfig, RunOptions, WorkloadSpec,
 };
 use flame::core::runner::{
-    run_campaign_runner_with_jobs, CampaignSpec, RetryPolicy, RunRecord, SelfFault,
+    run_campaign_runner_with_jobs, run_one_seed, CampaignSpec, RetryPolicy, RunRecord, SelfFault,
 };
 use flame::core::scheme::Scheme;
 use flame::sensors::fault::StrikeGenerator;
@@ -280,7 +281,11 @@ fn forked_runs_bit_identical_across_taxonomy() {
 
             let cell = format!("{} x {scheme:?}", w.abbr);
             let run = |trace: Option<usize>, fork_from: Option<&Snapshot>| {
-                let opts = RunOptions { trace, fork_from };
+                let opts = RunOptions {
+                    trace,
+                    fork_from,
+                    ..RunOptions::default()
+                };
                 let forked = fork_from.is_some();
                 run_with_protocol(&w, scheme, &cfg, &strikes, &proto, &opts).unwrap_or_else(|e| {
                     panic!("{cell} (trace {trace:?}, forked {forked}): run failed: {e:?}")
@@ -377,6 +382,17 @@ fn forked_campaign_matches_scratch_campaign() {
     let f: Vec<RunRecord> = forked.records.iter().map(strip).collect();
     let s: Vec<RunRecord> = scratch.records.iter().map(strip).collect();
     assert_eq!(f, s, "records differ beyond fork telemetry");
+    // The replay `perfbench` makes: `run_one_seed` simulates a seed from
+    // scratch and asks the workload's check, while the engine compares
+    // with its baseline's clean image first.
+    for (r, engine) in forked.records.iter().zip(&f) {
+        assert_eq!(
+            strip(&run_one_seed(&w, &spec, r.seed)),
+            *engine,
+            "seed {}: a scratch replay differs from the engine's record",
+            r.seed
+        );
+    }
 
     // The fork path must actually engage and pay off: every strike sits
     // in the second half of the horizon, so the first checkpoint already
