@@ -31,7 +31,10 @@ pub struct WorkloadSpec {
     pub kernel: Kernel,
     /// Launch geometry.
     pub dims: LaunchDims,
-    /// Seeds device memory before the launch.
+    /// Seeds device memory before the launch. Must write the same image
+    /// on every call: campaigns seed a run by copying the inputs their
+    /// clean run was seeded with instead of calling it again (see
+    /// [`RunOptions::inputs`]).
     pub init: Arc<dyn Fn(&mut GlobalMemory) + Send + Sync>,
     /// Validates device memory after the launch. Must be a pure function
     /// of the image: campaigns skip it for an image equal to the clean
@@ -273,7 +276,8 @@ impl Default for ProtocolConfig {
 
 /// What [`run_with_protocol`] records, where it starts and what it
 /// judges the output against. The `Default` records no trace, simulates
-/// from scratch and calls the workload's `check`.
+/// from scratch with inputs seeded by the workload's `init`, and calls
+/// the workload's `check`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions<'a> {
     /// Enables event tracing with a ring of this many events per SM (see
@@ -310,6 +314,14 @@ pub struct RunOptions<'a> {
     /// costs little for a forked run, whose image shares every page it
     /// did not write with the clean one.
     pub clean_image: Option<&'a GlobalMemory>,
+    /// The device image right after `init` seeded an identically prepared
+    /// run of the same workload and config. Every attempt that starts
+    /// from scratch (the first one when there is no `fork_from`, and
+    /// every kernel relaunch) assigns a copy of it instead of calling
+    /// `init`. The copy shares every page with it, so each run holds
+    /// only the pages it writes. `init` writes the same image on every
+    /// call, so the run is bit-identical either way.
+    pub inputs: Option<&'a GlobalMemory>,
 }
 
 /// Cost accounting of a (possibly) forked protocol run — what the
@@ -438,11 +450,12 @@ pub fn run_with_protocol(
     let mut checkpoint = opts.fork_from;
     loop {
         // Only the first attempt forks. It skips input seeding: the
-        // restore assigns the checkpoint's image, inputs included.
+        // restore assigns the checkpoint's image, inputs included. A
+        // scratch attempt given the seeded inputs assigns a copy of them.
         let fork_from = checkpoint.take();
-        let (mut gpu, compile) = match fork_from {
-            Some(_) => launch(w, scheme, cfg)?,
-            None => prepare_scheme(w, scheme, cfg)?,
+        let (mut gpu, compile) = match (fork_from, opts.inputs) {
+            (None, None) => prepare_scheme(w, scheme, cfg)?,
+            _ => launch(w, scheme, cfg)?,
         };
         if let Some(cap) = opts.trace {
             gpu.set_tracing(cap);
@@ -450,6 +463,8 @@ pub fn run_with_protocol(
         if let Some(snap) = fork_from {
             gpu.restore(snap);
             fork.fork_cycle = snap.cycle();
+        } else if let Some(inputs) = opts.inputs {
+            *gpu.global_mut() = inputs.clone();
         }
         let start_cycle = gpu.cycle();
         let attempt = drive(&mut gpu, cfg, strikes, proto, &mut next, &mut c);

@@ -23,7 +23,8 @@
 //!   threads, with per-matrix baseline memoization;
 //! * [`runner`] — the campaign engine: one seed loop with a JSONL
 //!   journal, resume, per-seed retry/backoff and poison-seed
-//!   quarantine, run serially over the whole seed range;
+//!   quarantine, run serially over the whole seed range, with the
+//!   process's last clean baseline memoized across campaigns;
 //! * [`shard`] — the crash-tolerant sharded campaign supervisor: the
 //!   same seed loop over lease-claimed seed shards, stale-lease
 //!   reclamation with epoch fencing, and a deterministic merge of the

@@ -24,8 +24,12 @@
 //!   line is one complete JSON object; a half-written tail line (the kill
 //!   arrived mid-`write`) is discarded and that seed simply re-runs.
 //! * **Single baseline** — the fault-free run is simulated once per
-//!   campaign, not once per seed. Seeds fork from its checkpoints, and a
-//!   seed whose final image equals its image skips the workload's check.
+//!   campaign, not once per seed, and once per process for campaigns
+//!   that differ only in what it does not read (coverage, strike mix,
+//!   seeds): a one-entry memo keeps the last one. Seeds fork from its
+//!   checkpoints, a seed whose final image equals its image skips the
+//!   workload's check, and a seed that starts from scratch copies its
+//!   seeded inputs instead of calling the workload's `init`.
 //!
 //! The journal is a header line fingerprinting the spec, then one object
 //! per finished seed, in completion order, read and written through the
@@ -42,6 +46,8 @@ use flame_sensors::fault::{Strike, StrikeGenerator};
 use flame_trace::json::{json_escape, JsonValue};
 use gpu_sim::gpu::Snapshot;
 use gpu_sim::memory::GlobalMemory;
+use gpu_sim::program::Kernel;
+use gpu_sim::sm::LaunchDims;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, ErrorKind, Read as _, Seek, SeekFrom, Write as _};
@@ -49,7 +55,7 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -548,9 +554,16 @@ pub fn wilson_interval(k: usize, n: usize, z: f64) -> (f64, f64) {
 /// Simulates one seed of the spec from scratch. Public so tests and the
 /// report binary can replay a single seed in isolation. The record is
 /// bit-identical to a forked run of the seed (see
-/// [`run_one_seed_retrying`]) modulo the fork telemetry fields.
+/// [`run_one_seed_retrying`]) modulo the fork telemetry fields. When the
+/// process's baseline memo holds this campaign's clean run, the seed
+/// copies its seeded inputs instead of calling the workload's `init`.
 pub fn run_one_seed(w: &WorkloadSpec, spec: &CampaignSpec, seed: u64) -> RunRecord {
-    run_one_seed_attempt(w, spec, seed, &[], None, 1)
+    let memo = memoized_slot(w, spec);
+    let opts = RunOptions {
+        inputs: memo.as_ref().and_then(|m| m.get()?.inputs.as_ref()),
+        ..RunOptions::default()
+    };
+    run_one_seed_attempt(w, spec, seed, &[], opts, 1)
 }
 
 /// One attempt of one seed, forking from the best clean-prefix
@@ -559,7 +572,8 @@ pub fn run_one_seed(w: &WorkloadSpec, spec: &CampaignSpec, seed: u64) -> RunReco
 /// no usable checkpoint the run falls back to scratch. Outcome and
 /// counters are bit-identical either way — only the
 /// `fork_cycle`/`sim_cycles`/`fork_hit` telemetry differs. The same
-/// holds with or without `clean_image` (see [`RunOptions::clean_image`]).
+/// holds whatever `opts` carries besides the checkpoint
+/// ([`RunOptions::clean_image`], [`RunOptions::inputs`]).
 /// Attempt numbers only matter to the [`SelfFault`] drill hook — a
 /// genuine simulation is identical on every attempt.
 fn run_one_seed_attempt(
@@ -567,7 +581,7 @@ fn run_one_seed_attempt(
     spec: &CampaignSpec,
     seed: u64,
     checkpoints: &[Snapshot],
-    clean_image: Option<&GlobalMemory>,
+    opts: RunOptions,
     attempt: u32,
 ) -> RunRecord {
     let proto = spec.effective_proto();
@@ -587,8 +601,7 @@ fn run_one_seed_attempt(
             .max_by_key(|c| c.cycle());
         let opts = RunOptions {
             fork_from: cp,
-            clean_image,
-            ..RunOptions::default()
+            ..opts
         };
         run_with_protocol(w, spec.scheme, &spec.cfg, &strikes, &proto, &opts)
     }));
@@ -639,29 +652,35 @@ fn run_one_seed_attempt(
 /// with the `quarantined` telemetry flag so the campaign (or its shard)
 /// keeps moving instead of stalling on it. The seed loop behind the
 /// serial runner and the sharded workers retries the same way, and also
-/// hands each seed its baseline's clean image.
+/// hands each seed its baseline's clean image. Like [`run_one_seed`], a
+/// scratch start copies the memoized baseline's seeded inputs when the
+/// memo holds this campaign's clean run.
 pub fn run_one_seed_retrying(
     w: &WorkloadSpec,
     spec: &CampaignSpec,
     seed: u64,
     checkpoints: &[Snapshot],
 ) -> RunRecord {
-    retry_seed(w, spec, seed, checkpoints, None)
+    let memo = memoized_slot(w, spec);
+    let opts = RunOptions {
+        inputs: memo.as_ref().and_then(|m| m.get()?.inputs.as_ref()),
+        ..RunOptions::default()
+    };
+    retry_seed(w, spec, seed, checkpoints, opts)
 }
 
-/// [`run_one_seed_retrying`] with the output judged against
-/// `clean_image` first.
+/// [`run_one_seed_retrying`] with the given clean image and inputs.
 fn retry_seed(
     w: &WorkloadSpec,
     spec: &CampaignSpec,
     seed: u64,
     checkpoints: &[Snapshot],
-    clean_image: Option<&GlobalMemory>,
+    opts: RunOptions,
 ) -> RunRecord {
     let max = spec.retry.max_attempts.max(1);
     let mut attempt = 1u32;
     loop {
-        let mut rec = run_one_seed_attempt(w, spec, seed, checkpoints, clean_image, attempt);
+        let mut rec = run_one_seed_attempt(w, spec, seed, checkpoints, opts, attempt);
         if !rec.crashed {
             return rec;
         }
@@ -693,8 +712,10 @@ pub fn trace_one_seed(
     capacity: usize,
 ) -> Result<FaultProtocolResult, crate::experiment::ExperimentError> {
     let strikes = strikes_for_seed(spec, seed);
+    let memo = memoized_slot(w, spec);
     let opts = RunOptions {
         trace: Some(capacity),
+        inputs: memo.as_ref().and_then(|m| m.get()?.inputs.as_ref()),
         ..RunOptions::default()
     };
     run_with_protocol(
@@ -738,22 +759,30 @@ pub struct Baseline {
     /// [`RunOptions::clean_image`], so a seed that ends on it skips the
     /// check. `None` leaves every seed to the check.
     pub image: Option<GlobalMemory>,
+    /// The clean run's device image right after `init` seeded it,
+    /// sharing its pages copy-on-write: every seed that starts from
+    /// scratch copies it as [`RunOptions::inputs`] instead of calling
+    /// `init`. `None` when the run failed to launch or timed out.
+    pub inputs: Option<GlobalMemory>,
 }
 
 /// Simulates the spec's fault-free run once, pausing at each cycle of the
 /// `fork_points` grid to capture a copy-on-write [`Snapshot`]. The cycle
 /// count equals an unpaused run's (the event clock's step-bound
 /// invariance); a launch failure or cycle-budget timeout yields the
-/// empty [`Baseline`]. The final image is kept, with no page copied,
-/// if the workload's `check` accepts it: one check per campaign. The one
-/// baseline of every campaign path: the serial runner and the shard
-/// workers fork from it, and the server reads its cycles for a campaign
-/// it rediscovered complete.
+/// empty [`Baseline`]. The seeded inputs and the final image are kept
+/// with no page copied, the image only if the workload's `check` accepts
+/// it: one check per campaign. The one baseline of every campaign path:
+/// the serial runner and the shard workers fork from it (through the
+/// process's baseline memo), and the server reads its cycles for a
+/// campaign it rediscovered complete. It always simulates; it neither
+/// reads nor fills the memo.
 pub fn clean_baseline(w: &WorkloadSpec, spec: &CampaignSpec) -> Baseline {
     let Ok((mut gpu, _compile)) = crate::experiment::prepare_scheme(w, spec.scheme, &spec.cfg)
     else {
         return Baseline::default();
     };
+    let inputs = gpu.memory_base();
     let max = spec.cfg.max_cycles;
     let mut checkpoints = Vec::new();
     let mut running = gpu.running();
@@ -780,6 +809,82 @@ pub fn clean_baseline(w: &WorkloadSpec, spec: &CampaignSpec) -> Baseline {
         cycles,
         checkpoints,
         image: (w.check)(&image).then_some(image),
+        inputs: Some(inputs),
+    }
+}
+
+/// Everything [`clean_baseline`] reads: two campaigns with equal keys
+/// have the same clean run. The workload's closures are compared by
+/// address; the key holds clones of both `Arc`s, so no other closure can
+/// take either address while the key lives.
+struct BaselineKey {
+    init: Arc<dyn Fn(&mut GlobalMemory) + Send + Sync>,
+    check: Arc<dyn Fn(&GlobalMemory) -> bool + Send + Sync>,
+    kernel: Kernel,
+    dims: LaunchDims,
+    scheme: Scheme,
+    cfg: ExperimentConfig,
+    grid: Vec<u64>,
+}
+
+impl BaselineKey {
+    fn new(w: &WorkloadSpec, spec: &CampaignSpec) -> BaselineKey {
+        BaselineKey {
+            init: Arc::clone(&w.init),
+            check: Arc::clone(&w.check),
+            kernel: w.kernel.clone(),
+            dims: w.dims,
+            scheme: spec.scheme,
+            cfg: spec.cfg.clone(),
+            grid: fork_grid(spec),
+        }
+    }
+
+    fn matches(&self, w: &WorkloadSpec, spec: &CampaignSpec) -> bool {
+        Arc::ptr_eq(&self.init, &w.init)
+            && Arc::ptr_eq(&self.check, &w.check)
+            && self.kernel == w.kernel
+            && self.dims == w.dims
+            && self.scheme == spec.scheme
+            && self.cfg == spec.cfg
+            && self.grid == fork_grid(spec)
+    }
+}
+
+/// A baseline, simulated on first need by whichever campaign gets there
+/// first; the campaigns sharing the slot wait in `get_or_init`.
+type BaselineSlot = Arc<OnceLock<Baseline>>;
+
+/// The process's last campaign baseline, keyed by what it was simulated
+/// from. One entry: a campaign with another key replaces it. Nothing
+/// simulates while the lock is held, and every update is one assignment,
+/// so a poisoned lock still guards a valid entry.
+static BASELINE_MEMO: Mutex<Option<(BaselineKey, BaselineSlot)>> = Mutex::new(None);
+
+/// The baseline slot of a campaign: the memo's when its key matches,
+/// else a fresh one that replaces the memo's entry. A campaign holds its
+/// slot until its summary is built, so a campaign that replaces the
+/// entry meanwhile cannot make it simulate twice.
+pub(crate) fn baseline_slot(w: &WorkloadSpec, spec: &CampaignSpec) -> BaselineSlot {
+    let mut memo = BASELINE_MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    match &*memo {
+        Some((key, slot)) if key.matches(w, spec) => Arc::clone(slot),
+        _ => {
+            let slot = BaselineSlot::default();
+            *memo = Some((BaselineKey::new(w, spec), Arc::clone(&slot)));
+            slot
+        }
+    }
+}
+
+/// The memo's slot of a campaign, if the memo holds its key. Never fills
+/// the memo; reading the slot with [`OnceLock::get`] never waits for a
+/// baseline still being simulated.
+fn memoized_slot(w: &WorkloadSpec, spec: &CampaignSpec) -> Option<BaselineSlot> {
+    let memo = BASELINE_MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    match &*memo {
+        Some((key, slot)) if key.matches(w, spec) => Some(Arc::clone(slot)),
+        _ => None,
     }
 }
 
@@ -932,8 +1037,9 @@ const POISONED: &str = "a seed-loop thread panicked while holding a lock";
 
 /// The one seed loop behind every campaign. Runs the `todo` seeds on
 /// `jobs` threads, each forked from the checkpoints of `baseline`
-/// (simulated here on first need) and compared with its clean image
-/// before the workload's check, and appends every record to `journal` —
+/// (simulated here on first need) or started from a copy of its seeded
+/// inputs, and compared with its clean image before the workload's
+/// check, and appends every record to `journal` —
 /// fsynced, with bounded retry — before it counts. Returns the records
 /// run, in completion order.
 ///
@@ -955,6 +1061,11 @@ pub(crate) fn run_seeds(
         return Ok(Vec::new());
     }
     let base = baseline.get_or_init(|| clean_baseline(w, spec));
+    let opts = RunOptions {
+        clean_image: base.image.as_ref(),
+        inputs: base.inputs.as_ref(),
+        ..RunOptions::default()
+    };
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     let sink = journal.map(Mutex::new);
@@ -967,7 +1078,7 @@ pub(crate) fn run_seeds(
                     if stop.load(Ordering::Relaxed) || gate.is_some_and(|g| !g.proceed()) {
                         break;
                     }
-                    let rec = retry_seed(w, spec, seed, &base.checkpoints, base.image.as_ref());
+                    let rec = retry_seed(w, spec, seed, &base.checkpoints, opts);
                     if let Some(m) = &sink {
                         let line = rec.to_line();
                         if let Err(e) =
@@ -994,7 +1105,9 @@ pub(crate) fn run_seeds(
 }
 
 /// Runs (or resumes) the campaign on `jobs` worker threads: the seed
-/// loop over the whole seed range and one journal, with no lease. With
+/// loop over the whole seed range and one journal, with no lease, and
+/// the baseline from the process's memo when an earlier campaign left
+/// one with the same key. With
 /// `journal` given, every finished run is appended to it and a journal
 /// that already exists is resumed — its header must match the spec. The
 /// returned summary is byte-identical however the work was split
@@ -1024,7 +1137,7 @@ pub fn run_campaign_runner_with_jobs(
         None => (Vec::new(), None),
     };
     let todo = missing_seeds(spec.seeds(), &records);
-    let baseline = OnceLock::new();
+    let baseline = baseline_slot(w, spec);
     let fresh = run_seeds(w, spec, &baseline, &todo, file, jobs, None)?;
     let ran_now = fresh.len();
     records.extend(fresh);

@@ -49,8 +49,8 @@
 
 use crate::experiment::WorkloadSpec;
 use crate::runner::{
-    clean_baseline, missing_seeds, open_journal, read_journal, run_seeds, Baseline, CampaignSpec,
-    CampaignSummary, RunnerError, SeedGate,
+    baseline_slot, clean_baseline, missing_seeds, open_journal, read_journal, run_seeds, Baseline,
+    CampaignSpec, CampaignSummary, RunnerError, SeedGate,
 };
 use flame_trace::json::{json_escape, JsonValue};
 use std::fs::OpenOptions;
@@ -515,13 +515,14 @@ pub fn run_shard_worker(
     dir: &Path,
     opts: &ShardOptions,
 ) -> Result<WorkerReport, RunnerError> {
-    run_worker(w, spec, dir, opts, &OnceLock::new())
+    run_worker(w, spec, dir, opts, &baseline_slot(w, spec))
 }
 
 /// [`run_shard_worker`] with a caller-shared lazy baseline, so an
 /// in-process supervisor pays for the clean run and its fork-point
 /// checkpoints once, not once per worker thread, and takes the merged
-/// summary's clean cycles from it.
+/// summary's clean cycles from it. Both take the baseline from the
+/// process's memo (see [`crate::runner::run_campaign_runner_with_jobs`]).
 fn run_worker(
     w: &WorkloadSpec,
     spec: &CampaignSpec,
@@ -693,7 +694,7 @@ pub fn run_sharded_campaign(
 ) -> Result<CampaignSummary, RunnerError> {
     std::fs::create_dir_all(dir)?;
     let workers = workers.max(1);
-    let baseline = OnceLock::new();
+    let baseline = baseline_slot(w, spec);
     let mut ran_now = 0usize;
     let mut first_err: Option<RunnerError> = None;
     thread::scope(|s| {
@@ -703,7 +704,7 @@ pub fn run_sharded_campaign(
                     worker_id: format!("{}-t{i}", opts.worker_id),
                     ..opts.clone()
                 };
-                let baseline = &baseline;
+                let baseline = &*baseline;
                 s.spawn(move || run_worker(w, spec, dir, &o, baseline))
             })
             .collect();

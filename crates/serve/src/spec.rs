@@ -16,6 +16,15 @@ use std::path::Path;
 pub const DEFAULT_SHARDS: usize = 4;
 /// Default in-process worker threads per campaign.
 pub const DEFAULT_WORKERS: usize = 2;
+/// Most seeds one submitted campaign may run (2^20: a million-run
+/// campaign fits). The engine lists every missing seed up front.
+pub const MAX_RUNS: u64 = 1 << 20;
+/// Most fork points a submitted campaign may checkpoint. The engine
+/// lists every fork-point cycle up front.
+pub const MAX_FORK_POINTS: u64 = 1024;
+/// Most strikes a submitted campaign may inject per seed. The engine
+/// draws a seed's whole strike schedule up front.
+pub const MAX_STRIKES_PER_RUN: u64 = 1024;
 
 /// A fully resolved campaign submission: the workload, the spec the
 /// runner executes, and how the seed range is sharded across workers.
@@ -141,6 +150,14 @@ fn opt_u64(v: &JsonValue, key: &str, default: u64) -> Result<u64, String> {
     }
 }
 
+fn opt_at_most(v: &JsonValue, key: &str, default: u64, max: u64) -> Result<u64, String> {
+    let x = opt_u64(v, key, default)?;
+    if x > max {
+        return Err(format!("field {key:?} must be at most {max}"));
+    }
+    Ok(x)
+}
+
 fn opt_f64(v: &JsonValue, key: &str, default: f64) -> Result<f64, String> {
     match v.get(key) {
         None => Ok(default),
@@ -175,10 +192,22 @@ pub fn parse_campaign_request(body: &str) -> Result<CampaignRequest, String> {
         .ok_or("missing field \"scheme\" (catalog key)")?;
     let scheme = Scheme::by_key(scheme_key)
         .ok_or_else(|| format!("unknown scheme {scheme_key:?} (see GET /catalog)"))?;
-    let runs = req_u64(&v, "runs")? as usize;
+    let runs = req_u64(&v, "runs")?;
     if runs == 0 {
         return Err("\"runs\" must be at least 1".into());
     }
+    if runs > MAX_RUNS {
+        return Err(format!("\"runs\" must be at most {MAX_RUNS}"));
+    }
+    let base_seed = opt_u64(&v, "base_seed", 0x5EED)?;
+    if base_seed.checked_add(runs).is_none() {
+        return Err(format!(
+            "\"base_seed\" + \"runs\" must be at most {}",
+            u64::MAX
+        ));
+    }
+    let strikes_per_run = opt_at_most(&v, "strikes_per_run", 3, MAX_STRIKES_PER_RUN)?;
+    let fork_points = opt_at_most(&v, "fork_points", 8, MAX_FORK_POINTS)?;
     let horizon = req_u64(&v, "horizon")?;
     if horizon == 0 {
         return Err("\"horizon\" must be at least 1 cycle".into());
@@ -226,12 +255,12 @@ pub fn parse_campaign_request(body: &str) -> Result<CampaignRequest, String> {
     };
 
     let spec = CampaignSpec {
-        base_seed: opt_u64(&v, "base_seed", 0x5EED)?,
-        runs,
-        strikes_per_run: opt_u64(&v, "strikes_per_run", 3)? as usize,
+        base_seed,
+        runs: runs as usize,
+        strikes_per_run: strikes_per_run as usize,
         horizon,
         strike_window,
-        fork_points: opt_u64(&v, "fork_points", 8)? as usize,
+        fork_points: fork_points as usize,
         coverage: opt_f64(&v, "coverage", 0.9)?,
         control_fraction: opt_f64(&v, "control_fraction", 0.1)?,
         recovery_fraction: opt_f64(&v, "recovery_fraction", 0.1)?,
@@ -341,6 +370,22 @@ mod tests {
                 r#"{"workload":"Triad","scheme":"flame","runs":1,"horizon":1,"wcdl":4294967316}"#,
                 "wcdl",
             ),
+            (
+                r#"{"workload":"Triad","scheme":"flame","runs":2,"horizon":1,"base_seed":18446744073709551615}"#,
+                "base_seed",
+            ),
+            (
+                r#"{"workload":"Triad","scheme":"flame","runs":1048577,"horizon":1}"#,
+                "runs",
+            ),
+            (
+                r#"{"workload":"Triad","scheme":"flame","runs":1,"horizon":1,"fork_points":1025}"#,
+                "fork_points",
+            ),
+            (
+                r#"{"workload":"Triad","scheme":"flame","runs":1,"horizon":1,"strikes_per_run":1025}"#,
+                "strikes_per_run",
+            ),
             ("not json", "invalid JSON"),
             (
                 r#"{"workload":"Triad","scheme":"flame","runs":+1,"horizon":1}"#,
@@ -353,6 +398,16 @@ mod tests {
                 "body {body:?}: error {err:?} lacks {needle:?}"
             );
         }
+        // Each bound itself is accepted.
+        let at_bounds = parse_campaign_request(&format!(
+            r#"{{"workload":"Triad","scheme":"flame","runs":{MAX_RUNS},"horizon":1,
+                "base_seed":{},"fork_points":{MAX_FORK_POINTS},
+                "strikes_per_run":{MAX_STRIKES_PER_RUN}}}"#,
+            u64::MAX - MAX_RUNS
+        ))
+        .unwrap();
+        assert_eq!(at_bounds.spec.base_seed + MAX_RUNS, u64::MAX);
+        assert_eq!(at_bounds.spec.runs as u64, MAX_RUNS);
     }
 
     #[test]

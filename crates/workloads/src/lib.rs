@@ -147,4 +147,26 @@ mod tests {
             assert!(w.kernel.validate().is_ok(), "{}: invalid kernel", w.abbr);
         }
     }
+
+    /// `init` writes the same image on every call: a campaign seeds a
+    /// scratch run with a copy of the inputs its clean run was seeded
+    /// with instead of calling `init` again.
+    #[test]
+    fn init_writes_the_same_image_on_every_call() {
+        let bytes = gpu_sim::config::GpuConfig::gtx480().device_mem_bytes;
+        for w in super::all() {
+            let seeded = || {
+                let mut m = gpu_sim::memory::GlobalMemory::new(bytes);
+                (w.init)(&mut m);
+                m
+            };
+            let (a, b) = (seeded(), seeded());
+            assert_eq!(
+                a.first_difference(&b),
+                None,
+                "{}: init images differ",
+                w.abbr
+            );
+        }
+    }
 }

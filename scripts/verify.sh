@@ -4,12 +4,11 @@
 #   ./scripts/verify.sh
 #
 # Runs the tier-1 check from ROADMAP.md (release build + full test
-# suite), a byte-for-byte regeneration of eight results files (every
-# figure and table except fig13_14 and fig17), the benchmark's
-# self-test, the end-to-end smokes, and the environment,
-# formatting, lint and rustdoc gates. Fails fast on the first broken
-# step. Every step writes under target/ or a temp dir: the run must
-# leave the tracked files as it found them.
+# suite), a byte-for-byte regeneration of all ten results files (every
+# figure and table), the benchmark's self-test, the end-to-end smokes,
+# and the environment, formatting, lint and rustdoc gates. Fails fast
+# on the first broken step. Every step writes under target/ or a temp
+# dir: the run must leave the tracked files as it found them.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -22,8 +21,8 @@ cargo build --release
 echo "==> perfbench build (fails fast when a library item the benchmark calls changes)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> results files regenerate byte-identically (fig4_naive, fig12, fig16, fig18: all four schedulers, fig19: 32- to 64-slot SMs, table1, table2, region_stats)"
-for fig in fig4_naive fig12 fig16 fig18 fig19 table1 table2 region_stats; do
+echo "==> results files regenerate byte-identically (fig4_naive, fig12, fig13_14: 9 schemes x 34 apps, fig16, fig17: WCDL sweep, fig18: all four schedulers, fig19: 32- to 64-slot SMs, table1, table2, region_stats)"
+for fig in fig4_naive fig12 fig13_14 fig16 fig17 fig18 fig19 table1 table2 region_stats; do
     ./target/release/"$fig" > "target/$fig.txt"
     if ! cmp "target/$fig.txt" "results/$fig.txt"; then
         echo "verify: target/$fig.txt differs from results/$fig.txt" >&2

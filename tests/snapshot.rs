@@ -248,12 +248,22 @@ const TRACED_CELL: (&str, Scheme) = ("BP", Scheme::SensorRenaming);
 /// stats, the output flag, and the final memory image. In
 /// [`TRACED_CELL`] the traced scratch and traced forked runs must match
 /// too, and the traced fork's timeline must start at its restore.
-#[test]
-fn forked_runs_bit_identical_across_taxonomy() {
+///
+/// Runs the workloads of `suite` whose index within the suite satisfies
+/// `part` under every scheme, and asserts that `traced_cells` of them
+/// (1 for the part holding [`TRACED_CELL`], else 0) were traced. The
+/// taxonomy is split per suite, the two 13-workload suites in half, so
+/// the test harness runs the parts in parallel.
+fn forks_bit_identically(suite: &str, part: impl Fn(usize) -> bool, traced_cells: usize) {
     let cfg = ExperimentConfig::default();
     let proto = ProtocolConfig::default();
-    let mut traced_cells = 0;
-    for w in flame::workloads::all() {
+    let workloads: Vec<WorkloadSpec> = flame::workloads::all()
+        .into_iter()
+        .filter(|w| w.suite == suite)
+        .collect();
+    assert!(!workloads.is_empty(), "unknown suite {suite:?}");
+    let mut traced = 0;
+    for (_, w) in workloads.into_iter().enumerate().filter(|(i, _)| part(*i)) {
         for scheme in Scheme::all() {
             let clean = run_scheme(&w, scheme, &cfg)
                 .unwrap_or_else(|e| panic!("{} {scheme:?}: clean run failed: {e:?}", w.abbr));
@@ -300,7 +310,7 @@ fn forked_runs_bit_identical_across_taxonomy() {
             if (w.abbr, scheme) != TRACED_CELL {
                 continue;
             }
-            traced_cells += 1;
+            traced += 1;
             assert!(
                 forked.injected > 0,
                 "{cell}: no strike landed after the fork"
@@ -330,7 +340,51 @@ fn forked_runs_bit_identical_across_taxonomy() {
             );
         }
     }
-    assert_eq!(traced_cells, 1, "the traced cell was not visited");
+    assert_eq!(
+        traced, traced_cells,
+        "{suite}: the traced cell was visited {traced} times, not {traced_cells}"
+    );
+}
+
+#[test]
+fn forked_runs_bit_identical_across_parboil() {
+    forks_bit_identically("parboil", |_| true, 0);
+}
+
+#[test]
+fn forked_runs_bit_identical_across_cuda_first_half() {
+    forks_bit_identically("cuda", |i| i < 7, 0);
+}
+
+#[test]
+fn forked_runs_bit_identical_across_cuda_second_half() {
+    forks_bit_identically("cuda", |i| i >= 7, 0);
+}
+
+#[test]
+fn forked_runs_bit_identical_across_npb() {
+    forks_bit_identically("NPB", |_| true, 0);
+}
+
+/// The part holding [`TRACED_CELL`]: BP is the first rodinia workload.
+#[test]
+fn forked_runs_bit_identical_across_rodinia_first_half() {
+    forks_bit_identically("rodinia", |i| i < 7, 1);
+}
+
+#[test]
+fn forked_runs_bit_identical_across_rodinia_second_half() {
+    forks_bit_identically("rodinia", |i| i >= 7, 0);
+}
+
+#[test]
+fn forked_runs_bit_identical_across_altis() {
+    forks_bit_identically("ALTIS", |_| true, 0);
+}
+
+#[test]
+fn forked_runs_bit_identical_across_shoc() {
+    forks_bit_identically("SHOC", |_| true, 0);
 }
 
 /// End-to-end through the campaign runner: a forked campaign produces
