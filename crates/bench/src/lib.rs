@@ -1,40 +1,19 @@
 //! # flame-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (run them with
-//! `cargo run --release -p flame-bench --bin <name>`):
-//!
-//! | binary         | reproduces                                        |
-//! |----------------|---------------------------------------------------|
-//! | `table1`       | Table I — the benchmark inventory                 |
-//! | `fig12`        | Figure 12 — WCDL vs. sensors/SM, 4 GPUs           |
-//! | `table2`       | Table II — sensors for 20-cycle WCDL              |
-//! | `fig13_14`     | Figures 13/14/15 — all schemes × all workloads    |
-//! | `fig16`        | Figure 16 — region-extension optimization impact  |
-//! | `fig17`        | Figure 17 — WCDL sensitivity (10–50 cycles)       |
-//! | `fig18`        | Figure 18 — scheduler sensitivity                 |
-//! | `fig19`        | Figure 19 — GPU architecture sensitivity          |
-//! | `region_stats` | §IV — region sizes, false positives, §VI-A costs  |
-//! | `fig4_naive`   | Figure 4 — the naive-verification motivation      |
-//! | `trace`        | cycle-level event trace of any cell, Chrome JSON  |
-//!
-//! `fault_campaign` and `trace` both accept `--list`, which prints the
-//! catalog of workloads, scheme keys, GPU models and scheduler policies
-//! ([`print_catalog`]).
-//!
-//! The shared code here expresses each figure as a set of [`Series`] over
-//! a workload suite, lowers them onto the parallel matrix engine
-//! ([`flame_core::matrix`]) — one
-//! [`flame_core::matrix::run_matrix_with_jobs`] call per figure, so
-//! baselines are simulated once and shared across every series — and
-//! prints aligned tables with per-app normalized execution times and the
-//! geometric mean, matching the figures' structure.
+//! The binaries that drive the reproduction (run them with
+//! `cargo run --release -p flame-bench --bin <name>`): `figures` writes
+//! every table and figure file of the evaluation, `sweep` runs one cell,
+//! `fault_campaign` and `serve` run fault-injection campaigns (the
+//! latter over HTTP), `trace` captures a cell's cycle-level event trace
+//! as Chrome JSON, and `fuzz_oracle` fuzzes the simulator against the
+//! oracle. `fault_campaign` and `trace` both accept `--list`, which
+//! prints the catalog of workloads, scheme keys, GPU models and
+//! scheduler policies ([`print_catalog`]).
 //!
 //! The library crates read no environment. Each binary parses the
 //! `FLAME_*` variables once, at entry, into a [`BenchEnv`] and passes its
 //! fields down explicitly.
 
-use flame_core::experiment::{geomean, ExperimentConfig, RunResult, WorkloadSpec};
-use flame_core::matrix::{run_matrix_with_jobs, MatrixCell};
 use flame_core::runner::{CampaignSpec, SelfFault};
 use flame_core::scheme::Scheme;
 use flame_core::shard::DEFAULT_LEASE_TTL;
@@ -108,137 +87,6 @@ impl BenchEnv {
     }
 }
 
-/// A single matrix cell: normalized time of `scheme` on one workload.
-#[derive(Debug, Clone)]
-pub struct Cell {
-    /// Workload abbreviation.
-    pub abbr: &'static str,
-    /// Normalized execution time (scheme cycles / baseline cycles).
-    pub normalized: f64,
-    /// The raw run.
-    pub run: RunResult,
-}
-
-/// One column of a figure: a scheme under a configuration.
-#[derive(Debug, Clone)]
-pub struct Series {
-    /// Column label.
-    pub name: String,
-    /// Scheme to run.
-    pub scheme: Scheme,
-    /// Configuration to run under.
-    pub cfg: ExperimentConfig,
-}
-
-impl Series {
-    /// A series labelled with the scheme's own name.
-    pub fn of(scheme: Scheme, cfg: &ExperimentConfig) -> Series {
-        Series {
-            name: scheme.name().to_string(),
-            scheme,
-            cfg: cfg.clone(),
-        }
-    }
-
-    /// A series with an explicit label.
-    pub fn named(name: impl Into<String>, scheme: Scheme, cfg: &ExperimentConfig) -> Series {
-        Series {
-            name: name.into(),
-            scheme,
-            cfg: cfg.clone(),
-        }
-    }
-}
-
-/// Runs every series over every workload as **one** parallel matrix on
-/// `jobs` workers and returns the per-series cells. Baselines are shared
-/// across series with equal configs (Figure 13/14's nine schemes share
-/// one baseline per workload instead of nine). Panics on simulation
-/// errors or output mismatches — a figure regenerated from wrong outputs
-/// would be meaningless.
-pub fn run_series(suite: &[WorkloadSpec], series: &[Series], jobs: usize) -> Vec<Vec<Cell>> {
-    let cells: Vec<MatrixCell> = series
-        .iter()
-        .flat_map(|s| {
-            suite
-                .iter()
-                .enumerate()
-                .map(|(w, _)| MatrixCell::new(w, s.scheme, s.cfg.clone()))
-        })
-        .collect();
-    let mut results = run_matrix_with_jobs(suite, &cells, jobs).into_iter();
-    series
-        .iter()
-        .map(|s| {
-            suite
-                .iter()
-                .map(|w| {
-                    let r = results
-                        .next()
-                        .expect("one result per cell")
-                        .unwrap_or_else(|e| panic!("{} {}: {e}", w.abbr, s.name));
-                    assert!(r.baseline.output_ok, "{} baseline output wrong", w.abbr);
-                    assert!(r.run.output_ok, "{} {} output wrong", w.abbr, s.name);
-                    Cell {
-                        abbr: w.abbr,
-                        normalized: r.normalized,
-                        run: r.run,
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Runs `scheme` over every workload in `suite` on `jobs` workers,
-/// normalizing to a baseline run under the same `cfg`. A one-series
-/// [`run_series`].
-pub fn run_suite(
-    suite: &[WorkloadSpec],
-    scheme: Scheme,
-    cfg: &ExperimentConfig,
-    jobs: usize,
-) -> Vec<Cell> {
-    run_series(suite, &[Series::of(scheme, cfg)], jobs)
-        .pop()
-        .expect("one series in, one out")
-}
-
-/// Prints a per-app table: one row per workload, one column per series.
-pub fn print_table(series_names: &[&str], series: &[Vec<Cell>]) {
-    assert_eq!(series_names.len(), series.len());
-    print!("{:<12}", "app");
-    for name in series_names {
-        print!(" {name:>22}");
-    }
-    println!();
-    let napps = series[0].len();
-    for i in 0..napps {
-        print!("{:<12}", series[0][i].abbr);
-        for s in series {
-            print!(" {:>22.4}", s[i].normalized);
-        }
-        println!();
-    }
-    print!("{:<12}", "GEOMEAN");
-    for s in series {
-        let g = geomean(&s.iter().map(|c| c.normalized).collect::<Vec<_>>());
-        print!(" {g:>22.4}");
-    }
-    println!();
-}
-
-/// Geometric mean of a series' normalized times.
-pub fn series_geomean(cells: &[Cell]) -> f64 {
-    geomean(&cells.iter().map(|c| c.normalized).collect::<Vec<_>>())
-}
-
-/// The default experiment configuration of the paper's evaluation
-/// (GTX 480, GTO, WCDL = 20).
-pub fn paper_default() -> ExperimentConfig {
-    ExperimentConfig::default()
-}
-
 /// Prints the experiment catalog — every workload, scheme key, GPU model
 /// and scheduler policy the binaries accept. Shared by the `--list` flag
 /// of `fault_campaign` and `trace`, so the valid values of
@@ -269,7 +117,6 @@ pub fn print_catalog() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flame_core::experiment::prepare_count;
     use gpu_sim::config::GpuConfig;
     use gpu_sim::scheduler::SchedulerKind;
 
@@ -375,7 +222,7 @@ mod tests {
             control_fraction: 0.0,
             recovery_fraction: 0.0,
             scheme: Scheme::SensorRenaming,
-            cfg: paper_default(),
+            cfg: flame_core::experiment::ExperimentConfig::default(),
             proto: flame_core::experiment::ProtocolConfig::default(),
             watchdog: 77,
             retry: flame_core::runner::RetryPolicy::default(),
@@ -390,38 +237,5 @@ mod tests {
                 ..spec
             }
         );
-    }
-
-    // A single test fn: the prepare counter is process-global, and a
-    // sibling test running concurrently would skew the exact counts.
-    #[test]
-    fn suite_and_series_share_baselines() {
-        let suite = vec![flame_workloads::by_abbr("Triad").unwrap()];
-        let cfg = paper_default();
-
-        let cells = run_suite(&suite, Scheme::Renaming, &cfg, 2);
-        assert_eq!(cells.len(), 1);
-        assert!(cells[0].normalized > 0.5 && cells[0].normalized < 2.0);
-        assert!((series_geomean(&cells) - cells[0].normalized).abs() < 1e-12);
-
-        // Two series over one workload with one shared config: 1 baseline
-        // + 2 scheme runs, not 4 simulations.
-        let before = prepare_count();
-        let series = run_series(
-            &suite,
-            &[
-                Series::of(Scheme::Renaming, &cfg),
-                Series::of(Scheme::Checkpointing, &cfg),
-            ],
-            2,
-        );
-        assert_eq!(
-            prepare_count() - before,
-            3,
-            "series must share one baseline"
-        );
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0][0].abbr, "Triad");
-        assert!(series.iter().all(|s| s[0].normalized >= 1.0));
     }
 }

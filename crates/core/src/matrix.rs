@@ -13,11 +13,12 @@
 //! * **Determinism** — the simulator is cycle-exact and single-threaded
 //!   per cell, so results are bit-identical whatever the worker count or
 //!   interleaving. Results are reassembled in input order.
-//! * **Baseline memoization** — a naive per-series driver re-simulates
-//!   each workload's baseline once per series (9× for Figure 13/14's
-//!   nine schemes). The engine dedups `(workload, config)` baseline
-//!   pairs and runs each exactly once per matrix; cells whose scheme *is*
-//!   [`Scheme::Baseline`] reuse that run outright.
+//! * **Run memoization** — the paper's figures share most of their runs:
+//!   every scheme of a workload normalizes to one baseline, and the
+//!   paper-default Flame column appears in seven results files. The
+//!   engine dedups `(workload, scheme, config)` runs and simulates each
+//!   exactly once per matrix, so equal cells share one simulation and a
+//!   [`Scheme::Baseline`] cell is its own baseline.
 //!
 //! The caller chooses the worker count.
 
@@ -51,8 +52,8 @@ impl MatrixCell {
 /// Outcome of one matrix cell.
 #[derive(Debug, Clone)]
 pub struct CellResult {
-    /// The scheme run (for a [`Scheme::Baseline`] cell, the memoized
-    /// baseline itself).
+    /// The scheme run (for a [`Scheme::Baseline`] cell, the baseline
+    /// itself).
     pub run: RunResult,
     /// The baseline run the cell normalizes against.
     pub baseline: RunResult,
@@ -60,20 +61,26 @@ pub struct CellResult {
     pub normalized: f64,
 }
 
-/// A unit of work: either a memoized baseline or a scheme cell.
-#[derive(Debug, Clone, Copy)]
-enum Job {
-    /// Index into the deduped baseline list.
-    Base(usize),
-    /// Index into the input cell list.
-    Cell(usize),
+/// One distinct simulation: a workload index, a scheme and a config.
+type Run<'a> = (usize, Scheme, &'a ExperimentConfig);
+
+/// The index of `run` in `runs`, appending it when it is new. The
+/// quadratic probe is fine: matrices are at most a few thousand cells,
+/// and a probe is a struct compare, not a simulation.
+fn intern<'a>(runs: &mut Vec<Run<'a>>, run: Run<'a>) -> usize {
+    runs.iter().position(|r| *r == run).unwrap_or_else(|| {
+        runs.push(run);
+        runs.len() - 1
+    })
 }
 
 /// Runs every cell of the matrix on `jobs` worker threads and returns
 /// per-cell results **in input order**, each normalized to a baseline
-/// run of the cell's workload under the cell's config. Baselines are
-/// memoized: each distinct `(workload, config)` pair is compiled and
-/// simulated exactly once per call, however many cells share it.
+/// run of the cell's workload under the cell's config. Every run is
+/// memoized: each distinct `(workload, scheme, config)` triple, baselines
+/// included, is compiled and simulated exactly once per call, however
+/// many cells share it. Distinct baselines run first, then the other
+/// distinct runs, each in order of first appearance.
 ///
 /// Cell simulations are deterministic and independent, so the output is
 /// bit-identical for any `jobs ≥ 1`.
@@ -99,60 +106,34 @@ pub fn run_matrix_with_jobs(
         );
     }
 
-    // Dedup baselines: one per distinct (workload, config) pair. The
-    // quadratic probe is fine — matrices are hundreds of cells, and a
-    // probe is a struct compare, not a simulation.
-    let mut baselines: Vec<(usize, &ExperimentConfig)> = Vec::new();
-    let mut cell_base: Vec<usize> = Vec::with_capacity(cells.len());
-    for c in cells {
-        let idx = baselines
-            .iter()
-            .position(|&(w, cfg)| w == c.workload && *cfg == c.cfg)
-            .unwrap_or_else(|| {
-                baselines.push((c.workload, &c.cfg));
-                baselines.len() - 1
-            });
-        cell_base.push(idx);
-    }
+    // One job per distinct run. All jobs are mutually independent
+    // (normalization happens at reassembly), so baselines and cells
+    // share one pool with no phase barrier.
+    let mut runs: Vec<Run> = Vec::new();
+    let cell_base: Vec<usize> = cells
+        .iter()
+        .map(|c| intern(&mut runs, (c.workload, Scheme::Baseline, &c.cfg)))
+        .collect();
+    let cell_run: Vec<usize> = cells
+        .iter()
+        .map(|c| intern(&mut runs, (c.workload, c.scheme, &c.cfg)))
+        .collect();
 
-    // Flat job list: all jobs are mutually independent (normalization
-    // happens at reassembly), so baselines and cells share one pool with
-    // no phase barrier. Baseline-scheme cells are resolved from the
-    // memoized baseline and get no job of their own.
-    let mut job_list: Vec<Job> = (0..baselines.len()).map(Job::Base).collect();
-    job_list.extend(
-        cells
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.scheme != Scheme::Baseline)
-            .map(|(i, _)| Job::Cell(i)),
-    );
-
-    let workers = jobs.max(1).min(job_list.len().max(1));
+    let workers = jobs.max(1).min(runs.len().max(1));
     let next = AtomicUsize::new(0);
-    // Workers collect (job index, result) locally and hand the batches
+    // Workers collect (run index, result) locally and hand the batches
     // back through their join handles: no locks anywhere.
-    let done: Vec<(usize, Result<RunResult, ExperimentError>)> = thread::scope(|s| {
+    let mut done: Vec<(usize, Result<RunResult, ExperimentError>)> = thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(|| {
                     let mut out = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= job_list.len() {
+                        let Some(&(w, scheme, cfg)) = runs.get(i) else {
                             break;
-                        }
-                        let r = match job_list[i] {
-                            Job::Base(b) => {
-                                let (w, cfg) = baselines[b];
-                                run_scheme(&workloads[w], Scheme::Baseline, cfg)
-                            }
-                            Job::Cell(c) => {
-                                let cell = &cells[c];
-                                run_scheme(&workloads[cell.workload], cell.scheme, &cell.cfg)
-                            }
                         };
-                        out.push((i, r));
+                        out.push((i, run_scheme(&workloads[w], scheme, cfg)));
                     }
                     out
                 })
@@ -164,27 +145,16 @@ pub fn run_matrix_with_jobs(
             .collect()
     });
 
-    // Scatter back, then reassemble per-cell results in input order.
-    let mut base_out: Vec<Option<Result<RunResult, ExperimentError>>> = vec![None; baselines.len()];
-    let mut cell_out: Vec<Option<Result<RunResult, ExperimentError>>> = vec![None; cells.len()];
-    for (i, r) in done {
-        match job_list[i] {
-            Job::Base(b) => base_out[b] = Some(r),
-            Job::Cell(c) => cell_out[c] = Some(r),
-        }
-    }
-    cells
+    // Put the runs back in order, then reassemble per-cell results in
+    // input order.
+    done.sort_unstable_by_key(|&(i, _)| i);
+    let results: Vec<_> = done.into_iter().map(|(_, r)| r).collect();
+    cell_base
         .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let baseline = base_out[cell_base[i]]
-                .clone()
-                .expect("every baseline job ran")?;
-            let run = if c.scheme == Scheme::Baseline {
-                baseline.clone()
-            } else {
-                cell_out[i].clone().expect("every cell job ran")?
-            };
+        .zip(&cell_run)
+        .map(|(&b, &r)| {
+            let baseline = results[b].clone()?;
+            let run = results[r].clone()?;
             let normalized = run.stats.cycles as f64 / baseline.stats.cycles as f64;
             Ok(CellResult {
                 run,

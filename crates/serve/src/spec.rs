@@ -26,6 +26,29 @@ pub const MAX_FORK_POINTS: u64 = 1024;
 /// draws a seed's whole strike schedule up front.
 pub const MAX_STRIKES_PER_RUN: u64 = 1024;
 
+/// The fields a `POST /campaigns` body may carry: exactly the keys of
+/// [`CampaignRequest::to_body_json`]'s canonical form.
+const FIELDS: [&str; 18] = [
+    "workload",
+    "scheme",
+    "runs",
+    "horizon",
+    "base_seed",
+    "strikes_per_run",
+    "coverage",
+    "control_fraction",
+    "recovery_fraction",
+    "strike_window",
+    "fork_points",
+    "watchdog",
+    "gpu",
+    "sched",
+    "wcdl",
+    "max_cycles",
+    "shards",
+    "workers",
+];
+
 /// A fully resolved campaign submission: the workload, the spec the
 /// runner executes, and how the seed range is sharded across workers.
 #[derive(Debug, Clone)]
@@ -173,13 +196,20 @@ fn opt_f64(v: &JsonValue, key: &str, default: f64) -> Result<f64, String> {
 /// Required fields: `workload` (catalog abbreviation), `scheme`
 /// (catalog key), `runs`, `horizon` (explicit — the server never
 /// simulates inside a request handler to derive one). Everything else
-/// is optional with the defaults of `to_body_json`'s canonical form.
+/// is optional with the defaults of `to_body_json`'s canonical form,
+/// and a field outside that form is refused, so a misspelt one cannot
+/// silently run a default.
 ///
 /// # Errors
 ///
 /// A message naming the offending field, suitable for a 400 response.
 pub fn parse_campaign_request(body: &str) -> Result<CampaignRequest, String> {
     let v = JsonValue::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
+    if let JsonValue::Obj(fields) = &v {
+        if let Some(k) = fields.keys().find(|k| !FIELDS.contains(&k.as_str())) {
+            return Err(format!("unknown field {k:?}"));
+        }
+    }
     let abbr = v
         .get("workload")
         .and_then(JsonValue::as_str)
@@ -385,6 +415,10 @@ mod tests {
             (
                 r#"{"workload":"Triad","scheme":"flame","runs":1,"horizon":1,"strikes_per_run":1025}"#,
                 "strikes_per_run",
+            ),
+            (
+                r#"{"workload":"Triad","scheme":"flame","runs":8,"horizon":5000,"coverge":0.5}"#,
+                "unknown field \"coverge\"",
             ),
             ("not json", "invalid JSON"),
             (

@@ -29,9 +29,33 @@ pub mod rodinia;
 pub mod shoc;
 
 use flame_core::experiment::WorkloadSpec;
+use std::sync::OnceLock;
 
 /// All 34 benchmark applications, in the paper's Table I order.
+///
+/// The catalog is built once per process and every call returns clones
+/// of it, so the entries of two calls share their `init` and `check`
+/// closures: campaigns on one workload share the baseline memo, which
+/// is keyed by those closures' addresses.
 pub fn all() -> Vec<WorkloadSpec> {
+    catalog().to_vec()
+}
+
+/// Looks a workload up by its paper abbreviation (case-insensitive).
+/// Like [`all`], it returns a clone of the process's one catalog entry.
+pub fn by_abbr(abbr: &str) -> Option<WorkloadSpec> {
+    catalog()
+        .iter()
+        .find(|w| w.abbr.eq_ignore_ascii_case(abbr))
+        .cloned()
+}
+
+fn catalog() -> &'static [WorkloadSpec] {
+    static CATALOG: OnceLock<Vec<WorkloadSpec>> = OnceLock::new();
+    CATALOG.get_or_init(build_catalog)
+}
+
+fn build_catalog() -> Vec<WorkloadSpec> {
     vec![
         // parboil
         parboil::sgemm(),
@@ -74,13 +98,6 @@ pub fn all() -> Vec<WorkloadSpec> {
         shoc::triad(),
         shoc::gups(),
     ]
-}
-
-/// Looks a workload up by its paper abbreviation (case-insensitive).
-pub fn by_abbr(abbr: &str) -> Option<WorkloadSpec> {
-    all()
-        .into_iter()
-        .find(|w| w.abbr.eq_ignore_ascii_case(abbr))
 }
 
 /// The paper's Figure 16 focuses on the applications whose barrier

@@ -21,11 +21,11 @@ cargo build --release
 echo "==> perfbench build (fails fast when a library item the benchmark calls changes)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> results files regenerate byte-identically (fig4_naive, fig12, fig13_14: 9 schemes x 34 apps, fig16, fig17: WCDL sweep, fig18: all four schedulers, fig19: 32- to 64-slot SMs, table1, table2, region_stats)"
+echo "==> results files regenerate byte-identically (one deduplicated matrix: fig4_naive, fig12, fig13_14: 8 schemes x 34 apps, fig16, fig17: WCDL sweep, fig18: all four schedulers, fig19: 32- to 64-slot SMs, table1, table2, region_stats)"
+./target/release/figures target/figures
 for fig in fig4_naive fig12 fig13_14 fig16 fig17 fig18 fig19 table1 table2 region_stats; do
-    ./target/release/"$fig" > "target/$fig.txt"
-    if ! cmp "target/$fig.txt" "results/$fig.txt"; then
-        echo "verify: target/$fig.txt differs from results/$fig.txt" >&2
+    if ! cmp "target/figures/$fig.txt" "results/$fig.txt"; then
+        echo "verify: target/figures/$fig.txt differs from results/$fig.txt" >&2
         exit 1
     fi
 done

@@ -3,7 +3,8 @@
 //! the serial runner (the merge only reads journals, and the summary's
 //! clean cycles come from the baseline the shard workers forked from),
 //! and a campaign whose clean run the process's baseline memo already
-//! holds simulates none, without changing a bit of its records.
+//! holds simulates none, without changing a bit of its records. Two
+//! campaign submissions on one catalog workload share that memo.
 //!
 //! This is a test binary of its own because `prepare_count()` is
 //! process-wide: any other campaign running in the same process would
@@ -16,6 +17,7 @@ use flame::core::runner::{
 };
 use flame::core::scheme::Scheme;
 use flame::core::shard::{run_sharded_campaign, ShardOptions};
+use flame::serve::parse_campaign_request;
 use flame::sim::builder::KernelBuilder;
 use flame::sim::isa::{MemSpace, Special};
 use flame::sim::sm::LaunchDims;
@@ -191,6 +193,28 @@ fn memoized_baseline_hits_misses_and_changes_no_bit() {
         );
         same_as_fresh(what, &summary, &variant);
     }
+}
+
+/// Two submissions on one catalog workload that differ only in coverage
+/// and base seed resolve to catalog entries sharing their closures, so
+/// the second campaign takes its clean run from the memo and simulates
+/// only its seeds.
+#[test]
+fn submissions_on_one_workload_share_the_baseline_memo() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let submit = |coverage: f64, base_seed: u64| {
+        parse_campaign_request(&format!(
+            r#"{{"workload":"Triad","scheme":"flame","runs":4,"horizon":5000,"coverage":{coverage},"base_seed":{base_seed}}}"#
+        ))
+        .unwrap()
+    };
+    let (first, second) = (submit(0.9, 1), submit(0.5, 101));
+    counted(&first.workload, &first.spec);
+    let (_, prepares) = counted(&second.workload, &second.spec);
+    assert_eq!(
+        prepares, second.spec.runs as u64,
+        "the second submission simulated its clean run again"
+    );
 }
 
 /// A seed replayed from scratch copies the memoized baseline's seeded

@@ -1,6 +1,7 @@
 //! Integration tests for the parallel experiment-matrix engine: worker
-//! count must never change results, and baselines must be simulated
-//! exactly once per (workload, config).
+//! count must never change results, and every distinct
+//! (workload, scheme, config) run, baselines included, must be
+//! simulated exactly once per matrix.
 //!
 //! The tests share a [`Mutex`]: `prepare_count()` is process-global, so
 //! the exact-count assertion is only meaningful when the tests in this
@@ -43,7 +44,7 @@ fn unwrap_all(results: Vec<Result<CellResult, impl std::fmt::Display>>) -> Vec<C
         .collect()
 }
 
-/// The fig13_14-style sub-matrix must be bit-identical on 1 and 8
+/// The Figure 13/14-style sub-matrix must be bit-identical on 1 and 8
 /// workers: identical `SimStats` on both the scheme run and the
 /// baseline, and bit-equal normalized values.
 #[test]
@@ -99,5 +100,38 @@ fn baselines_are_simulated_exactly_once_per_workload() {
             "a Baseline cell must be its own baseline"
         );
         assert_eq!(r.run.stats, r.baseline.stats);
+    }
+}
+
+/// Run memoization beyond baselines: the sub-matrix listed twice, plus
+/// the `Scheme::Baseline` cells, simulates its 6 scheme runs and 2
+/// baselines once each (8, not 14), and every repeated cell returns bit
+/// for bit what its first occurrence returns.
+#[test]
+fn repeated_cells_are_simulated_once() {
+    let _g = LOCK.lock().unwrap();
+    let (suite, once) = sub_matrix();
+    let n = once.len();
+    let mut cells = [once.clone(), once].concat();
+    let cfg = ExperimentConfig::default();
+    cells.extend((0..suite.len()).map(|w| MatrixCell::new(w, Scheme::Baseline, cfg.clone())));
+
+    let before = prepare_count();
+    let results = unwrap_all(run_matrix_with_jobs(&suite, &cells, 4));
+    let ran = prepare_count() - before;
+
+    assert_eq!(ran, 8, "expected 6 scheme runs + 2 baselines, got {ran}");
+    for (i, (first, again)) in results[..n].iter().zip(&results[n..2 * n]).enumerate() {
+        assert_eq!(again.run.stats, first.run.stats, "cell {i}: run");
+        assert_eq!(again.run.compile, first.run.compile, "cell {i}: compile");
+        assert_eq!(
+            again.baseline.stats, first.baseline.stats,
+            "cell {i}: baseline"
+        );
+        assert_eq!(
+            again.normalized.to_bits(),
+            first.normalized.to_bits(),
+            "cell {i}"
+        );
     }
 }
