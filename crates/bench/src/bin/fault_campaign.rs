@@ -1,13 +1,11 @@
 //! Fault-campaign driver: coverage-vs-outcome sweeps and the
-//! deterministic smoke campaign `scripts/verify.sh` asserts on.
+//! process-level crash drill.
 //!
 //! ```text
 //! fault_campaign                  # coverage sweep on the built-in kernel
 //! fault_campaign --workload LUD   # sweep a suite workload
 //! fault_campaign --runs 400       # more seeds per coverage point
 //! fault_campaign --fork-points 0  # disable fork-point acceleration
-//! fault_campaign smoke            # pinned-histogram + resume smoke test
-//! fault_campaign fork-smoke       # fork on/off histogram equality check
 //! fault_campaign --shards 4 --kill-after 2
 //!                                 # crash drill: SIGKILL + abort shard
 //!                                 # workers mid-campaign, resume, diff
@@ -15,26 +13,24 @@
 //! fault_campaign shard-worker --dir D --shards N --worker-id ID
 //!                                 # one lease-claiming shard worker
 //!                                 # process (spawned by the drill)
+//! fault_campaign merge [N]        # re-merge the drill's N shard journals
 //! ```
 //!
 //! The sweep bombards one workload at several sensor-coverage levels and
 //! prints the outcome taxonomy per level with Wilson 95% intervals — the
-//! coverage-vs-SDC-rate curve. The smoke mode runs a small campaign
-//! three ways (in memory, journaled, and resumed from a truncated
-//! journal), asserts all three render byte-identically, and pins the
-//! outcome histogram; any mismatch exits nonzero.
+//! coverage-vs-SDC-rate curve. The built-in kernel's campaign is pinned
+//! by this binary's unit test against `results/fault_smoke_golden.txt`.
 //!
 //! Fault runs fork from clean-prefix checkpoints by default (the runner
 //! snapshots the fault-free baseline at a grid of fork-point cycles and
 //! each seed resumes from the last checkpoint before its first strike);
 //! `--fork-points 0` falls back to scratch simulation. Outcomes are
-//! bit-identical either way — `fork-smoke` asserts exactly that.
+//! bit-identical either way.
 
 use flame_bench::BenchEnv;
 use flame_core::experiment::{run_scheme, ExperimentConfig, ProtocolConfig, WorkloadSpec};
 use flame_core::runner::{
-    clean_baseline, run_campaign_runner_with_jobs, CampaignSpec, CampaignSummary, RetryPolicy,
-    SelfFault,
+    clean_baseline, run_campaign_runner_with_jobs, CampaignSpec, RetryPolicy, SelfFault,
 };
 use flame_core::scheme::Scheme;
 use flame_core::shard::{merge_shards, run_shard_worker, run_sharded_campaign, ShardOptions};
@@ -151,248 +147,9 @@ fn sweep(env: &BenchEnv, w: &WorkloadSpec, runs: usize, fork_points: usize) {
 const SMOKE_RUNS: usize = 24;
 const SMOKE_COVERAGE: f64 = 0.625;
 
-/// The report the smoke campaign must reproduce byte-for-byte. The
-/// campaign is deterministic; any drift means the fault model, the
-/// protocol, or the runner changed behaviour. Legitimate changes
-/// regenerate the golden with `FLAME_UPDATE_GOLDEN=1 fault_campaign
-/// smoke` and commit the diff for review.
-const GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../results/fault_smoke_golden.txt"
-);
-
 fn fail(msg: &str) -> ! {
-    eprintln!("SMOKE FAILED: {msg}");
+    eprintln!("fault_campaign: {msg}");
     std::process::exit(1);
-}
-
-fn check_same(label: &str, a: &CampaignSummary, b: &CampaignSummary) {
-    if a.records != b.records || a.render() != b.render() {
-        eprintln!(
-            "--- expected ---\n{}\n--- got ---\n{}",
-            a.render(),
-            b.render()
-        );
-        fail(label);
-    }
-}
-
-fn smoke(env: &BenchEnv) {
-    let w = smoke_workload();
-    let cfg = ExperimentConfig {
-        max_cycles: 20_000_000,
-        ..ExperimentConfig::default()
-    };
-    let clean = run_scheme(&w, Scheme::SensorRenaming, &cfg).expect("clean run failed");
-    let spec = spec_for(
-        env,
-        &cfg,
-        clean.stats.cycles * 3 / 4,
-        SMOKE_COVERAGE,
-        SMOKE_RUNS,
-    );
-
-    // 1. In-memory reference run, pinned against the committed golden
-    //    report (or regenerating it when FLAME_UPDATE_GOLDEN=1).
-    let reference = run_campaign_runner_with_jobs(&w, &spec, None, env.jobs)
-        .expect("reference campaign failed");
-    println!("{}", reference.render());
-    if std::env::var("FLAME_UPDATE_GOLDEN").as_deref() == Ok("1") {
-        std::fs::write(GOLDEN_PATH, reference.render())
-            .unwrap_or_else(|e| fail(&format!("cannot write golden {GOLDEN_PATH}: {e}")));
-        println!("golden report regenerated at {GOLDEN_PATH}");
-    } else {
-        let golden = std::fs::read_to_string(GOLDEN_PATH).unwrap_or_else(|e| {
-            fail(&format!(
-                "cannot read golden {GOLDEN_PATH}: {e}\n\
-                 (regenerate with FLAME_UPDATE_GOLDEN=1 fault_campaign smoke)"
-            ))
-        });
-        if reference.render() != golden {
-            eprintln!(
-                "--- golden ({GOLDEN_PATH}) ---\n{golden}\n--- got ---\n{}",
-                reference.render()
-            );
-            fail(
-                "smoke report drifted from the golden file \
-                 (if intentional: FLAME_UPDATE_GOLDEN=1 fault_campaign smoke)",
-            );
-        }
-    }
-
-    // 2. Journaled run: same summary, journal fully populated.
-    let path = std::env::temp_dir().join(format!("flame_fault_smoke_{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let journaled = run_campaign_runner_with_jobs(&w, &spec, Some(&path), env.jobs)
-        .expect("journaled campaign failed");
-    check_same(
-        "journaled run diverged from in-memory run",
-        &reference,
-        &journaled,
-    );
-
-    // 3. Kill simulation: keep the header, 9 complete records and a
-    //    half-written tail line, then resume. The resumed summary must be
-    //    byte-identical and must have re-run exactly the missing seeds
-    //    (including the truncated one).
-    let text = std::fs::read_to_string(&path).expect("journal unreadable");
-    let lines: Vec<&str> = text.lines().collect();
-    if lines.len() != 1 + SMOKE_RUNS {
-        fail(&format!(
-            "journal has {} lines, expected {}",
-            lines.len(),
-            1 + SMOKE_RUNS
-        ));
-    }
-    let mut truncated: String = lines[..10].join("\n");
-    truncated.push('\n');
-    truncated.push_str(&lines[10][..lines[10].len() / 2]);
-    std::fs::write(&path, truncated).expect("journal truncation failed");
-    let resumed = run_campaign_runner_with_jobs(&w, &spec, Some(&path), env.jobs)
-        .expect("resumed campaign failed");
-    if resumed.ran_now != SMOKE_RUNS - 9 {
-        fail(&format!(
-            "resume re-ran {} seeds, expected {}",
-            resumed.ran_now,
-            SMOKE_RUNS - 9
-        ));
-    }
-    check_same(
-        "resumed run diverged from in-memory run",
-        &reference,
-        &resumed,
-    );
-
-    // 4. Second resume over the repaired journal: the truncated tail
-    //    must have been newline-terminated on disk, or the record
-    //    appended after it merges into a parseable hybrid line whose
-    //    seed dedups the correct re-run away. Nothing should re-run and
-    //    the report must still match.
-    let again = run_campaign_runner_with_jobs(&w, &spec, Some(&path), env.jobs)
-        .expect("second resume failed");
-    if again.ran_now != 0 {
-        fail(&format!(
-            "second resume re-ran {} seeds, expected 0",
-            again.ran_now
-        ));
-    }
-    check_same("journal poisoned by the truncated tail", &reference, &again);
-    let _ = std::fs::remove_file(&path);
-
-    // 5. Fork determinism: the same campaign with forking disabled must
-    //    produce the same outcomes — only the telemetry fields differ.
-    let scratch = run_campaign_runner_with_jobs(
-        &w,
-        &CampaignSpec {
-            fork_points: 0,
-            ..spec.clone()
-        },
-        None,
-        env.jobs,
-    )
-    .expect("fork-off campaign failed");
-    check_same_outcomes("fork-on and fork-off runs diverged", &reference, &scratch);
-
-    println!(
-        "smoke ok: histogram {:?}, resume re-ran {} seeds",
-        reference.counts, resumed.ran_now
-    );
-}
-
-/// Asserts two summaries agree on everything a fault campaign *means* —
-/// outcome histogram and every per-seed counter — ignoring only the fork
-/// telemetry fields (`fork_cycle`/`sim_cycles`/`fork_hit`), which are
-/// cost accounting and legitimately differ between a forked run and a
-/// scratch run of the same seed.
-fn check_same_outcomes(label: &str, a: &CampaignSummary, b: &CampaignSummary) {
-    let strip = |s: &CampaignSummary| -> Vec<flame_core::runner::RunRecord> {
-        s.records
-            .iter()
-            .map(|r| flame_core::runner::RunRecord {
-                fork_cycle: 0,
-                sim_cycles: 0,
-                fork_hit: false,
-                ..*r
-            })
-            .collect()
-    };
-    if a.counts != b.counts || strip(a) != strip(b) || a.clean_cycles != b.clean_cycles {
-        eprintln!(
-            "--- fork on ---\n{}\n--- fork off ---\n{}",
-            a.render(),
-            b.render()
-        );
-        fail(label);
-    }
-}
-
-/// Runs a small late-strike campaign twice — fork-point acceleration on
-/// and off — and asserts the outcome histograms and per-seed records are
-/// identical modulo telemetry. `scripts/verify.sh` runs this as the
-/// fork regression gate; on failure it dumps both journals for diffing.
-fn fork_smoke(env: &BenchEnv) {
-    let w = smoke_workload();
-    let cfg = ExperimentConfig {
-        max_cycles: 20_000_000,
-        ..ExperimentConfig::default()
-    };
-    let clean = run_scheme(&w, Scheme::SensorRenaming, &cfg).expect("clean run failed");
-    let spec = CampaignSpec {
-        strike_window: (0.5, 1.0),
-        ..spec_for(env, &cfg, clean.stats.cycles, SMOKE_COVERAGE, SMOKE_RUNS)
-    };
-    let forked =
-        run_campaign_runner_with_jobs(&w, &spec, None, env.jobs).expect("forked campaign failed");
-    let scratch = run_campaign_runner_with_jobs(
-        &w,
-        &CampaignSpec {
-            fork_points: 0,
-            ..spec.clone()
-        },
-        None,
-        env.jobs,
-    )
-    .expect("scratch campaign failed");
-    // Journals go to disk before the equality checks so CI can upload
-    // them as artifacts when a check aborts the process; removed on
-    // success so artifacts exist exactly when the gate failed.
-    dump_divergence(&forked, &scratch);
-    if forked.counts != scratch.counts {
-        fail("fork on/off outcome histograms differ");
-    }
-    check_same_outcomes("fork on/off records differ", &forked, &scratch);
-    let hits = forked.records.iter().filter(|r| r.fork_hit).count();
-    if hits == 0 {
-        fail("no run forked — checkpoint grid never hit");
-    }
-    let _ = std::fs::remove_dir_all(DIVERGENCE_DIR);
-    println!(
-        "fork-smoke ok: histogram {:?}, {hits}/{} runs forked",
-        forked.counts,
-        forked.records.len()
-    );
-}
-
-/// Directory fork-smoke writes both campaigns' journals to; CI uploads
-/// it as an artifact on failure so the diverging seed is diffable offline.
-const DIVERGENCE_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/fork-smoke");
-
-fn dump_divergence(forked: &CampaignSummary, scratch: &CampaignSummary) {
-    let dir = std::path::Path::new(DIVERGENCE_DIR);
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    for (name, s) in [("forked", forked), ("scratch", scratch)] {
-        let path = dir.join(format!("flame_fork_divergence_{name}.jsonl"));
-        let mut text = String::new();
-        text.push_str(&s.header);
-        text.push('\n');
-        for r in &s.records {
-            text.push_str(&r.to_line());
-            text.push('\n');
-        }
-        let _ = std::fs::write(&path, text);
-    }
 }
 
 /// Directory the crash drill stages its shard journals, leases, and
@@ -634,10 +391,6 @@ fn main() {
     let env = BenchEnv::from_process();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("smoke") => {
-            smoke(&env);
-            return;
-        }
         Some("shard-worker") => {
             let mut dir = None;
             let mut shards = 4usize;
@@ -675,10 +428,6 @@ fn main() {
         Some("merge") => {
             let shards = args.get(1).and_then(|v| v.parse().ok()).unwrap_or(4);
             merge_only(&env, shards);
-            return;
-        }
-        Some("fork-smoke") => {
-            fork_smoke(&env);
             return;
         }
         _ => {}
@@ -746,7 +495,7 @@ fn main() {
                         .unwrap_or_else(|| fail(&format!("unknown workload {abbr:?}"))),
                 );
             }
-            other => fail(&format!("unknown argument {other:?} (try `smoke`)")),
+            other => fail(&format!("unknown argument {other:?}")),
         }
     }
     if let Some(shards) = shards {
@@ -756,4 +505,72 @@ fn main() {
     }
     let w = workload.unwrap_or_else(smoke_workload);
     sweep(&env, &w, runs, fork_points);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flame_core::runner::{CampaignSummary, RunRecord};
+
+    /// The report the pinned campaign renders. The campaign is
+    /// deterministic, so any drift means the fault model, the protocol or
+    /// the runner changed behaviour.
+    const GOLDEN: &str = include_str!("../../../../results/fault_smoke_golden.txt");
+
+    /// The built-in kernel's campaign ([`SMOKE_RUNS`] seeds, strikes over
+    /// the whole window) renders the golden report byte for byte, and the
+    /// same campaign without fork points has the same outcomes: 15 of its
+    /// seeds fork, 9 strike before the first checkpoint.
+    #[test]
+    fn smoke_campaign_matches_golden_report_with_forks_on_and_off() {
+        let env = BenchEnv::parse(|_| None);
+        let w = smoke_workload();
+        let cfg = ExperimentConfig {
+            max_cycles: 20_000_000,
+            ..ExperimentConfig::default()
+        };
+        let clean = run_scheme(&w, Scheme::SensorRenaming, &cfg).expect("clean run");
+        let spec = spec_for(
+            &env,
+            &cfg,
+            clean.stats.cycles * 3 / 4,
+            SMOKE_COVERAGE,
+            SMOKE_RUNS,
+        );
+        let forked = run_campaign_runner_with_jobs(&w, &spec, None, 2).expect("forked campaign");
+        let report = forked.render();
+        assert!(
+            report == GOLDEN,
+            "the campaign drifted from results/fault_smoke_golden.txt; \
+             if the change is intended, commit this report there:\n{report}"
+        );
+
+        let scratch = run_campaign_runner_with_jobs(
+            &w,
+            &CampaignSpec {
+                fork_points: 0,
+                ..spec.clone()
+            },
+            None,
+            2,
+        )
+        .expect("scratch campaign");
+        let hits = |s: &CampaignSummary| s.records.iter().filter(|r| r.fork_hit).count();
+        assert_eq!((hits(&forked), hits(&scratch)), (15, 0), "fork hits");
+        // Fork telemetry is cost accounting; everything else must agree.
+        let strip = |s: &CampaignSummary| -> Vec<RunRecord> {
+            s.records
+                .iter()
+                .map(|r| RunRecord {
+                    fork_cycle: 0,
+                    sim_cycles: 0,
+                    fork_hit: false,
+                    ..*r
+                })
+                .collect()
+        };
+        assert_eq!(forked.counts, scratch.counts, "outcome histograms");
+        assert_eq!(forked.clean_cycles, scratch.clean_cycles, "clean cycles");
+        assert_eq!(strip(&forked), strip(&scratch), "records beyond telemetry");
+    }
 }

@@ -11,7 +11,6 @@
 //!                                        # shows strike -> detect -> rollback
 //! trace --capacity 1048576              # per-SM event ring (default 65536)
 //! trace --list                           # print the workload/scheme catalog
-//! trace smoke                            # self-checking cell for verify.sh/CI
 //! ```
 //!
 //! Output lands in `--out DIR` (default: `$FLAME_TRACE_DIR`, falling back
@@ -24,12 +23,11 @@
 
 use flame_core::campaign::{classify, Outcome};
 use flame_core::experiment::{
-    run_scheme, run_with_protocol, ExperimentConfig, FaultProtocolResult, ProtocolConfig,
-    RunOptions, WorkloadSpec,
+    run_scheme, run_with_protocol, ExperimentConfig, ProtocolConfig, RunOptions, WorkloadSpec,
 };
 use flame_core::scheme::Scheme;
-use flame_sensors::fault::{Strike, StrikeGenerator};
-use flame_trace::{chrome_trace_json, region_csv, stall_table, Event, JsonValue, SimTrace};
+use flame_sensors::fault::StrikeGenerator;
+use flame_trace::{chrome_trace_json, region_csv, stall_table, JsonValue, SimTrace};
 use gpu_sim::config::GpuConfig;
 use gpu_sim::scheduler::SchedulerKind;
 use gpu_sim::stats::SimStats;
@@ -115,9 +113,7 @@ fn parse_args(args: &[String]) -> TraceArgs {
                     .parse()
                     .unwrap_or_else(|_| fail("--capacity needs a positive integer"));
             }
-            other => fail(&format!(
-                "unknown argument {other:?} (try --list or `smoke`)"
-            )),
+            other => fail(&format!("unknown argument {other:?} (try --list)")),
         }
     }
     let cfg = ExperimentConfig {
@@ -180,29 +176,6 @@ fn write_exports(dir: &Path, stem: &str, json: &str, trace: &SimTrace) {
     }
 }
 
-/// Runs one traced cell through the protocol driver; a fault-free cell
-/// (no strikes) must end [`Outcome::Masked`]: completed, output correct.
-fn traced_run(
-    w: &WorkloadSpec,
-    scheme: Scheme,
-    cfg: &ExperimentConfig,
-    strikes: &[Strike],
-    capacity: usize,
-    label: &str,
-) -> (FaultProtocolResult, SimTrace) {
-    let opts = RunOptions {
-        trace: Some(capacity),
-        ..RunOptions::default()
-    };
-    let mut r = run_with_protocol(w, scheme, cfg, strikes, &ProtocolConfig::default(), &opts)
-        .unwrap_or_else(|e| fail(&format!("{label} failed: {e}")));
-    if strikes.is_empty() && classify(&r) != Outcome::Masked {
-        fail(&format!("{label}: fault-free run ended {}", classify(&r)));
-    }
-    let trace = r.trace.take().expect("tracing was enabled");
-    (r, trace)
-}
-
 fn capture(a: &TraceArgs) {
     let stem = format!(
         "{}_{}_{}_{}_wcdl{}{}",
@@ -238,7 +211,18 @@ fn capture(a: &TraceArgs) {
             StrikeGenerator::new(a.seed, a.cfg.wcdl, a.cfg.gpu.num_sms).with_ecc_fraction(0.0);
         gen.schedule(a.faults, (clean.stats.cycles * 3 / 4).max(10))
     };
-    let (r, trace) = traced_run(&a.workload, a.scheme, &a.cfg, &strikes, a.capacity, "run");
+    let opts = RunOptions {
+        trace: Some(a.capacity),
+        ..RunOptions::default()
+    };
+    let proto = ProtocolConfig::default();
+    let mut r = run_with_protocol(&a.workload, a.scheme, &a.cfg, &strikes, &proto, &opts)
+        .unwrap_or_else(|e| fail(&format!("run failed: {e}")));
+    // A fault-free cell must end masked: completed, output correct.
+    if strikes.is_empty() && classify(&r) != Outcome::Masked {
+        fail(&format!("fault-free run ended {}", classify(&r)));
+    }
+    let trace = r.trace.take().expect("tracing was enabled");
     if a.faults > 0 {
         println!(
             "faults: injected={} detections={} recoveries={} output_ok={}",
@@ -257,98 +241,10 @@ fn capture(a: &TraceArgs) {
     write_exports(&a.out, &stem, &json, &trace);
 }
 
-/// Self-checking smoke cell for `scripts/verify.sh` and CI: captures one
-/// fault-free and one fault-injecting trace of GUPS x Flame at a
-/// 1000-cycle WCDL, validates both exports, and asserts the tentpole
-/// invariants — stall sums match the stats, descheduled warps overlap
-/// other warps' issue slots (the paper's WCDL-hiding claim, visible on
-/// the timeline), and every detection is followed by a rollback on its
-/// SM. Artifacts land in `target/trace-smoke` so CI can upload them on
-/// failure.
-fn smoke() {
-    let out = PathBuf::from("target/trace-smoke");
-    let w = flame_workloads::by_abbr("GUPS").expect("GUPS is in the catalog");
-    let cfg = ExperimentConfig {
-        wcdl: 1000,
-        ..ExperimentConfig::default()
-    };
-    let capacity = 1 << 16;
-
-    // Fault-free cell.
-    let (r, trace) = traced_run(&w, Scheme::SensorRenaming, &cfg, &[], capacity, "smoke");
-    let run = r.run;
-    let json = validate(&trace, &run.stats, "smoke");
-    write_exports(&out, "smoke_gups_flame", &json, &trace);
-    if trace.regions.len() as u64 != run.stats.resilience.boundaries {
-        fail(&format!(
-            "smoke: {} region records != {} boundaries",
-            trace.regions.len(),
-            run.stats.resilience.boundaries
-        ));
-    }
-    if !trace.deschedule_overlaps_issue() {
-        fail("smoke: no warp issued while another sat descheduled in the RBQ");
-    }
-
-    // Fault-injecting cell: the strike -> detect -> rollback arc must be
-    // on the timeline, in causal order per SM.
-    let mut gen = StrikeGenerator::new(0xF1A3, cfg.wcdl, cfg.gpu.num_sms).with_ecc_fraction(0.0);
-    let strikes = gen.schedule(4, (run.stats.cycles * 3 / 4).max(10));
-    let (r, ftrace) = traced_run(
-        &w,
-        Scheme::SensorRenaming,
-        &cfg,
-        &strikes,
-        capacity,
-        "smoke fault run",
-    );
-    if !r.run.output_ok {
-        fail("smoke: fault run output corrupted despite recovery");
-    }
-    let fjson = validate(&ftrace, &r.run.stats, "smoke-faults");
-    write_exports(&out, "smoke_gups_flame_f4", &fjson, &ftrace);
-    let n_strikes = ftrace
-        .filtered(|e| matches!(e, Event::FaultStrike { .. }))
-        .count();
-    let detects: Vec<_> = ftrace
-        .filtered(|e| matches!(e, Event::FaultDetect { .. }))
-        .collect();
-    if n_strikes != r.injected || detects.len() != r.detections {
-        fail(&format!(
-            "smoke: timeline has {n_strikes} strikes / {} detects, run reports {} / {}",
-            detects.len(),
-            r.injected,
-            r.detections
-        ));
-    }
-    for d in &detects {
-        let Event::FaultDetect { sm } = d.ev else {
-            unreachable!()
-        };
-        let followed = ftrace
-            .filtered(|e| matches!(e, Event::Rollback { .. }))
-            .any(|e| e.sm == sm && e.cycle >= d.cycle);
-        if !followed {
-            fail(&format!(
-                "smoke: no rollback on SM {sm} at/after detect cycle {}",
-                d.cycle
-            ));
-        }
-    }
-    println!(
-        "trace smoke ok: {} events clean, {} events under {} strikes ({} recoveries)",
-        trace.len(),
-        ftrace.len(),
-        r.injected,
-        r.recoveries
-    );
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("--list") => flame_bench::print_catalog(),
-        Some("smoke") => smoke(),
         _ => capture(&parse_args(&args)),
     }
 }

@@ -319,7 +319,9 @@ fn claim_in_flight(dir: &Path, k: usize, epoch: u64, ttl: Duration) -> bool {
             Some(l) => l.epoch,
             None => return false,
         },
-        Err(_) => 0,
+        Err(e) if e.kind() == ErrorKind::NotFound => 0,
+        // Unreadable, such as bytes that are not UTF-8: corrupt.
+        Err(_) => return false,
     };
     if lease_epoch >= epoch {
         return false;
@@ -862,6 +864,22 @@ mod tests {
         assert_eq!(d.epoch, 4);
         assert_eq!(heartbeat(&dir, &c, "carol"), Err(LeaseLost));
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn non_utf8_lease_is_corrupt_not_a_claim_in_flight() {
+        let dir = tmp_dir("binary");
+        let ttl = Duration::from_secs(10);
+        // A fresh claim's epoch marker is younger than the TTL, so only
+        // the lease can tell a claim in flight from a corrupt lease.
+        let a = try_claim(&dir, 0, "alice", ttl).unwrap().expect("claim");
+        std::fs::write(lease_path(&dir, 0), b"\x00\xffnot json\x7f").unwrap();
+        let b = try_claim(&dir, 0, "bob", ttl)
+            .unwrap()
+            .expect("a lease of non-UTF-8 bytes held its shard");
+        assert_eq!(b.epoch, a.epoch + 1);
+        assert_eq!(heartbeat(&dir, &a, "alice"), Err(LeaseLost));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

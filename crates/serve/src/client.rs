@@ -1,5 +1,5 @@
-//! A minimal HTTP/1.1 client for the campaign API — what the serve
-//! smoke gate and the integration tests drive the server with. Speaks
+//! A minimal HTTP/1.1 client for the campaign API — what the
+//! integration tests drive the server with. Speaks
 //! exactly the server's dialect: `Connection: close`, fixed-length
 //! bodies, and `Transfer-Encoding: chunked` NDJSON streams.
 

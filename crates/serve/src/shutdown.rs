@@ -54,9 +54,9 @@ pub fn install() -> Arc<AtomicBool> {
     flag
 }
 
-/// Sends `sig` to process `pid` (drill helper: the serve smoke gate
-/// SIGTERMs its child server to exercise the graceful path). Returns
-/// `false` on failure or on non-Unix targets.
+/// Sends `sig` to process `pid` (drill helper: a process test SIGTERMs
+/// its child server to exercise the graceful path). Returns `false` on
+/// failure or on non-Unix targets.
 pub fn send_signal(pid: u32, sig: i32) -> bool {
     #[cfg(unix)]
     {

@@ -1,7 +1,7 @@
 //! Exporters: Chrome-tracing/Perfetto JSON, per-region CSV and a
 //! human-readable stall table. Names in the Chrome trace are escaped
 //! through [`crate::json`], which also parses the output back in the
-//! tests and the trace smoke.
+//! tests and the `trace` binary.
 
 use crate::event::{Event, StallCause};
 use crate::json::json_escape;
@@ -377,7 +377,7 @@ fn hist_line(out: &mut String, label: &str, h: &crate::Histogram) {
 /// Render the per-(SM, scheduler) stall-attribution table plus histogram
 /// summaries as human-readable text. The `ALL` row sums every scheduler;
 /// its total equals the simulator's `StallStats::total()` (the trace
-/// tests and the trace smoke assert this).
+/// tests and the `trace` binary assert this).
 pub fn stall_table(t: &SimTrace) -> String {
     let mut out = String::from("stall attribution (cycles)\n");
     let _ = write!(out, "{:>4} {:>5}", "sm", "sched");

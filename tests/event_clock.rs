@@ -18,40 +18,6 @@ use flame::workloads::by_abbr;
 
 const WORKLOADS: [&str; 3] = ["Triad", "GUPS", "NN"];
 
-/// Every scheme in the taxonomy: the paper's eight, the baseline, and the
-/// two ablations (no-opt renaming; naive scheduler-stall verification,
-/// whose `BlockScheduler` windows are the largest skippable stretches).
-fn all_schemes() -> Vec<Scheme> {
-    let mut s = vec![
-        Scheme::Baseline,
-        Scheme::SensorRenamingNoOpt,
-        Scheme::NaiveSensorRenaming,
-    ];
-    s.extend(Scheme::paper_schemes());
-    s
-}
-
-fn configs() -> [ExperimentConfig; 3] {
-    [
-        // The paper's default platform.
-        ExperimentConfig::default(),
-        // A second architecture, scheduler and a much longer WCDL, so the
-        // skipped windows have a very different shape.
-        ExperimentConfig {
-            gpu: GpuConfig::rtx2060(),
-            sched: SchedulerKind::Lrr,
-            wcdl: 100,
-            ..ExperimentConfig::default()
-        },
-        // The sparse-sensor end of the WCDL trade-off, where deschedule
-        // and stall windows are longest.
-        ExperimentConfig {
-            wcdl: 1000,
-            ..ExperimentConfig::default()
-        },
-    ]
-}
-
 /// `cfg` with the event-driven clock switched on or off.
 fn with_fast_forward(cfg: &ExperimentConfig, on: bool) -> ExperimentConfig {
     let mut cfg = cfg.clone();
@@ -64,31 +30,60 @@ fn run_cell(w: &str, scheme: Scheme, cfg: &ExperimentConfig) -> RunResult {
     run_scheme(&spec, scheme, cfg).unwrap_or_else(|e| panic!("{w}/{scheme:?}: {e}"))
 }
 
-/// The tentpole invariant, over the full {workload × scheme × config}
-/// grid: `SimStats` bit-identical with fast-forward on and off.
-#[test]
-fn stats_bit_identical_with_and_without_fast_forward() {
-    for cfg in &configs() {
-        for w in WORKLOADS {
-            for scheme in all_schemes() {
-                let fast = run_cell(w, scheme, &with_fast_forward(cfg, true));
-                let slow = run_cell(w, scheme, &with_fast_forward(cfg, false));
-                let diff = fast.stats.diff(&slow.stats);
-                assert!(
-                    diff.is_empty(),
-                    "{w}/{scheme:?}/{}/wcdl {}: fast-forward changed {diff:?}",
-                    cfg.gpu.name,
-                    cfg.wcdl
-                );
-                assert!(
-                    fast.output_ok && slow.output_ok,
-                    "{w}/{scheme:?}/{}/wcdl {}: output check failed",
-                    cfg.gpu.name,
-                    cfg.wcdl
-                );
-            }
+/// The tentpole invariant, over the {workload × scheme} grid on `cfg`:
+/// `SimStats` bit-identical with fast-forward on and off. The schemes are
+/// the whole taxonomy, including the naive scheduler-stall verification,
+/// whose `BlockScheduler` windows are the largest skippable stretches.
+/// Each configuration is its own test, so the harness runs them in
+/// parallel.
+fn stats_match_with_and_without_fast_forward(cfg: &ExperimentConfig) {
+    for w in WORKLOADS {
+        for scheme in Scheme::all() {
+            let fast = run_cell(w, scheme, &with_fast_forward(cfg, true));
+            let slow = run_cell(w, scheme, &with_fast_forward(cfg, false));
+            let diff = fast.stats.diff(&slow.stats);
+            assert!(
+                diff.is_empty(),
+                "{w}/{scheme:?}/{}/wcdl {}: fast-forward changed {diff:?}",
+                cfg.gpu.name,
+                cfg.wcdl
+            );
+            assert!(
+                fast.output_ok && slow.output_ok,
+                "{w}/{scheme:?}/{}/wcdl {}: output check failed",
+                cfg.gpu.name,
+                cfg.wcdl
+            );
         }
     }
+}
+
+/// On the paper's default platform.
+#[test]
+fn stats_bit_identical_with_and_without_fast_forward() {
+    stats_match_with_and_without_fast_forward(&ExperimentConfig::default());
+}
+
+/// On a second architecture and scheduler with a longer WCDL, so the
+/// skipped windows have a very different shape.
+#[test]
+fn stats_bit_identical_with_and_without_fast_forward_on_rtx2060_lrr() {
+    stats_match_with_and_without_fast_forward(&ExperimentConfig {
+        gpu: GpuConfig::rtx2060(),
+        sched: SchedulerKind::Lrr,
+        wcdl: 100,
+        ..ExperimentConfig::default()
+    });
+}
+
+/// At the sparse-sensor end of the WCDL trade-off, where deschedule and
+/// stall windows are longest.
+#[test]
+fn stats_bit_identical_with_and_without_fast_forward_at_wcdl_1000() {
+    stats_match_with_and_without_fast_forward(&ExperimentConfig {
+        wcdl: 1000,
+        ..ExperimentConfig::default()
+    });
 }
 
 /// Fault campaigns interact with the GPU at externally scheduled cycles

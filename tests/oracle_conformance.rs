@@ -21,16 +21,6 @@ use flame::oracle::{execute, OracleConfig};
 use flame::prelude::*;
 use flame::sim::memory::{GlobalMemory, WORD_BYTES};
 
-/// Every scheme variant: the eight evaluated schemes plus the baseline
-/// and the two ablations.
-fn all_schemes() -> Vec<Scheme> {
-    let mut v = vec![Scheme::Baseline];
-    v.extend(Scheme::paper_schemes());
-    v.push(Scheme::SensorRenamingNoOpt);
-    v.push(Scheme::NaiveSensorRenaming);
-    v
-}
-
 fn first_divergence(a: &GlobalMemory, b: &GlobalMemory) -> Option<(usize, u64, u64)> {
     let word = a.first_difference(b)?;
     let addr = word as u64 * WORD_BYTES;
@@ -65,7 +55,7 @@ fn conform(suite: &str, part: impl Fn(usize) -> bool) {
             "{}: oracle image fails the workload's own output check",
             w.abbr
         );
-        for scheme in all_schemes() {
+        for scheme in Scheme::all() {
             let (mut gpu, _) = prepare_scheme(w, scheme, &cfg)
                 .unwrap_or_else(|e| panic!("{} under {scheme:?}: prepare failed: {e:?}", w.abbr));
             let stats = gpu

@@ -102,7 +102,8 @@ fn summary_bytes(line: &str) -> &str {
 
 /// Tentpole acceptance: an HTTP-submitted campaign streams to a final
 /// histogram byte-identical to the serial runner, resubmission is
-/// idempotent, and status/catalog/404 behave.
+/// idempotent, and status, per-seed trace, metrics, catalog and 404
+/// behave.
 #[test]
 fn http_campaign_is_bit_identical_to_serial() {
     let body = r#"{"workload":"Triad","scheme":"flame","runs":6,"horizon":4000,
@@ -153,6 +154,23 @@ fn http_campaign_is_bit_identical_to_serial() {
         summary_bytes(status.body.trim()),
         reference,
         "status-endpoint histogram diverged from the serial runner"
+    );
+
+    // A seed's Chrome trace and the Prometheus page.
+    let seed = req.spec.base_seed;
+    let trace =
+        client::get(addr, &format!("/campaigns/{id}/runs/{seed}/trace")).expect("GET trace");
+    assert_eq!(trace.status, 200, "trace endpoint: {}", trace.body);
+    flame::serve::JsonValue::parse(&trace.body).expect("trace artifact is valid JSON");
+    assert!(
+        trace.body.contains("traceEvents"),
+        "trace artifact lacks traceEvents"
+    );
+    let metrics = client::get(addr, "/metrics").expect("GET /metrics");
+    assert!(
+        metrics.body.contains("flame_seeds_run_total"),
+        "metrics page lacks flame_seeds_run_total:\n{}",
+        metrics.body
     );
 
     let catalog = client::get(addr, "/catalog").expect("GET /catalog");

@@ -17,7 +17,7 @@ use flame::sim::isa::{MemSpace, Special};
 use flame::sim::sm::LaunchDims;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Out-of-place arithmetic kernel (reads never alias writes), small
 /// enough that a full campaign is cheap but large enough that strikes
@@ -184,9 +184,16 @@ fn corrupt_lease_files_cannot_lose_seeds() {
     std::fs::write(lease_path(&dir, 0), b"\x00\xffnot json\x7f").unwrap();
     std::fs::write(lease_path(&dir, 1), "{\"flame_lease\":1,\"ow").unwrap();
 
-    // Despite a 30 s TTL, the corrupt leases are immediately claimable.
+    // Despite a 30 s TTL, the corrupt leases are immediately claimable:
+    // the merge must not wait out the TTL of either epoch marker.
     let o = opts("corrupt", 2, 30_000);
+    let started = Instant::now();
     let merged = run_sharded_campaign(&w, &s, &dir, &o, 2).unwrap();
+    let took = started.elapsed();
+    assert!(
+        took < o.lease_ttl / 2,
+        "a corrupt lease held its shard: the merge took {took:?}"
+    );
     assert_eq!(merged.records, serial.records);
     assert_eq!(merged.render(), serial.render());
     let _ = std::fs::remove_dir_all(&dir);

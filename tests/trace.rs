@@ -9,11 +9,12 @@
 //! order).
 
 use flame::core::experiment::{
-    run_scheme, run_with_protocol, ExperimentConfig, ProtocolConfig, RunOptions, RunResult,
-    WorkloadSpec,
+    run_scheme, run_with_protocol, ExperimentConfig, FaultProtocolResult, ProtocolConfig,
+    RunOptions, RunResult, WorkloadSpec,
 };
 use flame::core::runner::{trace_one_seed, CampaignSpec, RetryPolicy, SelfFault};
 use flame::core::scheme::Scheme;
+use flame::sensors::fault::StrikeGenerator;
 use flame::sim::stats::SimStats;
 use flame::trace::{chrome_trace_json, region_csv, stall_table, Event, JsonValue, SimTrace};
 use flame::workloads::by_abbr;
@@ -191,9 +192,46 @@ fn descheduled_warps_overlap_other_warps_issue() {
     );
 }
 
-/// Fault arcs through the campaign-runner helper: replaying a campaign
-/// seed under the tracer shows every injected strike, every detection,
-/// and a rollback on the struck SM at or after each detection.
+/// Asserts a traced fault run's arcs: the timeline shows every injected
+/// strike, every detection, and a rollback on the struck SM at or after
+/// each detection.
+fn assert_fault_arcs(label: &str, r: &FaultProtocolResult) {
+    let trace = r.trace.as_ref().expect("tracing was enabled");
+    assert!(
+        r.injected > 0,
+        "{label}: no strike landed inside the horizon"
+    );
+    let strikes = trace
+        .filtered(|e| matches!(e, Event::FaultStrike { .. }))
+        .count();
+    let detects: Vec<_> = trace
+        .filtered(|e| matches!(e, Event::FaultDetect { .. }))
+        .collect();
+    assert_eq!(strikes, r.injected, "{label}: strikes on the timeline");
+    assert_eq!(
+        detects.len(),
+        r.detections,
+        "{label}: detects on the timeline"
+    );
+    for d in &detects {
+        let Event::FaultDetect { sm } = d.ev else {
+            unreachable!()
+        };
+        assert!(
+            trace
+                .filtered(|e| matches!(e, Event::Rollback { .. }))
+                .any(|e| e.sm == sm && e.cycle >= d.cycle),
+            "{label}: no rollback on SM {sm} at/after detect cycle {}",
+            d.cycle
+        );
+    }
+}
+
+/// Fault arcs on two timelines: a campaign seed replayed under the
+/// tracer by the campaign-runner helper, and four strikes (none on
+/// ECC-protected state) in the first three quarters of the GUPS × Flame
+/// cell at a 1000-cycle WCDL, whose recoveries must also leave the
+/// output correct.
 #[test]
 fn campaign_seed_replay_shows_fault_arcs() {
     let spec = by_abbr("Triad").expect("known workload");
@@ -218,28 +256,29 @@ fn campaign_seed_replay_shows_fault_arcs() {
     };
     let r =
         trace_one_seed(&spec, &campaign, campaign.base_seed, 1 << 16).expect("traced seed replay");
-    let trace = r.trace.as_ref().expect("tracing was enabled");
-    assert!(r.injected > 0, "no strike landed inside the horizon");
-    let strikes = trace
-        .filtered(|e| matches!(e, Event::FaultStrike { .. }))
-        .count();
-    let detects: Vec<_> = trace
-        .filtered(|e| matches!(e, Event::FaultDetect { .. }))
-        .collect();
-    assert_eq!(strikes, r.injected);
-    assert_eq!(detects.len(), r.detections);
-    for d in &detects {
-        let Event::FaultDetect { sm } = d.ev else {
-            unreachable!()
-        };
-        assert!(
-            trace
-                .filtered(|e| matches!(e, Event::Rollback { .. }))
-                .any(|e| e.sm == sm && e.cycle >= d.cycle),
-            "no rollback on SM {sm} at/after detect cycle {}",
-            d.cycle
-        );
-    }
+    assert_fault_arcs("Triad seed replay", &r);
+
+    let spec = by_abbr("GUPS").expect("known workload");
+    let cfg = ExperimentConfig {
+        wcdl: 1000,
+        ..ExperimentConfig::default()
+    };
+    let clean = run_scheme(&spec, Scheme::SensorRenaming, &cfg).expect("clean run");
+    let strikes = StrikeGenerator::new(0xF1A3, cfg.wcdl, cfg.gpu.num_sms)
+        .with_ecc_fraction(0.0)
+        .schedule(4, (clean.stats.cycles * 3 / 4).max(10));
+    let opts = RunOptions {
+        trace: Some(1 << 16),
+        ..RunOptions::default()
+    };
+    let proto = ProtocolConfig::default();
+    let r = run_with_protocol(&spec, Scheme::SensorRenaming, &cfg, &strikes, &proto, &opts)
+        .expect("traced fault run");
+    assert_fault_arcs("GUPS 4 strikes", &r);
+    assert!(
+        r.run.output_ok,
+        "GUPS 4 strikes: output corrupted despite recovery"
+    );
 }
 
 /// A deliberately tiny ring must drop events — and the streaming
