@@ -537,9 +537,10 @@ fn drive(
         // (its detection deadline is anchored there), and a detection at
         // cycle d must trigger recovery exactly at d. The watchdog
         // deadline bounds it too, so a frozen GPU cannot fast-forward
-        // past its own hang diagnosis.
-        let mut bound = cfg.max_cycles;
-        bound = bound.min(progress_cycle + proto.hang_window + 1);
+        // past its own hang diagnosis. Both watchdog sums saturate: a
+        // window of `u64::MAX` means the watchdog never fires.
+        let deadline = progress_cycle.saturating_add(proto.hang_window);
+        let mut bound = cfg.max_cycles.min(deadline.saturating_add(1));
         if let Some(s) = strikes.get(*next) {
             bound = bound.min(s.cycle + 1);
         }
@@ -555,7 +556,7 @@ fn drive(
             // A step that issued covered exactly one tick, so the clock
             // stands one cycle past the issue.
             progress_cycle = now;
-        } else if now > progress_cycle + proto.hang_window && gpu.running() {
+        } else if now > deadline && gpu.running() {
             c.watchdog_fired = true;
             return Attempt::Hung;
         }

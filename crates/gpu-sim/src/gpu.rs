@@ -176,7 +176,10 @@ impl Gpu {
     /// Usually called right after launch; enabling mid-run simply starts
     /// recording from the current cycle.
     pub fn set_tracing(&mut self, capacity: usize) {
+        let now = self.cycle;
         for sm in &mut self.sms {
+            // Idle cycles owed from before tracing stay off the trace.
+            sm.settle(now);
             sm.set_tracer(Tracer::enabled(capacity));
         }
         self.tracer = Tracer::enabled(capacity);
@@ -199,8 +202,11 @@ impl Gpu {
     /// buffer) into a cycle-ordered [`SimTrace`], disabling tracing.
     /// Returns `None` when tracing was never enabled.
     pub fn take_trace(&mut self) -> Option<SimTrace> {
+        let now = self.cycle;
         let mut bufs = Vec::new();
         for (i, sm) in self.sms.iter_mut().enumerate() {
+            // The idle cycles a sleeping SM owes enter its trace first.
+            sm.settle(now);
             if let Some(b) = sm.take_trace_buffer() {
                 bufs.push((i as u32, *b));
             }
@@ -288,12 +294,15 @@ impl Gpu {
     /// unblock, scoreboard release), but never past `limit`. Returns
     /// whether work remains.
     ///
-    /// A tick dispatches CTAs, ticks every SM, then drains the SMs'
-    /// deferred global traffic in ascending SM order. Skipped cycles are
-    /// credited to the same stall counters the per-cycle loop would have
-    /// incremented, so statistics are bit-identical either way; only
-    /// wall-clock time changes. After a tick that issued, the clock
-    /// stands exactly one cycle past it.
+    /// A tick dispatches CTAs, then makes one ascending pass over the
+    /// SMs: an SM whose horizon has arrived ticks and then drains its
+    /// deferred global traffic, and a sleeping SM is not touched. Each
+    /// SM credits the cycles it slept through (skipped ones included) to
+    /// the same stall counters the per-cycle loop would have
+    /// incremented, when it next ticks or its state is read, so
+    /// statistics are bit-identical either way; only wall-clock time
+    /// changes. After a tick that issued, the clock stands exactly one
+    /// cycle past it.
     ///
     /// With no event pending at all (a deadlocked kernel), the clock
     /// jumps straight to `limit` so a caller's timeout check fires
@@ -315,42 +324,33 @@ impl Gpu {
                 }
             }
         }
-        let ticked = self.cycle;
+        let now = self.cycle;
         let mut issued = false;
+        let mut busy = false;
+        let mut next = u64::MAX;
         for sm in &mut self.sms {
-            issued |= sm.tick(ticked, &self.uops, &self.dims);
+            if sm.frozen_horizon() <= now {
+                // The same-cycle drain follows each tick directly. A tick
+                // reads neither the L2 nor device memory, so the drains
+                // still reach them in ascending SM order: one L2 access
+                // order, whatever the SMs did.
+                issued |= sm.tick(now, &self.uops, &self.dims);
+                sm.apply_global(now, &mut self.global, &mut self.l2);
+            }
+            busy |= sm.busy();
+            next = next.min(sm.frozen_horizon());
         }
-        // Same-cycle drain of the deferred global traffic, in ascending
-        // SM order: one L2 access order, whatever the SMs did.
-        for sm in &mut self.sms {
-            sm.apply_global(ticked, &mut self.global, &mut self.l2);
-        }
-        self.cycle = ticked + 1;
-        let running = self.next_cta < total || self.sms.iter().any(Sm::busy);
+        self.cycle = now + 1;
+        let running = self.next_cta < total || busy;
         if self.config.fast_forward && !issued && running {
             // Nothing issued anywhere: the GPU is frozen until the next
-            // event. Jump there, crediting each skipped cycle's stall
-            // attribution in bulk (see `Sm::credit_idle_cycles`). Every SM
-            // just refreshed (or kept) its cached event horizon in `tick`,
-            // so the minimum over the cached values is exact — no per-skip
-            // event rescan. A stale horizon (a backlogged RBQ head) lands
-            // at or below the next cycle and simply disables the jump; the
-            // scan stops early once no later SM could shrink the window.
-            let mut next = u64::MAX;
-            for sm in &self.sms {
-                next = next.min(sm.frozen_horizon());
-                if next <= self.cycle {
-                    break;
-                }
-            }
-            let target = next.min(limit).max(self.cycle);
-            if target > self.cycle {
-                let skipped = target - self.cycle;
-                for sm in &mut self.sms {
-                    sm.credit_idle_cycles(ticked, skipped);
-                }
-                self.cycle = target;
-            }
+            // event. Every SM just refreshed (or kept) its cached event
+            // horizon, so the minimum is exact — no per-skip event
+            // rescan — and the jump credits no SM: each one owes the
+            // skipped cycles until it wakes. A stale horizon (a
+            // backlogged RBQ head) lands at or below the next cycle and
+            // simply disables the jump.
+            self.cycle = next.min(limit).max(self.cycle);
         }
         running
     }
@@ -376,7 +376,8 @@ impl Gpu {
         Ok(self.stats())
     }
 
-    /// Aggregated statistics across SMs.
+    /// Aggregated statistics across SMs, as of the current cycle: the
+    /// stall cycles that sleeping SMs still owe are included.
     pub fn stats(&self) -> SimStats {
         let mut total = SimStats::default();
         self.stats_into(&mut total);
@@ -392,7 +393,7 @@ impl Gpu {
             ..SimStats::default()
         };
         for sm in &self.sms {
-            let mut s = *sm.stats();
+            let mut s = sm.stats_at(self.cycle);
             s.cycles = 0;
             *out += s;
         }
@@ -424,7 +425,8 @@ impl Gpu {
         if lane >= WARP_SIZE || sm >= self.sms.len() {
             return false;
         }
-        self.sms[sm].corrupt_register(slot, reg, lane, xor_mask)
+        let now = self.cycle;
+        self.sms[sm].corrupt_register(slot, now, reg, lane, xor_mask)
     }
 
     /// Injects a bit-flip into the value most recently written by a warp
@@ -464,8 +466,8 @@ impl Gpu {
         if sm >= self.sms.len() {
             return None;
         }
-        let code_len = self.kernel.insts.len() as u32;
-        self.sms[sm].corrupt_pc(slot, xor, code_len)
+        let (now, code_len) = (self.cycle, self.kernel.insts.len() as u32);
+        self.sms[sm].corrupt_pc(slot, now, xor, code_len)
     }
 
     /// Injects a strike into SM `sm`'s recovery hardware (RPT/RBQ state);
@@ -475,7 +477,8 @@ impl Gpu {
         if sm >= self.sms.len() {
             return false;
         }
-        self.sms[sm].corrupt_recovery_state(token)
+        let now = self.cycle;
+        self.sms[sm].corrupt_recovery_state(now, token)
     }
 
     /// Whether SM `sm`'s attachment holds known-corrupted recovery state
@@ -496,7 +499,8 @@ impl Gpu {
     }
 
     /// Total warp-instructions issued so far, across all SMs — the cheap
-    /// forward-progress signal a hang watchdog polls.
+    /// forward-progress signal a hang watchdog polls. Owed idle cycles
+    /// change no instruction count, so no SM is settled.
     pub fn instructions_issued(&self) -> u64 {
         self.sms.iter().map(|s| s.stats().instructions).sum()
     }
@@ -538,11 +542,12 @@ impl Gpu {
     pub fn snapshot_delta(&mut self, base: &GlobalMemory) -> Snapshot {
         let global = self.global.share();
         let dirty_chunks = global.unshared_pages(base);
+        let now = self.cycle;
         let sms = self
             .sms
             .iter()
             .map(|sm| {
-                sm.snapshot().unwrap_or_else(|| {
+                sm.snapshot(now).unwrap_or_else(|| {
                     panic!(
                         "SM {} attachment does not support snapshotting \
                          (SmAttachment::snapshot_box returned None)",
@@ -662,6 +667,9 @@ mod tests {
     use super::*;
     use crate::builder::KernelBuilder;
     use crate::isa::{Cmp, Special};
+    use crate::regfile::WarpRegFile;
+    use crate::resilience::BoundaryAction;
+    use crate::warp::RecoveryPoint;
 
     /// out[i] = in[i] + 1 over one CTA of 64 threads.
     fn incr_kernel() -> FlatKernel {
@@ -959,6 +967,79 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a, b);
+    }
+
+    /// Blocks the scheduler for 40 cycles at every region boundary and
+    /// rolls nothing back on an error; reports no event of its own, so
+    /// an SM whose scheduler it blocks sleeps.
+    #[derive(Debug)]
+    struct Blocker;
+
+    impl SmAttachment for Blocker {
+        fn on_warp_launch(&mut self, _slot: usize, _entry: RecoveryPoint) {}
+        fn on_warp_exit(&mut self, _slot: usize) {}
+        fn on_boundary(
+            &mut self,
+            _now: u64,
+            _slot: usize,
+            _resume: RecoveryPoint,
+            _regs: &WarpRegFile,
+        ) -> BoundaryAction {
+            BoundaryAction::BlockScheduler(40)
+        }
+        fn tick(&mut self, _now: u64, _wake: &mut Vec<usize>) {}
+        fn next_event(&self, _now: u64) -> Option<u64> {
+            None
+        }
+        fn on_error(&mut self, _now: u64) -> Vec<(usize, RecoveryPoint)> {
+            Vec::new()
+        }
+    }
+
+    /// A recovery or CTA relaunch that lands while an SM sleeps on a
+    /// scheduler blocked during its last tick unblocks that scheduler;
+    /// the cycles slept through before it must still count as
+    /// `sched_blocked`, as they do when every cycle ticks.
+    #[test]
+    fn mutation_in_a_blocked_sleep_credits_the_cycles_before_it() {
+        let mut b = KernelBuilder::new("block");
+        let tid = b.special(Special::TidX);
+        let v = b.iadd(tid, 1);
+        b.region_boundary();
+        let w = b.iadd(v, 2);
+        let addr = b.imul(tid, 8);
+        b.st_global(addr, w, 0);
+        b.exit();
+        let k = b.finish().flatten();
+        let run = |fast_forward: bool, relaunch: bool| {
+            let config = GpuConfig {
+                fast_forward,
+                ..GpuConfig::gtx480()
+            };
+            let dims = LaunchDims::linear(1, 32);
+            let mut gpu = Gpu::launch_with(config, k.clone(), dims, SchedulerKind::Gto, |_| {
+                Box::new(Blocker)
+            })
+            .unwrap();
+            while gpu.stats().resilience.boundaries == 0 {
+                gpu.step_window(gpu.cycle() + 1);
+            }
+            let until = gpu.cycle() + 10;
+            while gpu.cycle() < until {
+                gpu.step_window(until);
+            }
+            if relaunch {
+                assert_eq!(gpu.relaunch_sm_ctas(0), 1);
+            } else {
+                assert_eq!(gpu.recover_sm(0), 0);
+            }
+            gpu.run(100_000).unwrap()
+        };
+        for (name, relaunch) in [("recovery", false), ("CTA relaunch", true)] {
+            let (fast, slow) = (run(true, relaunch), run(false, relaunch));
+            assert_eq!(fast.diff(&slow), vec![], "{name}");
+            assert!(fast.stalls.sched_blocked >= 10, "{name}: {fast:?}");
+        }
     }
 
     #[test]

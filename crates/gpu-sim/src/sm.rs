@@ -254,15 +254,15 @@ fn slots_in(mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// What one scheduler did in its most recent tick. Remembered so the
-/// event-driven clock can credit skipped idle cycles to the same stall
-/// counter the per-cycle loop would have incremented: while no warp
-/// issues anywhere and no event fires, the selection is a pure function of
-/// frozen state, so its attribution repeats verbatim.
+/// What one scheduler did in its most recent tick. Remembered so a
+/// sleeping SM can credit the cycles it slept through to the same stall
+/// counter the per-cycle loop would have incremented: while the SM issues
+/// nothing and no event fires, the selection is a pure function of frozen
+/// state, so its attribution repeats verbatim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum StallCause {
     /// The scheduler issued an instruction (never credited in bulk: an
-    /// issue anywhere on the GPU disables the skip).
+    /// SM that issued owes no idle cycles).
     #[default]
     Issued,
     NoWarp,
@@ -335,25 +335,30 @@ fn lanes(mask: u32) -> impl Iterator<Item = usize> {
 }
 
 /// A streaming multiprocessor.
-pub struct Sm {
+pub(crate) struct Sm {
     id: usize,
     slots: Vec<Option<Slot>>,
     ctas: Vec<Option<CtaState>>,
     schedulers: Vec<Scheduler>,
     sched_blocked_until: Vec<u64>,
-    /// Per-scheduler outcome of the last [`Sm::tick`], consumed by
-    /// [`Sm::credit_idle_cycles`] when the event-driven clock skips ahead.
+    /// Per-scheduler outcome of the last [`Sm::tick`]: the cause each
+    /// scheduler repeats while the SM sleeps (see [`Sm::settle`]).
     last_stall: Vec<StallCause>,
-    /// Cycle until which this SM is provably frozen: the last full tick
-    /// issued nothing and reported no event before this cycle, so ticks
-    /// strictly before it reduce to repeating the cached stall
-    /// attribution (the per-SM fast path of the event-driven clock — it
-    /// pays off even when *other* SMs are busy and the whole-GPU skip in
-    /// `Gpu::step_window` cannot engage). Any external mutation (CTA
-    /// launch, fault injection, recovery) resets it to 0.
+    /// The SM's horizon: the cycle until which it provably sleeps. The
+    /// last tick issued nothing and reported no event before this cycle,
+    /// so every cycle strictly before it would only repeat the cached
+    /// stall attribution; `Gpu::step_window` does not touch the SM until
+    /// its horizon arrives, even while *other* SMs are busy and the
+    /// whole-GPU skip cannot engage. Any external mutation (CTA launch,
+    /// fault injection, recovery) resets it to 0.
     frozen_until: u64,
+    /// First cycle whose stall attribution the SM owes (`u64::MAX`:
+    /// none). A tick that issues nothing sets it to the next cycle; every
+    /// tick first credits what is owed before its own cycle. See
+    /// [`Sm::settle`] for where the debt is paid.
+    owed_from: u64,
     /// [`GpuConfig::fast_forward`] copied at construction; when off, the
-    /// frozen fast path never engages and every cycle runs the full tick.
+    /// SM never sleeps and every cycle runs the full tick.
     fast_forward: bool,
     port: MemPort,
     l1: Cache,
@@ -402,20 +407,23 @@ impl std::fmt::Debug for Sm {
 }
 
 /// Frozen copy of one SM's mutable run state, captured by
-/// [`Sm::snapshot`] and reapplied by [`Sm::restore`].
+/// [`Sm::snapshot`] and reapplied by [`Sm::restore`]. The statistics
+/// include the idle cycles owed before the capture cycle, and the debt
+/// marker starts there, so a fork's trace holds no cycle before it.
 ///
 /// Launch-time constants (`id`, scheduler count, latencies, fast-forward
 /// mode) and observation-only state (tracer, scratch buffers — cleared
 /// before every use) are deliberately excluded: a snapshot is only valid
 /// on an identically-configured SM, which is what the campaign fork path
 /// guarantees by re-preparing the same launch before restoring.
-pub struct SmSnapshot {
+pub(crate) struct SmSnapshot {
     slots: Vec<Option<Slot>>,
     ctas: Vec<Option<CtaState>>,
     schedulers: Vec<Scheduler>,
     sched_blocked_until: Vec<u64>,
     last_stall: Vec<StallCause>,
     frozen_until: u64,
+    owed_from: u64,
     port: MemPort,
     l1: Cache,
     attachment: Box<dyn SmAttachment + Send + Sync>,
@@ -459,6 +467,7 @@ impl Sm {
             sched_blocked_until: vec![0; cfg.schedulers_per_sm],
             last_stall: vec![StallCause::default(); cfg.schedulers_per_sm],
             frozen_until: 0,
+            owed_from: u64::MAX,
             fast_forward: cfg.fast_forward,
             port: MemPort::new(cfg.mshrs_per_sm),
             l1: Cache::new(cfg.l1_bytes, cfg.l1_ways),
@@ -495,21 +504,16 @@ impl Sm {
         self.tracer = tracer;
     }
 
-    /// Whether this SM is currently recording trace events.
-    pub fn tracing(&self) -> bool {
-        self.tracer.on()
-    }
-
     /// Detaches the recorded trace buffer (if tracing was enabled),
     /// leaving the tracer disabled.
     pub fn take_trace_buffer(&mut self) -> Option<Box<TraceBuffer>> {
         self.tracer.take()
     }
 
-    /// Captures this SM's mutable run state, or `None` if the resilience
-    /// attachment does not support snapshotting (see
+    /// Captures this SM's mutable run state at cycle `now`, or `None` if
+    /// the resilience attachment does not support snapshotting (see
     /// [`SmAttachment::snapshot_box`]).
-    pub fn snapshot(&self) -> Option<SmSnapshot> {
+    pub fn snapshot(&self, now: u64) -> Option<SmSnapshot> {
         Some(SmSnapshot {
             slots: self.slots.clone(),
             ctas: self.ctas.clone(),
@@ -517,10 +521,11 @@ impl Sm {
             sched_blocked_until: self.sched_blocked_until.clone(),
             last_stall: self.last_stall.clone(),
             frozen_until: self.frozen_until,
+            owed_from: self.owed_from.max(now),
             port: self.port.clone(),
             l1: self.l1.clone(),
             attachment: self.attachment.snapshot_box()?,
-            stats: self.stats,
+            stats: self.stats_at(now),
             resident_ctas: self.resident_ctas,
             free_slots: self.free_slots,
             masks: self.masks,
@@ -559,6 +564,7 @@ impl Sm {
             .clone_from(&snap.sched_blocked_until);
         self.last_stall.clone_from(&snap.last_stall);
         self.frozen_until = snap.frozen_until;
+        self.owed_from = snap.owed_from;
         self.port = snap.port.clone();
         self.l1 = snap.l1.clone();
         self.attachment = snap
@@ -581,9 +587,74 @@ impl Sm {
         self.id
     }
 
-    /// Accumulated statistics.
+    /// Accumulated statistics, without the idle cycles the SM still owes
+    /// (see [`Sm::stats_at`]).
     pub fn stats(&self) -> &SimStats {
         &self.stats
+    }
+
+    /// Accumulated statistics as of cycle `now`: the counters plus the
+    /// idle cycles owed before `now`, as [`Sm::settle`] would credit
+    /// them.
+    pub fn stats_at(&self, now: u64) -> SimStats {
+        let mut stats = self.stats;
+        let owed = now.saturating_sub(self.owed_from);
+        if owed > 0 {
+            for sched in 0..self.schedulers.len() {
+                self.idle_cause(sched).credit(&mut stats.stalls, owed);
+            }
+        }
+        stats
+    }
+
+    /// The stall cause scheduler `sched` repeats on every cycle the SM
+    /// sleeps through: its last tick's, except that a scheduler blocked
+    /// during that tick takes the `sched_blocked` early-out on every
+    /// later cycle until it unblocks (which is an event, so no owed
+    /// cycle lies past it).
+    fn idle_cause(&self, sched: usize) -> StallCause {
+        if self.sched_blocked_until[sched] > self.owed_from {
+            StallCause::SchedBlocked
+        } else {
+            self.last_stall[sched]
+        }
+    }
+
+    /// Credits the idle cycles owed before `upto` in bulk, as if
+    /// [`Sm::tick`] had run for each of them, and moves the debt marker
+    /// to `upto`. Paid at the SM's next tick, before every external
+    /// mutation (through [`Sm::wake`]), and wherever the GPU's state is
+    /// read: `Gpu::take_trace` settles, while `Gpu::stats` reads
+    /// [`Sm::stats_at`] and a snapshot carries the marker.
+    pub fn settle(&mut self, upto: u64) {
+        if upto <= self.owed_from {
+            return;
+        }
+        let (from, cycles) = (self.owed_from, upto - self.owed_from);
+        self.stats = self.stats_at(upto);
+        for sched in 0..self.schedulers.len() {
+            if let Some(cause) = self.idle_cause(sched).trace() {
+                // One bulk event stands in for `cycles` per-cycle ones:
+                // per-cause sums stay exact.
+                self.tracer.emit(
+                    from,
+                    TraceEvent::IssueStall {
+                        sched: sched as u32,
+                        cause,
+                        cycles,
+                    },
+                );
+            }
+        }
+        self.owed_from = upto;
+    }
+
+    /// Pays the idle cycles owed before `now` and ends the sleep, so the
+    /// next tick runs in full: called before every external mutation,
+    /// which may change what that tick sees.
+    fn wake(&mut self, now: u64) {
+        self.settle(now);
+        self.frozen_until = 0;
     }
 
     /// Whether any CTA is resident.
@@ -624,8 +695,8 @@ impl Sm {
     ) {
         let warps = dims.warps_per_cta();
         assert!(self.can_accept(warps), "SM {} cannot accept CTA", self.id);
-        // Fresh warps invalidate any frozen window.
-        self.frozen_until = 0;
+        // Fresh warps end any sleep.
+        self.wake(now);
         let cta_slot = self
             .ctas
             .iter()
@@ -686,23 +757,20 @@ impl Sm {
         );
     }
 
-    /// Advances the SM by one cycle. Returns whether any scheduler issued
-    /// an instruction — the signal the event-driven clock uses to decide
-    /// whether the GPU is stalled and the next idle window can be skipped.
+    /// Advances the SM by one cycle, first crediting the idle cycles it
+    /// slept through since its last tick. Returns whether any scheduler
+    /// issued an instruction — the signal the event-driven clock uses to
+    /// decide whether the GPU is stalled and the next idle window can be
+    /// skipped. `Gpu::step_window` calls it only once the SM's horizon
+    /// has arrived; a tick inside the window would only repeat the last
+    /// one's stall attribution.
     ///
     /// The tick touches only per-SM state: effects on shared state (L2,
     /// device memory) are queued and must be flushed by
-    /// `Sm::apply_global` in the same cycle, after every SM has ticked,
-    /// in ascending SM order, as `Gpu::step_window` does.
+    /// [`Sm::apply_global`] in the same cycle, before the next SM ticks,
+    /// as `Gpu::step_window` does.
     pub fn tick(&mut self, now: u64, kernel: &UopKernel, dims: &LaunchDims) -> bool {
-        if now < self.frozen_until {
-            // Frozen window: the port retires nothing, the attachment
-            // wakes nobody, every selection repeats itself and every empty
-            // pick is idempotent — the whole tick collapses to the
-            // cached per-scheduler stall attribution.
-            self.credit_idle_cycles(now, 1);
-            return false;
-        }
+        self.settle(now);
         #[cfg(debug_assertions)]
         self.check_masks(kernel);
         let mut issued_any = false;
@@ -777,6 +845,9 @@ impl Sm {
                 );
             }
         }
+        // An idle tick's attribution repeats on every cycle the SM then
+        // sleeps through, owed from the next one on.
+        self.owed_from = if issued_any { u64::MAX } else { now + 1 };
         self.frozen_until = if issued_any || !self.fast_forward {
             0
         } else {
@@ -818,46 +889,16 @@ impl Sm {
         [port, attachment, sched, regs].into_iter().flatten().min()
     }
 
-    /// The cached [`Sm::next_event`] horizon from this SM's last
-    /// non-issuing tick: `u64::MAX` means fully quiescent, `0` (or any
-    /// value at or below the current cycle) means the SM must run a full
-    /// tick next cycle. Every tick and every external mutation refreshes
-    /// or resets it, so after a GPU step in which nothing issued the
-    /// cached value is exact — the global skip takes the min across SMs
-    /// without re-running the event scan.
+    /// The SM's horizon, the cached [`Sm::next_event`] of its last
+    /// non-issuing tick: the SM sleeps at every cycle before it.
+    /// `u64::MAX` means fully quiescent, `0` (or any value at or below
+    /// the current cycle) means the SM must run a full tick next cycle.
+    /// Every tick and every external mutation refreshes or resets it, so
+    /// after a GPU step in which nothing issued the cached values are
+    /// exact — the global skip takes the min across SMs without
+    /// re-running the event scan.
     pub(crate) fn frozen_horizon(&self) -> u64 {
         self.frozen_until
-    }
-
-    /// Credits `skipped` cycles' worth of stall attribution in bulk, as if
-    /// [`Sm::tick`] had run for each of them. Valid only for a window in
-    /// which nothing issued GPU-wide (`now` is the cycle last ticked) and
-    /// no event of [`Sm::next_event`] fires: the per-scheduler selection is
-    /// then a pure function of frozen state and repeats its last
-    /// attribution verbatim — except that a scheduler blocked *during*
-    /// the last tick takes the `sched_blocked` early-out on every
-    /// subsequent cycle, regardless of what its selection concluded.
-    pub(crate) fn credit_idle_cycles(&mut self, now: u64, skipped: u64) {
-        for sched in 0..self.schedulers.len() {
-            let cause = if self.sched_blocked_until[sched] > now {
-                StallCause::SchedBlocked
-            } else {
-                self.last_stall[sched]
-            };
-            cause.credit(&mut self.stats.stalls, skipped);
-            if let Some(tc) = cause.trace() {
-                // One bulk event stands in for `skipped` per-cycle ones:
-                // per-cause sums stay exact under the event-driven clock.
-                self.tracer.emit(
-                    now,
-                    TraceEvent::IssueStall {
-                        sched: sched as u32,
-                        cause: tc,
-                        cycles: skipped,
-                    },
-                );
-            }
-        }
     }
 
     /// Chooses what scheduler `sched` may issue from this cycle, without
@@ -1431,10 +1472,12 @@ impl Sm {
     /// atomic RMWs, and load finish-cycle resolution (placeholder MSHR
     /// patching plus scoreboard completion).
     ///
-    /// Must be called exactly once after every [`Sm::tick`], in ascending
-    /// SM order across the GPU, before any SM ticks the next cycle: one
-    /// fixed L2 access order, and therefore deterministic latencies,
-    /// stalls and cache statistics.
+    /// Must be called exactly once right after every [`Sm::tick`], before
+    /// the next SM ticks, with the SMs in ascending order: one fixed L2
+    /// access order, and therefore deterministic latencies, stalls and
+    /// cache statistics. A tick reads neither the L2 nor device memory,
+    /// so draining each SM straight after its tick gives the same order
+    /// as ticking every SM first. A sleeping SM has nothing to drain.
     pub(crate) fn apply_global(&mut self, now: u64, global: &mut GlobalMemory, l2: &mut Cache) {
         if self.pending.ops.is_empty() {
             return;
@@ -1604,7 +1647,8 @@ impl Sm {
         lane: usize,
         xor_mask: u64,
     ) -> bool {
-        self.frozen_until = 0;
+        // The GPU's clock stands one cycle past the tick that wrote.
+        self.wake(now + 1);
         match self.slots.get_mut(slot).and_then(Option::as_mut) {
             Some(s) if s.warp.state != WarpState::Finished => match s.last_write {
                 Some((reg, cycle)) if cycle == now => {
@@ -1617,11 +1661,18 @@ impl Sm {
         }
     }
 
-    /// XORs `xor_mask` into `(reg, lane)` of the warp in `slot`, modelling
-    /// a particle strike corrupting a pipeline register write. Returns
-    /// whether the injection landed on a live warp.
-    pub fn corrupt_register(&mut self, slot: usize, reg: Reg, lane: usize, xor_mask: u64) -> bool {
-        self.frozen_until = 0;
+    /// XORs `xor_mask` into `(reg, lane)` of the warp in `slot` at cycle
+    /// `now`, modelling a particle strike corrupting a pipeline register
+    /// write. Returns whether the injection landed on a live warp.
+    pub fn corrupt_register(
+        &mut self,
+        slot: usize,
+        now: u64,
+        reg: Reg,
+        lane: usize,
+        xor_mask: u64,
+    ) -> bool {
+        self.wake(now);
         match self.slots.get_mut(slot).and_then(Option::as_mut) {
             Some(s)
                 if s.warp.state != WarpState::Finished
@@ -1638,7 +1689,7 @@ impl Sm {
     /// re-execution after a detected error). Returns the number of warps
     /// rolled back.
     pub fn recover(&mut self, now: u64) -> usize {
-        self.frozen_until = 0;
+        self.wake(now);
         let points = self.attachment.on_error(now);
         let mut n = 0;
         for (slot, point) in points {
@@ -1676,14 +1727,14 @@ impl Sm {
         n
     }
 
-    /// Diverts the PC of the (Ready) warp in `slot` by XORing `xor` into
-    /// it, wrapped into the kernel's `code_len` instructions — a strike
-    /// on the fetch/SIMT-stack logic rather than on a datapath value.
-    /// Returns the corrupted PC, or `None` when the slot holds no warp
-    /// whose PC is live in the fetch stage (finished, at a barrier, or
-    /// parked in the RBQ).
-    pub fn corrupt_pc(&mut self, slot: usize, xor: u32, code_len: u32) -> Option<u32> {
-        self.frozen_until = 0;
+    /// Diverts the PC of the (Ready) warp in `slot` at cycle `now` by
+    /// XORing `xor` into it, wrapped into the kernel's `code_len`
+    /// instructions — a strike on the fetch/SIMT-stack logic rather than
+    /// on a datapath value. Returns the corrupted PC, or `None` when the
+    /// slot holds no warp whose PC is live in the fetch stage (finished,
+    /// at a barrier, or parked in the RBQ).
+    pub fn corrupt_pc(&mut self, slot: usize, now: u64, xor: u32, code_len: u32) -> Option<u32> {
+        self.wake(now);
         match self.slots.get_mut(slot).and_then(Option::as_mut) {
             Some(s) if s.warp.state == WarpState::Ready => {
                 self.masks.gated &= !(1 << slot);
@@ -1694,10 +1745,10 @@ impl Sm {
     }
 
     /// Forwards a strike on the recovery hardware itself (RPT entry / RBQ
-    /// metadata) to the attachment. Returns whether live recovery state
-    /// was corrupted.
-    pub fn corrupt_recovery_state(&mut self, token: u64) -> bool {
-        self.frozen_until = 0;
+    /// metadata) at cycle `now` to the attachment. Returns whether live
+    /// recovery state was corrupted.
+    pub fn corrupt_recovery_state(&mut self, now: u64, token: u64) -> bool {
+        self.wake(now);
         self.attachment.corrupt_recovery_state(token)
     }
 
@@ -1721,7 +1772,7 @@ impl Sm {
     /// in the output check and escalates further — to a kernel relaunch,
     /// which reinitializes memory.
     pub fn relaunch_ctas(&mut self, now: u64) -> usize {
-        self.frozen_until = 0;
+        self.wake(now);
         // Flush the conveyor; relaunched warps get fresh RPT entries.
         let _ = self.attachment.on_error(now);
         for cta in self.ctas.iter_mut().flatten() {
@@ -1789,8 +1840,8 @@ mod tests {
         )
     }
 
-    /// One full cycle as `Gpu::step_window` runs it: tick, then the same-cycle
-    /// global-traffic drain.
+    /// One full cycle of an awake SM as `Gpu::step_window` runs it: tick,
+    /// then the same-cycle global-traffic drain.
     fn tick_full(
         sm: &mut Sm,
         now: u64,

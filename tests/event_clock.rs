@@ -8,11 +8,13 @@
 //! through [`GpuConfig::fast_forward`].
 
 use flame::core::experiment::{
-    run_scheme, run_with_protocol, ExperimentConfig, ProtocolConfig, RunOptions, RunResult,
+    prepare_scheme, run_scheme, run_with_protocol, ExperimentConfig, ProtocolConfig, RunOptions,
+    RunResult,
 };
 use flame::core::scheme::Scheme;
 use flame::sensors::fault::{Strike, StrikeTarget};
 use flame::sim::config::GpuConfig;
+use flame::sim::gpu::Gpu;
 use flame::sim::scheduler::SchedulerKind;
 use flame::workloads::by_abbr;
 
@@ -84,6 +86,104 @@ fn stats_bit_identical_with_and_without_fast_forward_at_wcdl_1000() {
         wcdl: 1000,
         ..ExperimentConfig::default()
     });
+}
+
+/// Steps `gpu` until its clock reads `cycle` or the kernel ends.
+fn step_to(gpu: &mut Gpu, cycle: u64) {
+    let mut running = gpu.running();
+    while running && gpu.cycle() < cycle {
+        running = gpu.step_window(cycle);
+    }
+}
+
+/// Mid-run observations of one cell: a GPU with fast-forward on and one
+/// with it off, stepped to a grid of cycles inside the run, report equal
+/// `Gpu::stats` at every grid cycle, whatever SMs sleep there with idle
+/// cycles owed. The fast GPU is traced, and at the last grid cycle its
+/// `take_trace` stall matrix must hold exactly the stalls its stats
+/// report.
+fn mid_run_stats_match(w: &str, scheme: Scheme, cfg: &ExperimentConfig) {
+    const GRID: u64 = 48;
+    let spec = by_abbr(w).expect("known workload");
+    let label = format!("{w}/{scheme:?}/{}/wcdl {}", cfg.gpu.name, cfg.wcdl);
+    let len = run_cell(w, scheme, cfg).stats.cycles;
+    let prepare = |on| {
+        prepare_scheme(&spec, scheme, &with_fast_forward(cfg, on))
+            .unwrap_or_else(|e| panic!("{label}: {e}"))
+            .0
+    };
+    let (mut fast, mut slow) = (prepare(true), prepare(false));
+    fast.set_tracing(1 << 10);
+    // The midpoints of GRID equal slices of the run.
+    let grid = (1..=GRID).map(|i| len * (2 * i - 1) / (2 * GRID));
+    let mut last = 0;
+    for cycle in grid {
+        step_to(&mut fast, cycle);
+        step_to(&mut slow, cycle);
+        assert_eq!(
+            (fast.cycle(), slow.cycle()),
+            (cycle, cycle),
+            "{label}: the run ended before the grid did"
+        );
+        let diff = fast.stats().diff(&slow.stats());
+        assert!(diff.is_empty(), "{label} at cycle {cycle}: {diff:?}");
+        last = cycle;
+    }
+    let trace = fast.take_trace().expect("tracing was enabled");
+    let s = fast.stats().stalls;
+    assert_eq!(
+        trace.stall_counts(),
+        [
+            s.no_warp,
+            s.scoreboard,
+            s.mshr_full,
+            s.barrier,
+            s.rbq_wait,
+            s.sched_blocked,
+        ],
+        "{label} at cycle {last}: the trace's stalls differ from the stats"
+    );
+    let diff = fast.stats().diff(&slow.stats());
+    assert!(
+        diff.is_empty(),
+        "{label}: taking the trace changed {diff:?}"
+    );
+}
+
+/// BP under Flame: the tail where most SMs have drained their CTAs or
+/// wait on the RBQ.
+#[test]
+fn mid_run_stats_match_for_bp_under_flame() {
+    mid_run_stats_match("BP", Scheme::SensorRenaming, &ExperimentConfig::default());
+}
+
+/// GUPS under naive stall verification at WCDL 1000: schedulers blocked
+/// for most of the run.
+#[test]
+fn mid_run_stats_match_for_gups_under_naive_stall() {
+    mid_run_stats_match(
+        "GUPS",
+        Scheme::NaiveSensorRenaming,
+        &ExperimentConfig {
+            wcdl: 1000,
+            ..ExperimentConfig::default()
+        },
+    );
+}
+
+/// BP under Flame on the RTX 2060 with LRR.
+#[test]
+fn mid_run_stats_match_on_rtx2060_lrr() {
+    mid_run_stats_match(
+        "BP",
+        Scheme::SensorRenaming,
+        &ExperimentConfig {
+            gpu: GpuConfig::rtx2060(),
+            sched: SchedulerKind::Lrr,
+            wcdl: 100,
+            ..ExperimentConfig::default()
+        },
+    );
 }
 
 /// Fault campaigns interact with the GPU at externally scheduled cycles

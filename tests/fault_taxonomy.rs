@@ -13,8 +13,8 @@ use flame::core::experiment::{
     ProtocolConfig, RunOptions, WorkloadSpec,
 };
 use flame::core::runner::{
-    run_campaign_runner_with_jobs, strikes_for_seed, wilson_interval, CampaignSpec, RetryPolicy,
-    RunnerError, SelfFault,
+    run_campaign_runner_with_jobs, strikes_for_seed, wilson_interval, CampaignSpec,
+    CampaignSummary, RetryPolicy, RunnerError, SelfFault,
 };
 use flame::core::runtime::VerificationMode;
 use flame::core::scheme::Scheme;
@@ -658,6 +658,18 @@ fn watchdog_is_configurable_and_fingerprint_safe() {
     assert_eq!(hung.count(Outcome::Hang), 4, "{}", hung.render());
     let calm = run_campaign_runner_with_jobs(&w, &s0, None, 1).unwrap();
     assert_eq!(calm.count(Outcome::Hang), 0, "{}", calm.render());
+
+    // The widest watchdog never fires: its deadline saturates instead of
+    // wrapping to a cycle already past, so every seed classifies as
+    // under the default window.
+    let wide = run_campaign_runner_with_jobs(&w, &spec(u64::MAX), None, 1).unwrap();
+    let outcomes = |s: &CampaignSummary| {
+        s.records
+            .iter()
+            .map(|r| (r.seed, r.outcome))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(outcomes(&wide), outcomes(&calm), "{}", wide.render());
 
     // A journal of the default campaign must refuse a resume under the
     // tight watchdog instead of silently reclassifying its seeds.
