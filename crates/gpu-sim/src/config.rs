@@ -95,10 +95,11 @@ pub struct GpuConfig {
     /// Event-driven clock: when no warp on the whole GPU can issue, jump
     /// the cycle counter straight to the next wakeup event (scoreboard
     /// completion, MSHR retirement, RBQ verification, scheduler unblock)
-    /// instead of ticking through the dead cycles one by one. Pure
-    /// wall-clock optimization — simulated cycle counts and every
-    /// statistic are bit-identical either way (see `DESIGN.md`). On by
-    /// default; turn it off to debug the per-cycle loop.
+    /// instead of ticking through the dead cycles one by one, and let an
+    /// SM that issued nothing sleep until its own next event while other
+    /// SMs run. Pure wall-clock optimization — simulated cycle counts and
+    /// every statistic are bit-identical either way (see `DESIGN.md`). On
+    /// by default; turn it off to debug the per-cycle loop.
     pub fast_forward: bool,
 }
 
