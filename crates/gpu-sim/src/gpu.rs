@@ -82,8 +82,9 @@ impl std::error::Error for TimeoutError {}
 ///
 /// Construct with [`Gpu::launch`], seed device memory through
 /// [`Gpu::global_mut`], then either [`Gpu::run`] to completion or drive
-/// cycle by cycle with [`Gpu::step`] (the fault-injection harness does the
-/// latter, corrupting registers and triggering recovery between cycles).
+/// it step by step with [`Gpu::step_window`], bounded by the next cycle
+/// the caller acts at (the fault-injection harness does the latter,
+/// corrupting registers and triggering recovery between steps).
 pub struct Gpu {
     config: GpuConfig,
     kernel: FlatKernel,
@@ -276,18 +277,6 @@ impl Gpu {
         self.next_cta < self.dims.num_ctas() || self.sms.iter().any(Sm::busy)
     }
 
-    /// Advances the GPU; returns whether work remains.
-    ///
-    /// Equivalent to [`Gpu::step_window`] with no bound: if fast-forward
-    /// is enabled and a cycle issued nothing, the clock may jump
-    /// arbitrarily far ahead to the next event. Callers that interact
-    /// with the GPU at externally scheduled cycles (fault injection,
-    /// detection latencies) must use [`Gpu::step_window`] and pass the
-    /// earliest such cycle as the bound.
-    pub fn step(&mut self) -> bool {
-        self.step_window(u64::MAX)
-    }
-
     /// Runs one tick and, when fast-forward is enabled and no scheduler
     /// on any SM issued an instruction, jumps the clock to the earliest
     /// pending event (memory completion, RBQ verification, scheduler
@@ -379,24 +368,16 @@ impl Gpu {
     /// Aggregated statistics across SMs, as of the current cycle: the
     /// stall cycles that sleeping SMs still owe are included.
     pub fn stats(&self) -> SimStats {
-        let mut total = SimStats::default();
-        self.stats_into(&mut total);
-        total
-    }
-
-    /// Writes the aggregated statistics into `out` (overwriting it).
-    /// Campaign loops that poll statistics per injection reuse one buffer
-    /// instead of constructing a fresh aggregate each call.
-    pub fn stats_into(&self, out: &mut SimStats) {
-        *out = SimStats {
+        let mut total = SimStats {
             cycles: self.cycle,
             ..SimStats::default()
         };
         for sm in &self.sms {
             let mut s = sm.stats_at(self.cycle);
             s.cycles = 0;
-            *out += s;
+            total += s;
         }
+        total
     }
 
     /// Live warp slots on SM `sm` (victim selection for fault injection).
@@ -444,8 +425,8 @@ impl Gpu {
         if lane >= WARP_SIZE || sm >= self.sms.len() || self.cycle == 0 {
             return false;
         }
-        // `step` increments the cycle after ticking; the writes of the
-        // just-completed tick carry `cycle - 1`.
+        // `step_window` leaves the clock one cycle past a tick that
+        // issued; the writes of that tick carry `cycle - 1`.
         let now = self.cycle - 1;
         self.sms[sm].corrupt_recent_write(slot, now, lane, xor_mask)
     }

@@ -240,15 +240,18 @@ pub enum CacheOutcome {
 /// A set-associative cache tag array with LRU replacement.
 ///
 /// Only tags are modelled — data always comes from functional memory.
+/// Each set keeps its tags most recent first, invalid ways last, so the
+/// last way is always the victim: a hit moves its tag to the front, a
+/// filling miss shifts the set down one way (dropping the last) and
+/// writes the new tag at the front, and a non-allocating miss changes
+/// nothing. A probe reads one set and writes no timestamp.
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: usize,
     ways: usize,
-    /// `tags[set * ways + way]`; `u64::MAX` = invalid.
+    /// `tags[set * ways + rank]`, most recently used first; `u64::MAX` =
+    /// invalid.
     tags: Vec<u64>,
-    /// LRU timestamps, same layout.
-    lru: Vec<u64>,
-    tick: u64,
 }
 
 impl Cache {
@@ -268,38 +271,27 @@ impl Cache {
             sets,
             ways,
             tags: vec![u64::MAX; sets * ways],
-            lru: vec![0; sets * ways],
-            tick: 0,
         }
     }
 
     /// Probes (and on a load miss, fills) the line containing `addr`.
     pub fn access(&mut self, addr: u64, allocate_on_miss: bool) -> CacheOutcome {
-        self.tick += 1;
         let line = addr / LINE_BYTES;
-        let set = (line as usize) % self.sets;
-        let base = set * self.ways;
-        for w in 0..self.ways {
-            if self.tags[base + w] == line {
-                self.lru[base + w] = self.tick;
-                return CacheOutcome::Hit;
-            }
+        let base = (line as usize % self.sets) * self.ways;
+        let set = &mut self.tags[base..base + self.ways];
+        // The rank whose tag leaves the set: the hit's own, or the last.
+        let (outcome, out) = match set.iter().position(|&t| t == line) {
+            Some(rank) => (CacheOutcome::Hit, rank),
+            None if allocate_on_miss => (CacheOutcome::Miss, set.len() - 1),
+            None => return CacheOutcome::Miss,
+        };
+        // Each more recent tag moves down one rank. A loop, not
+        // `rotate_right`, which calls `memmove` for a few words.
+        let mut carry = line;
+        for tag in &mut set[..=out] {
+            carry = std::mem::replace(tag, carry);
         }
-        if allocate_on_miss {
-            // Fill into the LRU way.
-            let victim = (0..self.ways)
-                .min_by_key(|&w| self.lru[base + w])
-                .expect("ways > 0");
-            self.tags[base + victim] = line;
-            self.lru[base + victim] = self.tick;
-        }
-        CacheOutcome::Miss
-    }
-
-    /// Invalidates all lines.
-    pub fn flush(&mut self) {
-        self.tags.fill(u64::MAX);
-        self.lru.fill(0);
+        outcome
     }
 }
 
@@ -414,10 +406,17 @@ pub fn lane_addresses_into(
 }
 
 /// MSHR-style tracker of in-flight memory transactions for one SM.
+///
+/// Caches the earliest finish cycle, so the per-cycle [`MemPort::tick`]
+/// returns at once while nothing completes and
+/// [`MemPort::next_completion`] reads one word.
 #[derive(Debug, Clone)]
 pub struct MemPort {
     capacity: usize,
-    inflight: Vec<u64>, // finish cycles
+    /// Finish cycles, in reservation order.
+    inflight: Vec<u64>,
+    /// The minimum of `inflight`, `u64::MAX` when it is empty.
+    next: u64,
 }
 
 impl MemPort {
@@ -426,12 +425,33 @@ impl MemPort {
         MemPort {
             capacity,
             inflight: Vec::with_capacity(capacity),
+            next: u64::MAX,
         }
     }
 
     /// Retires transactions that completed by `now`.
     pub fn tick(&mut self, now: u64) {
-        self.inflight.retain(|&f| f > now);
+        if self.next > now {
+            return;
+        }
+        let mut next = u64::MAX;
+        self.inflight.retain(|&f| {
+            if f > now {
+                next = next.min(f);
+            }
+            f > now
+        });
+        self.next = next;
+    }
+
+    /// Debug builds: the cached `next` is the minimum it stands for.
+    #[inline]
+    fn check_next(&self) {
+        debug_assert_eq!(
+            self.inflight.iter().copied().min().unwrap_or(u64::MAX),
+            self.next,
+            "cached earliest finish cycle"
+        );
     }
 
     /// Free MSHR slots.
@@ -447,6 +467,8 @@ impl MemPort {
     pub fn reserve(&mut self, finish: u64) {
         assert!(self.inflight.len() < self.capacity, "MSHRs exhausted");
         self.inflight.push(finish);
+        self.next = self.next.min(finish);
+        self.check_next();
     }
 
     /// Reserves a slot with its finish cycle not yet known (marked
@@ -472,6 +494,8 @@ impl MemPort {
     /// Panics if `idx` is out of range.
     pub fn patch(&mut self, idx: usize, finish: u64) {
         self.inflight[idx] = finish;
+        self.next = self.next.min(finish);
+        self.check_next();
     }
 
     /// Earliest finish cycle among in-flight transactions, or `None` when
@@ -479,18 +503,22 @@ impl MemPort {
     /// MSHR slot frees (and a warp blocked on `mshr_full` may become
     /// eligible) no earlier than this cycle.
     pub fn next_completion(&self) -> Option<u64> {
-        self.inflight.iter().copied().min()
+        self.check_next();
+        (!self.inflight.is_empty()).then_some(self.next)
     }
 
     /// Drops all in-flight transactions (error-recovery pipeline flush).
     pub fn flush(&mut self) {
         self.inflight.clear();
+        self.next = u64::MAX;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::GpuConfig;
+    use crate::rng::Rng64;
 
     #[test]
     fn global_memory_roundtrip_and_wrap() {
@@ -660,9 +688,209 @@ mod tests {
         let mut c = Cache::new(512, 2);
         assert_eq!(c.access(0, false), CacheOutcome::Miss);
         assert_eq!(c.access(0, false), CacheOutcome::Miss);
-        c.flush();
+        let mut c = Cache::new(512, 2);
         assert_eq!(c.access(0, true), CacheOutcome::Miss);
         assert_eq!(c.access(0, false), CacheOutcome::Hit);
+    }
+
+    /// The timestamp-LRU tag array that the recency-ordered sets
+    /// replaced: every probe stamps a counter, a hit or a fill writes the
+    /// stamp into its way, and a fill evicts the way with the smallest
+    /// stamp (invalid ways hold 0, the lowest-numbered one first). Kept as
+    /// the reference the differential test holds [`Cache::access`] to.
+    struct Reference {
+        sets: usize,
+        ways: usize,
+        tags: Vec<u64>,
+        lru: Vec<u64>,
+        tick: u64,
+    }
+
+    impl Reference {
+        fn new(bytes: u64, ways: usize) -> Reference {
+            let sets = (bytes / LINE_BYTES) as usize / ways;
+            Reference {
+                sets,
+                ways,
+                tags: vec![u64::MAX; sets * ways],
+                lru: vec![0; sets * ways],
+                tick: 0,
+            }
+        }
+
+        fn access(&mut self, addr: u64, allocate_on_miss: bool) -> CacheOutcome {
+            self.tick += 1;
+            let line = addr / LINE_BYTES;
+            let base = (line as usize % self.sets) * self.ways;
+            for w in 0..self.ways {
+                if self.tags[base + w] == line {
+                    self.lru[base + w] = self.tick;
+                    return CacheOutcome::Hit;
+                }
+            }
+            if allocate_on_miss {
+                let victim = (0..self.ways)
+                    .min_by_key(|&w| self.lru[base + w])
+                    .expect("ways > 0");
+                self.tags[base + victim] = line;
+                self.lru[base + victim] = self.tick;
+            }
+            CacheOutcome::Miss
+        }
+
+        /// Set `set`'s valid tags, most recently used first, then one
+        /// `u64::MAX` per invalid way: the layout [`Cache`] keeps.
+        fn by_recency(&self, set: usize) -> Vec<u64> {
+            let ways = set * self.ways..(set + 1) * self.ways;
+            let mut valid: Vec<(u64, u64)> = ways
+                .filter(|&i| self.tags[i] != u64::MAX)
+                .map(|i| (self.lru[i], self.tags[i]))
+                .collect();
+            valid.sort_unstable_by(|a, b| b.cmp(a));
+            let mut order: Vec<u64> = valid.into_iter().map(|(_, tag)| tag).collect();
+            order.resize(self.ways, u64::MAX);
+            order
+        }
+    }
+
+    /// Every L1 and L2 geometry the shipped GPUs use, as (bytes, ways).
+    fn shipped_geometries() -> Vec<(u64, usize)> {
+        let mut geometries: Vec<(u64, usize)> = GpuConfig::paper_architectures()
+            .iter()
+            .flat_map(|g| [(g.l1_bytes, g.l1_ways), (g.l2_bytes, g.l2_ways)])
+            .collect();
+        geometries.sort_unstable();
+        geometries.dedup();
+        geometries
+    }
+
+    /// The recency-ordered sets against the timestamp reference on every
+    /// shipped geometry: thousands of random probes each, mixing fills,
+    /// hits and non-allocating probes, mostly into a few hot sets with
+    /// more candidate lines than ways, so that sets fill and evict. Every
+    /// probe must have the same outcome, and every set the same tags in
+    /// the same recency order, checked now and then and at the end.
+    #[test]
+    fn recency_order_matches_the_timestamp_reference() {
+        let geometries = shipped_geometries();
+        let mut shapes: Vec<(usize, usize)> = geometries
+            .iter()
+            .map(|&(bytes, ways)| ((bytes / LINE_BYTES) as usize / ways, ways))
+            .collect();
+        shapes.sort_unstable();
+        // (sets, ways): the four L1s, the 48-set one not a power of two,
+        // then the three L2s.
+        let want = [
+            (32, 4),
+            (48, 4),
+            (64, 8),
+            (128, 8),
+            (768, 8),
+            (1536, 16),
+            (3072, 16),
+        ];
+        assert_eq!(shapes, want);
+        let mut rng = Rng64::new(0xcac4e_u64);
+        for (bytes, ways) in geometries {
+            let mut cache = Cache::new(bytes, ways);
+            let mut reference = Reference::new(bytes, ways);
+            let sets = reference.sets as u64;
+            let hot: Vec<u64> = (0..4).map(|_| rng.below(sets)).collect();
+            let check_sets = |cache: &Cache, reference: &Reference, when: &str| {
+                for set in 0..reference.sets {
+                    assert_eq!(
+                        cache.tags[set * ways..(set + 1) * ways],
+                        reference.by_recency(set),
+                        "{bytes}B/{ways}w set {set} {when}"
+                    );
+                }
+            };
+            // Probes by (allocating, hit): each kind must occur often.
+            let mut kinds = [[0u32; 2]; 2];
+            for probe in 0..20_000 {
+                let line = if rng.chance(0.9) {
+                    // A hot set, and one of twice as many lines as it has ways.
+                    hot[rng.below(4) as usize] + sets * rng.below(2 * ways as u64)
+                } else {
+                    rng.below(1 << 40)
+                };
+                let addr = line * LINE_BYTES + rng.below(LINE_BYTES);
+                let allocate = rng.chance(0.75);
+                let outcome = cache.access(addr, allocate);
+                assert_eq!(
+                    outcome,
+                    reference.access(addr, allocate),
+                    "{bytes}B/{ways}w probe {probe}: line {line:#x}, allocate {allocate}"
+                );
+                kinds[usize::from(allocate)][usize::from(outcome == CacheOutcome::Hit)] += 1;
+                if probe % 5_000 == 4_999 {
+                    check_sets(&cache, &reference, &format!("after probe {probe}"));
+                }
+            }
+            check_sets(&cache, &reference, "at the end");
+            assert!(
+                kinds.iter().flatten().all(|&n| n >= 1_000),
+                "{bytes}B/{ways}w: probes by (allocating, hit) {kinds:?}"
+            );
+        }
+    }
+
+    /// The cached earliest finish cycle against a plain list: random
+    /// reservations, placeholder reservations patched in the same step,
+    /// ticks and flushes, with `next_completion` and `free` compared
+    /// after every step.
+    #[test]
+    fn mem_port_matches_a_plain_list() {
+        let mut rng = Rng64::new(0x4d5e_u64);
+        for capacity in [1, 2, 8, 32, 64] {
+            let mut port = MemPort::new(capacity);
+            let mut list: Vec<u64> = Vec::new();
+            let mut now = 0;
+            for step in 0..5_000 {
+                match rng.below(10) {
+                    0..=2 if list.len() < capacity => {
+                        let finish = now + rng.range(1, 400);
+                        port.reserve(finish);
+                        list.push(finish);
+                    }
+                    3..=5 if list.len() < capacity => {
+                        let n = rng.range(1, (capacity - list.len()) as u64 + 1) as usize;
+                        let first = port.reserve_placeholder();
+                        for i in 1..n {
+                            assert_eq!(port.reserve_placeholder(), first + i);
+                        }
+                        // Unpatched placeholders read as `u64::MAX`.
+                        let pending = list.iter().copied().min().unwrap_or(u64::MAX);
+                        assert_eq!(port.next_completion(), Some(pending), "step {step}");
+                        let finish = now + rng.range(1, 400);
+                        for i in 0..n {
+                            port.patch(first + i, finish);
+                            list.push(finish);
+                        }
+                    }
+                    6..=8 => {
+                        now += rng.below(60);
+                        port.tick(now);
+                        list.retain(|&f| f > now);
+                    }
+                    9 if rng.chance(0.1) => {
+                        port.flush();
+                        list.clear();
+                    }
+                    _ => {}
+                }
+                assert_eq!(
+                    port.next_completion(),
+                    list.iter().copied().min(),
+                    "capacity {capacity} step {step}"
+                );
+                assert_eq!(
+                    port.free(),
+                    capacity - list.len(),
+                    "capacity {capacity} step {step}"
+                );
+            }
+        }
     }
 
     #[test]

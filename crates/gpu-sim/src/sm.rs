@@ -631,9 +631,10 @@ impl Sm {
             return;
         }
         let (from, cycles) = (self.owed_from, upto - self.owed_from);
-        self.stats = self.stats_at(upto);
         for sched in 0..self.schedulers.len() {
-            if let Some(cause) = self.idle_cause(sched).trace() {
+            let cause = self.idle_cause(sched);
+            cause.credit(&mut self.stats.stalls, cycles);
+            if let Some(cause) = cause.trace() {
                 // One bulk event stands in for `cycles` per-cycle ones:
                 // per-cause sums stay exact.
                 self.tracer.emit(

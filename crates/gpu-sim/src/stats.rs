@@ -45,23 +45,32 @@ impl AddAssign for StallStats {
 }
 
 /// Memory-hierarchy statistics.
+///
+/// The cache counters count probes by coalesced 128-byte segment, and
+/// not every segment probes both caches: a global load's segments probe
+/// the L1 (filling it on a miss) and, on an L1 miss, the L2; a global
+/// store's segments probe the L1 without allocating, uncounted, and then
+/// the L2, which they fill (write-through, write-allocate in the L2).
+/// Global atomics probe neither cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemStats {
-    /// L1 data cache hits.
+    /// Global-load segments that hit in the L1.
     pub l1_hits: u64,
-    /// L1 data cache misses.
+    /// Global-load segments that missed in the L1 (each then probes the
+    /// L2).
     pub l1_misses: u64,
-    /// L2 hits.
+    /// L2 hits: load segments that missed the L1, plus store segments.
     pub l2_hits: u64,
-    /// L2 misses (DRAM accesses).
+    /// L2 misses (DRAM accesses), by the same probes as `l2_hits`.
     pub l2_misses: u64,
-    /// Global-memory transactions after coalescing.
+    /// Global load and store segments after coalescing (atomics are
+    /// counted in `atomics` only).
     pub transactions: u64,
     /// Shared-memory accesses.
     pub shared_accesses: u64,
     /// Extra serialization cycles from shared-memory bank conflicts.
     pub bank_conflicts: u64,
-    /// Atomic operations executed.
+    /// Atomic warp instructions executed, in every memory space.
     pub atomics: u64,
 }
 

@@ -8,9 +8,10 @@
 # the server under SIGKILL and SIGTERM, a fault trace capture), a
 # byte-for-byte regeneration of all ten results files (every figure and
 # table), the benchmark's self-test, the oracle differential fuzzer, and
-# the environment, formatting, lint and rustdoc gates. Fails fast on
-# the first broken step. Every step writes under target/ or a temp dir:
-# the run must leave the tracked files as it found them.
+# the environment, formatting, lint and rustdoc gates (formatting and
+# lint cover perfbench too). Fails fast on the first broken step. Every
+# step writes under target/ (perfbench's under perfbench/target/) or a
+# temp dir: the run must leave the tracked files as it found them.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -60,11 +61,13 @@ if ! grep -q "FLAME_FUZZ_SEED=" <<<"$out"; then
     exit 1
 fi
 
-echo "==> cargo fmt --check"
+echo "==> cargo fmt --check (the workspace, then perfbench, a workspace of its own)"
 cargo fmt --all -- --check
+cargo fmt --manifest-path perfbench/Cargo.toml --all -- --check
 
-echo "==> cargo clippy -- -D warnings"
+echo "==> cargo clippy -- -D warnings (the workspace, then perfbench)"
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "==> cargo doc -D warnings (intra-doc links resolve)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
